@@ -27,7 +27,7 @@ def main() -> None:
             seed = args.seed0 + 10_000 * n + trial
             x = np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
             try:
-                d = decompose(x, seed=seed)
+                d = decompose(x)
             except (DegenerateSpectrum, ClusteringAmbiguous) as exc:
                 rejected += 1
                 print(f"  n={n} trial={trial}: rejected ({type(exc).__name__})")

@@ -23,7 +23,7 @@ def main() -> None:
     print("correlation block:\n", g.x)
     print("admissible:", state_validity(g).valid)
 
-    res = condense_correlations(g, seed=0)
+    res = condense_correlations(g)
     print("\ncondensed correlation block:\n", np.round(res.g_out.x, 12))
     lam = res.blocks.blocks[0].re
     print(f"invariant lambda = {lam:.12g}  (analytic -sinh(2r)^2 = {-math.sinh(2 * r) ** 2:.12g})")

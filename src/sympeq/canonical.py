@@ -3,12 +3,16 @@
 The main entry point ``decompose`` produces symplectic S1, S2 with
 ``S1 @ X @ S2 = I_n (+) J`` where J is block diagonal: one scalar per real
 invariant and one 2x2 rotation-scaling block [[a, b], [-b, a]] per complex
-conjugate invariant pair. The construction runs through three independently
-testable stages, each exposed as a standalone operation:
+conjugate invariant pair. The construction has two stages:
 
-1. symplectic block-diagonalization of the skew-Hamiltonian Sigma(X),
-2. factorization of a real matrix into two real symmetric factors,
-3. a real eigenvector similarity bringing -A^T B to its real block form.
+1. symplectic block-diagonalization of the skew-Hamiltonian Sigma(X) to
+   -(M (+) M^T), exposed as ``block_diagonalize_skew_hamiltonian``;
+2. a real eigenbasis R of -M, whose GL embedding re-bases stage 1 so that
+   R^{-1} M R is in real block form; its symmetric factors then follow in
+   closed form, with no search and no random draw.
+
+The general factorization of a real matrix into two real symmetric factors
+(``factor_two_symmetric``) remains a standalone operation.
 
 The classical normal-mode decomposition of a positive definite matrix
 (``williamson``) is included; its frequencies nu_k relate to the invariants
@@ -336,7 +340,7 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
-# stage 2: factorization into two real symmetric matrices
+# factorization of a general real matrix into two real symmetric matrices
 # ---------------------------------------------------------------------------
 
 
@@ -354,8 +358,10 @@ def _sym_basis(n: int) -> list[np.ndarray]:
 def factor_two_symmetric(m, seed: int = 0, max_draws: int = 64) -> TwoSymmetricFactors:
     """Write M = A B with A = A^T nonsingular and B = B^T.
 
-    Solves the intertwining equation ``M^T T = T M`` over symmetric T (the
-    kernel of a small linear system), then draws seeded random combinations of
+    A standalone operation for any real square M; ``decompose`` does not use
+    it, since its reduced block has closed-form factors. Solves the
+    intertwining equation ``M^T T = T M`` over symmetric T (the kernel of a
+    small linear system), then draws seeded random combinations of
     the kernel basis until T is nonsingular. A = T^{-1} and B = T M; B is
     symmetric because T intertwines M with its transpose. A nonsingular
     symmetric intertwiner exists for every real square M, so the draw loop
@@ -408,16 +414,21 @@ def factor_two_symmetric(m, seed: int = 0, max_draws: int = 64) -> TwoSymmetricF
 
 
 # ---------------------------------------------------------------------------
-# stage 3: real eigenvector similarity to the block form
+# stage 2: real eigenbasis of M and the closed-form symmetric factors
 # ---------------------------------------------------------------------------
 
 
-def _real_jordan_basis(k: np.ndarray, tol: Tolerances):
-    """Real basis R and slot list such that R^{-1} K R is in real block form.
+def _real_jordan_basis(k: np.ndarray, spectrum: InvariantSpectrum, tol: Tolerances):
+    """Real basis R, column signs e and slot kinds with R^{-1} K R in real block form.
 
     Diagonalizable K only: real eigenvalues contribute their (real)
-    eigenvector, complex pairs the real and imaginary parts of the b > 0
-    member's eigenvector. Slots are returned in canonical order.
+    eigenvector, complex pairs the raw real and imaginary parts (Re v, Im v)
+    of the b > 0 member's eigenvector. Those column pairs carry the signs
+    (+1, -1), which makes diag(e) R^{-1} K R symmetric; a snapped near-real
+    pair keeps its raw columns for that reason and fills two real slots.
+    Slots follow the canonical order of ``spectrum``: each takes the sort key
+    of the nearest invariant of its kind, so rounding cannot swap a real slot
+    and a complex pair whose real parts tie.
     """
     try:
         w, v = np.linalg.eig(k)
@@ -428,7 +439,7 @@ def _real_jordan_basis(k: np.ndarray, tol: Tolerances):
     scale = max(1.0, float(np.max(np.abs(w))))
     gap_abs = tol.degeneracy_gap * scale
 
-    slots = []  # (kind, value(s), columns)
+    slots = []  # (eigenvalue, kinds, columns)
     i = 0
     n = k.shape[0]
     while i < n:
@@ -440,46 +451,32 @@ def _real_jordan_basis(k: np.ndarray, tol: Tolerances):
             vec = v[:, i] if lam.imag > 0 else v[:, i + 1]
             lam_up = lam if lam.imag > 0 else np.conj(lam)
             vec = _fix_phase(vec)
+            cols = [vec.real, vec.imag]
             if abs(lam_up.imag) <= gap_abs:
-                # a snapped near-real pair occupies two real slots
-                cols = _orthonormal_span(np.column_stack([vec.real, vec.imag]), 2)
-                slots.append(("real", float(lam_up.real), [cols[:, 0]]))
-                slots.append(("real", float(lam_up.real), [cols[:, 1]]))
+                slots.append((lam_up, (REAL, REAL), cols))
             else:
-                slots.append(
-                    (
-                        "pair",
-                        (float(lam_up.real), float(lam_up.imag)),
-                        [vec.real.copy(), vec.imag.copy()],
-                    )
-                )
+                slots.append((lam_up, (COMPLEX_PAIR,), cols))
             i += 2
         else:
             vec = _fix_phase(v[:, i].real.copy())
             nv = np.linalg.norm(vec)
             if nv < 1e-12:
                 raise DegenerateSpectrum("vanishing eigenvector for a real eigenvalue")
-            slots.append(("real", float(lam.real), [vec / nv]))
+            slots.append((lam, (REAL,), [vec / nv]))
             i += 1
 
     def _sort_key(slot):
-        if slot[0] == "real":
-            return (-slot[1], 0.0)
-        return (-slot[1][0], slot[1][1])
+        lam, kind = slot[0], slot[1][0]
+        same = (v.as_complex() for v in spectrum.values if v.kind == kind)
+        near = min(same, key=lambda z: abs(z - lam), default=lam)
+        return (-near.real, near.imag if kind == COMPLEX_PAIR else 0.0)
 
     slots.sort(key=_sort_key)
     r = np.column_stack([col for slot in slots for col in slot[2]])
     if reciprocal_condition(r) < _JORDAN_RCOND_MIN:
         raise DegenerateSpectrum("eigenvector basis is near-singular (defective input)")
-    return r, slots
-
-
-def _kinds(spectrum: InvariantSpectrum) -> tuple[str, ...]:
-    return tuple(v.kind for v in spectrum.values)
-
-
-def _slot_kinds(slots) -> tuple[str, ...]:
-    return tuple(REAL if s[0] == "real" else COMPLEX_PAIR for s in slots)
+    e = np.concatenate([[1.0] if len(slot[2]) == 1 else [1.0, -1.0] for slot in slots])
+    return r, e, tuple(kind for slot in slots for kind in slot[1])
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +493,14 @@ def decompose(
     """Symplectic equivalence normal form S1 @ X @ S2 = I_n (+) J.
 
     Pipeline: block-diagonalize Sigma(X) symplectically to -(M (+) M^T),
-    factor M = A B into symmetric matrices, form W = [[0, A], [B, 0]] and the
-    symplectic S' = (S X)^{-1} W, reduce with the GL embedding of A and a
-    final similarity by the GL embedding of G^T, where J = G (-A^T B) G^{-1}
-    is the real block form. The returned factors are one valid choice; only
-    the canonical matrix, the residuals, and symplecticity are contractual.
+    re-base that similarity by the GL embedding of a real eigenbasis R of
+    -M, so that Mb = R^{-1} M R is in real block form, and factor Mb = A B
+    in closed form with A = diag(e) and B = e Mb (e = +1 per real column,
+    (+1, -1) per complex column pair). Then W = [[0, A], [B, 0]],
+    S2 = (S X)^{-1} W sigma and S1 = (A (+) A) S. The construction is
+    deterministic: ``seed`` and ``debug`` are accepted for compatibility and
+    ignored. The returned factors are one valid choice; only the canonical
+    matrix, the residuals, and symplecticity are contractual.
 
     Raises SingularInput for singular X, DegenerateSpectrum (or subclasses)
     when the spectrum is too degenerate or ill-conditioned for a trustworthy
@@ -515,39 +515,26 @@ def decompose(
     if spectrum.has_zero:
         raise SingularInput("zero invariant detected; canonical form requires nonsingular X")
 
-    sig = symplectic_form(n)
     s, m = block_diagonalize_skew_hamiltonian(sigma_matrix(x), tol)
-    factors = factor_two_symmetric(m, seed=seed)
-    a, b = factors.a, factors.b
-
-    w_mat = np.zeros((2 * n, 2 * n))
-    w_mat[:n, n:] = a
-    w_mat[n:, :n] = b
-    sx = s @ x
-    try:
-        s_prime = np.linalg.solve(sx, w_mat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInput(f"S X is singular: {exc}") from exc
-
-    if debug:
-        check = is_symplectic(s_prime, tol)
-        budget = tol.residual_tol * max(1.0, 1.0 / max(reciprocal_condition(sx), 1e-300))
-        budget *= max(1.0, frobenius(s_prime) ** 2)
-        if check.residual > budget:
-            raise DegenerateSpectrum(
-                f"intermediate factor lost symplecticity: {check.residual:.3e}"
-            )
-
-    k = -(a.T @ b)
-    r, slots = _real_jordan_basis(k, tol)
-    if _slot_kinds(slots) != _kinds(spectrum):
+    r, e, kinds = _real_jordan_basis(-m, spectrum, tol)
+    if kinds != tuple(v.kind for v in spectrum.values):
         raise DegenerateSpectrum(
             "invariant classification differs between Sigma(X) and the reduced block"
         )
-    g = np.linalg.inv(r)
+    # S Sigma S^{-1} = -(Mb (+) Mb^T) after re-basing, even where M has off-block mass
+    s = gl_embed(r) @ s
+    b = e[:, None] * np.linalg.solve(r, m @ r)
 
-    s1 = gl_embed(g.T) @ gl_embed(a) @ s
-    s2 = s_prime @ sig @ gl_embed(r.T)  # gl_embed(r.T) == gl_embed(g.T)^{-1}
+    w_mat = np.zeros((2 * n, 2 * n))
+    w_mat[:n, n:] = np.diag(e)
+    w_mat[n:, :n] = (b + b.T) / 2
+    try:
+        s_prime = np.linalg.solve(s @ x, w_mat)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInput(f"S X is singular: {exc}") from exc
+
+    s1 = np.concatenate([e, e])[:, None] * s  # gl_embed(diag(e)) @ S
+    s2 = s_prime @ symplectic_form(n)
 
     blocks = canonical_from_invariants(spectrum)
     recon = frobenius(s1 @ x @ s2 - blocks.assembled)

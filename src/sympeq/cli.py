@@ -43,7 +43,8 @@ def _add_common(parser: argparse.ArgumentParser, needs_input: bool) -> None:
                         help="residual tolerance")
     parser.add_argument("--gap", type=float, default=DEFAULT_TOL.degeneracy_gap,
                         help="relative degeneracy gap")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for `gen`; analysis commands are deterministic")
     parser.add_argument("--format", choices=("human", "machine"), default="machine",
                         dest="fmt", help="report format")
 
@@ -130,7 +131,7 @@ def _run_analysis(args) -> dict:
         return io.spectrum_to_doc(spectrum)
 
     if cmd == "decompose":
-        d = decompose(io.matrix_from_doc(doc), tol=tol, seed=args.seed)
+        d = decompose(io.matrix_from_doc(doc), tol=tol)
         return io.decomposition_to_doc(d)
 
     if cmd == "williamson":
@@ -147,7 +148,7 @@ def _run_analysis(args) -> dict:
 
     if cmd == "condense":
         g = io.bipartite_from_doc(doc)
-        res = condense_correlations(g, tol=tol, seed=args.seed)
+        res = condense_correlations(g, tol=tol)
         return {
             "s_a": io.matrix_to_doc(res.s_a),
             "s_b": io.matrix_to_doc(res.s_b),
@@ -157,7 +158,7 @@ def _run_analysis(args) -> dict:
 
     if cmd == "channel-normalize":
         ch = io.channel_from_doc(doc)
-        res = normalize_channel(ch, tol=tol, seed=args.seed)
+        res = normalize_channel(ch, tol=tol)
         return {
             "s1": io.matrix_to_doc(res.s1),
             "s2": io.matrix_to_doc(res.s2),

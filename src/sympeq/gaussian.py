@@ -206,9 +206,10 @@ def condense_correlations(
     symplectics, so the equivalence normal form of x applies directly. The
     returned state is recomputed in full; its correlation block equals
     I (+) J within the residual tolerance, while the local blocks transform
-    covariantly and are not constrained to be diagonal.
+    covariantly and are not constrained to be diagonal. ``seed`` is accepted
+    for compatibility and ignored: the decomposition is deterministic.
     """
-    d = decompose(g.x, tol=tol, seed=seed)
+    d = decompose(g.x, tol=tol)
     s_a = d.s1
     s_b = d.s2.T
     g_out = transform_bipartite(g, s_a, s_b)
@@ -296,8 +297,9 @@ def normalize_channel(
     X -> S1 X S2 and Y -> S2^T Y S2; choosing the equivalence normal form of
     X reduces the interaction to single-mode and mode-pair units. Validity is
     preserved exactly in theory (the constraint transforms by congruence).
+    ``seed`` is accepted for compatibility and ignored.
     """
-    d = decompose(ch.x, tol=tol, seed=seed)
+    d = decompose(ch.x, tol=tol)
     x_out = d.s1 @ ch.x @ d.s2
     y_out = d.s2.T @ ch.y @ d.s2
     ch_out = GaussianChannel.from_xy(x_out, (y_out + y_out.T) / 2, tol)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympeq import canonical
 from sympeq import (
     COMPLEX_PAIR,
     REAL,
@@ -24,6 +25,9 @@ from sympeq import (
     invariants,
     is_symplectic,
     multiset_distance,
+    normalize_channel,
+    random_symplectic,
+    random_valid_channel,
     sigma_matrix,
     verify_decomposition,
     williamson,
@@ -283,6 +287,50 @@ def test_decompose_debug_mode_runs():
     x = rng.standard_normal((6, 6))
     d = decompose(x, seed=21, debug=True)
     assert verify_decomposition(x, d).verdict
+
+
+def test_decompose_ill_conditioned_stage1_channel():
+    # stage 1 leaves off-block mass in M here; decompose must re-base on an
+    # eigenbasis of M rather than read M as already block diagonal
+    ch = random_valid_channel(8, 4, squeezing=True, seed=2)
+    normalize_channel(ch)
+    d = decompose(ch.x)
+    assert verify_decomposition(ch.x, d).verdict
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+def test_decompose_snapped_near_real_pair(t):
+    near_real = direct_sum(np.array([[1.0, 1e-9], [-1e-9, 1.0]]), np.array([[3.0]]))
+    n_mat = direct_sum(np.eye(3), near_real)
+    x = random_symplectic(3, 10 + t) @ n_mat @ random_symplectic(3, 20 + t)
+    d = decompose(x)
+    assert verify_decomposition(x, d).verdict
+    blocks = d.blocks.blocks
+    assert [v.kind for v in blocks] == [REAL, REAL, REAL]
+    assert blocks[1].re == blocks[2].re == pytest.approx(1.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("t", range(16))
+def test_decompose_real_and_pair_with_tied_real_parts(t):
+    # the real invariant 2 and the pair 2 +- 1e-3 i tie in their real part;
+    # rounding in the eigensolve must not swap their slots
+    j = direct_sum(direct_sum([[2.0]], [[2.0, 1e-3], [-1e-3, 2.0]]), [[1.0]])
+    x = random_symplectic(4, 30 + t) @ direct_sum(np.eye(4), j) @ random_symplectic(4, 40 + t)
+    d = decompose(x)
+    assert verify_decomposition(x, d).verdict
+    assert sorted(v.kind for v in d.blocks.blocks) == sorted([REAL, REAL, COMPLEX_PAIR])
+
+
+def test_decompose_is_deterministic_and_draws_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose must not search for symmetric factors")
+
+    monkeypatch.setattr(canonical, "factor_two_symmetric", refuse)
+    x = np.random.default_rng(5).standard_normal((8, 8))
+    d0 = decompose(x, seed=0)
+    d1 = decompose(x, seed=12345, debug=True)
+    assert np.array_equal(d0.s1, d1.s1)
+    assert np.array_equal(d0.s2, d1.s2)
 
 
 @given(seeds, st.integers(min_value=1, max_value=6))
