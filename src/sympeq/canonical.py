@@ -55,9 +55,11 @@ from .invariants import (
     REAL,
     Invariant,
     InvariantSpectrum,
-    cluster_doubled_spectrum,
+    classify_doubled_spectrum,
+    invariant_multiset,
     invariants,
     sigma_matrix,
+    spectral_scale,
 )
 
 __all__ = [
@@ -97,14 +99,7 @@ class CanonicalBlocks:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalue multiset of J as a sorted complex n-vector."""
-        out: list[complex] = []
-        for blk in self.blocks:
-            if blk.kind == REAL:
-                out.append(complex(blk.re, 0.0))
-            else:
-                out.append(complex(blk.re, blk.im))
-                out.append(complex(blk.re, -blk.im))
-        return np.array(sorted(out, key=lambda z: (z.real, z.imag)), dtype=complex)
+        return invariant_multiset(self.blocks)
 
 
 @dataclass(eq=False)
@@ -188,13 +183,16 @@ def _orthonormal_span(cols: np.ndarray, dim: int) -> np.ndarray:
     return np.column_stack([_fix_phase(basis[:, k]) for k in range(dim)])
 
 
-def _symplectic_pairs_real(basis: np.ndarray, sig: np.ndarray):
-    """Split a real invariant subspace into pairs (u, w) with u^T sig w = -1.
+def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
+    """Split an invariant subspace into pairs (u, w) with u^T sig w = -k.
 
-    Gram-Schmidt with respect to the symplectic form; remaining vectors are
-    projected onto the form-complement of each extracted pair.
+    Gram-Schmidt with respect to the bilinear form u^T sig w; remaining
+    vectors are projected onto the form-complement of each extracted pair.
+    k = 1 for a real basis. A complex basis gets k = 2, which makes the real
+    and imaginary parts of its pairs assemble into a symplectic basis.
     """
-    cols = [basis[:, k].copy() for k in range(basis.shape[1])]
+    k = 2.0 if np.iscomplexobj(basis) else 1.0
+    cols = [basis[:, i].copy() for i in range(basis.shape[1])]
     pairs = []
     while cols:
         u = cols.pop(0)
@@ -204,19 +202,18 @@ def _symplectic_pairs_real(basis: np.ndarray, sig: np.ndarray):
         u = u / nu
         if not cols:
             raise IsotropicEigenspace("odd leftover vector in symplectic pairing")
-        scores = [abs(float(u @ sig @ c)) / max(np.linalg.norm(c), 1e-300) for c in cols]
+        scores = [abs(u @ sig @ c) / max(np.linalg.norm(c), 1e-300) for c in cols]
         j = int(np.argmax(scores))
         if scores[j] < _PAIRING_MIN:
             raise IsotropicEigenspace(
                 "symplectic form degenerates on an invariant subspace"
             )
         w = cols.pop(j)
-        c = float(u @ sig @ w)
-        w = -w / c  # now u^T sig w = -1
+        w = w / (-(u @ sig @ w) / k)  # now u^T sig w = -k
         balance = np.sqrt(np.linalg.norm(w))
         u, w = u * balance, w / balance
         for i, vec in enumerate(cols):
-            vec = vec - float(w @ sig @ vec) * u + float(u @ sig @ vec) * w
+            vec = vec - ((w @ sig @ vec) / k) * u + ((u @ sig @ vec) / k) * w
             nv = np.linalg.norm(vec)
             if nv < 1e-10:
                 raise DegenerateSpectrum("collapsed basis vector in symplectic pairing")
@@ -225,53 +222,19 @@ def _symplectic_pairs_real(basis: np.ndarray, sig: np.ndarray):
     return pairs
 
 
-def _symplectic_pairs_complex(basis: np.ndarray, sig: np.ndarray):
-    """Pair a complex eigenspace basis via the bilinear form z^T sig y.
-
-    Each returned pair (z, y) satisfies z^T sig y = -2, which makes the real
-    and imaginary parts below assemble into a symplectic basis.
-    """
-    cols = [basis[:, k].copy() for k in range(basis.shape[1])]
-    pairs = []
-    while cols:
-        z = cols.pop(0)
-        nz = np.linalg.norm(z)
-        if nz < 1e-10:
-            raise DegenerateSpectrum("collapsed basis vector in symplectic pairing")
-        z = z / nz
-        if not cols:
-            raise IsotropicEigenspace("odd leftover vector in symplectic pairing")
-        scores = [abs(complex(z @ sig @ c)) / max(np.linalg.norm(c), 1e-300) for c in cols]
-        j = int(np.argmax(scores))
-        if scores[j] < _PAIRING_MIN:
-            raise IsotropicEigenspace(
-                "symplectic form degenerates on an invariant subspace"
-            )
-        y = cols.pop(j)
-        c = complex(z @ sig @ y)
-        y = y * (-2.0 / c)  # now z^T sig y = -2
-        balance = np.sqrt(np.linalg.norm(y))
-        z, y = z * balance, y / balance
-        for i, vec in enumerate(cols):
-            vec = vec - (complex(y @ sig @ vec) / 2.0) * z + (complex(z @ sig @ vec) / 2.0) * y
-            nv = np.linalg.norm(vec)
-            if nv < 1e-10:
-                raise DegenerateSpectrum("collapsed basis vector in symplectic pairing")
-            cols[i] = vec / nv
-        pairs.append((z, y))
-    return pairs
-
-
 def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL):
     """Symplectic similarity bringing a skew-Hamiltonian matrix to -(M (+) M^T).
 
     Returns ``(S, M)`` with S symplectic and ``S Sigma S^{-1} = -(M (+) M^T)``.
     The eigenspaces of distinct invariants are orthogonal with respect to the
-    symplectic form, which is exploited to build the basis cluster by cluster:
-    within each invariant subspace a symplectic Gram-Schmidt produces vectors
-    u, w with u^T sig w = -1; u-vectors fill the first-half columns of S^{-1}
-    and w-vectors the second half. Complex conjugate clusters are handled
-    through the real and imaginary parts of a bilinearly paired basis.
+    symplectic form, which is exploited to build the basis cluster by cluster.
+    The clusters, and the canonical order they are processed in, come from
+    ``classify_doubled_spectrum``; an ambiguous clustering raises
+    DegenerateSpectrum. Within each invariant subspace a symplectic
+    Gram-Schmidt produces vectors u, w with u^T sig w = -1; u-vectors fill the
+    first-half columns of S^{-1} and w-vectors the second half. Complex
+    conjugate clusters are handled through the real and imaginary parts of a
+    bilinearly paired basis.
     """
     sig_h = as_even_square(sigma_mat, "Sigma")
     n = sig_h.shape[0] // 2
@@ -285,40 +248,24 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigenFailure(f"eigensolver failed: {exc}") from exc
 
-    scale = max(1.0, float(np.max(np.abs(w))))
-    gap_abs = tol.degeneracy_gap * scale
-    w_snapped = w.astype(complex)
-    w_snapped.imag[np.abs(w_snapped.imag) <= gap_abs] = 0.0
-
     try:
-        real_clusters, pair_clusters, _ = cluster_doubled_spectrum(w_snapped, gap_abs)
+        clusters, _, _ = classify_doubled_spectrum(w, tol)
     except ClusteringAmbiguous as exc:
         raise DegenerateSpectrum(str(exc)) from exc
 
-    # canonical processing order: descending real part, ascending imaginary
-    tagged = [("real", value, idx) for value, idx in real_clusters]
-    tagged += [("pair", (a, b), idx) for a, b, idx in pair_clusters]
-
-    def _sort_key(entry):
-        if entry[0] == "real":
-            return (-entry[1], 0.0)
-        return (-entry[1][0], entry[1][1])
-
-    tagged.sort(key=_sort_key)
-
     u_cols: list[np.ndarray] = []
     w_cols: list[np.ndarray] = []
-    for kind, _, idx in tagged:
-        if kind == "real":
+    for inv, idx in clusters:
+        if inv.kind == REAL:
             raw = v[:, idx]
             real_stack = np.column_stack([raw.real, raw.imag]) if np.iscomplexobj(raw) else raw
             basis = _orthonormal_span(np.asarray(real_stack, dtype=float), len(idx))
-            for u, wv in _symplectic_pairs_real(basis, sig):
+            for u, wv in _symplectic_pairs(basis, sig):
                 u_cols.append(u)
                 w_cols.append(wv)
         else:
             basis = _orthonormal_span(v[:, idx].astype(complex), len(idx))
-            for z, y in _symplectic_pairs_complex(basis, sig):
+            for z, y in _symplectic_pairs(basis, sig):
                 u_cols.append(z.real)
                 u_cols.append(z.imag)
                 w_cols.append(y.real)
@@ -426,9 +373,9 @@ def _real_jordan_basis(k: np.ndarray, spectrum: InvariantSpectrum, tol: Toleranc
     of the b > 0 member's eigenvector. Those column pairs carry the signs
     (+1, -1), which makes diag(e) R^{-1} K R symmetric; a snapped near-real
     pair keeps its raw columns for that reason and fills two real slots.
-    Slots follow the canonical order of ``spectrum``: each takes the sort key
-    of the nearest invariant of its kind, so rounding cannot swap a real slot
-    and a complex pair whose real parts tie.
+    Slots follow the canonical order of ``spectrum``: each is ranked by the
+    index of the nearest entry of its kind in ``spectrum.values``, so rounding
+    cannot swap a real slot and a complex pair whose real parts tie.
     """
     try:
         w, v = np.linalg.eig(k)
@@ -436,7 +383,7 @@ def _real_jordan_basis(k: np.ndarray, spectrum: InvariantSpectrum, tol: Toleranc
         raise EigenFailure(f"eigensolver failed: {exc}") from exc
     w = w.astype(complex)
     v = v.astype(complex)
-    scale = max(1.0, float(np.max(np.abs(w))))
+    scale = spectral_scale(w)
     gap_abs = tol.degeneracy_gap * scale
 
     slots = []  # (eigenvalue, kinds, columns)
@@ -465,13 +412,14 @@ def _real_jordan_basis(k: np.ndarray, spectrum: InvariantSpectrum, tol: Toleranc
             slots.append((lam, (REAL,), [vec / nv]))
             i += 1
 
-    def _sort_key(slot):
-        lam, kind = slot[0], slot[1][0]
-        same = (v.as_complex() for v in spectrum.values if v.kind == kind)
-        near = min(same, key=lambda z: abs(z - lam), default=lam)
-        return (-near.real, near.imag if kind == COMPLEX_PAIR else 0.0)
+    values = spectrum.values
 
-    slots.sort(key=_sort_key)
+    def _rank(slot):
+        lam, kind = slot[0], slot[1][0]
+        same = (j for j, val in enumerate(values) if val.kind == kind)
+        return min(same, key=lambda j: abs(values[j].as_complex() - lam), default=0)
+
+    slots.sort(key=_rank)
     r = np.column_stack([col for slot in slots for col in slot[2]])
     if reciprocal_condition(r) < _JORDAN_RCOND_MIN:
         raise DegenerateSpectrum("eigenvector basis is near-singular (defective input)")
@@ -577,8 +525,7 @@ def verify_decomposition(x, d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> 
     if block_vals.shape != spectrum_vals.shape:
         match = float("inf")
     else:
-        scale = max(1.0, float(np.max(np.abs(spectrum_vals))))
-        match = float(np.max(np.abs(block_vals - spectrum_vals))) / scale
+        match = float(np.max(np.abs(block_vals - spectrum_vals))) / spectral_scale(spectrum_vals)
 
     verdict = (
         recon <= tol.residual_tol
@@ -655,5 +602,4 @@ def williamson_invariant_gap(x, tol: Tolerances = DEFAULT_TOL) -> float:
     nu_sq = np.sort(res.nu**2)[::-1]
     if lam.shape != nu_sq.shape:
         return float("inf")
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    return float(np.max(np.abs(lam - nu_sq))) / scale
+    return float(np.max(np.abs(lam - nu_sq))) / spectral_scale(lam)

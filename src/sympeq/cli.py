@@ -116,11 +116,6 @@ def _load_matrix_like(doc: dict) -> np.ndarray:
     raise io.FormatError("document holds neither a matrix nor an 'x' block")
 
 
-def _human_validity(report) -> str:
-    verdict = "valid" if report.valid else "INVALID"
-    return f"min Hermitian eigenvalue: {report.min_eig:.10g}\nverdict: {verdict}"
-
-
 def _run_analysis(args) -> dict:
     tol = _tolerances(args)
     doc = io.load_document(args.input)
@@ -135,8 +130,8 @@ def _run_analysis(args) -> dict:
         return io.decomposition_to_doc(d)
 
     if cmd == "williamson":
-        res = williamson(io.matrix_from_doc(doc), tol)
         x = io.matrix_from_doc(doc)
+        res = williamson(x, tol)
         target = np.diag(np.concatenate([res.nu, res.nu]))
         residual = frobenius(res.s @ x @ res.s.T - target)
         return {

@@ -6,6 +6,12 @@ either side, so its eigenvalues are a complete set of continuous invariants.
 The spectrum is two-fold degenerate and conjugation-closed; this module
 computes it, clusters the doubles, and classifies entries as real values or
 complex-conjugate pairs.
+
+This module is the one place where the spectral policy is decided: the scale
+(``spectral_scale``), the absolute gap, the snap of near-real eigenvalues to
+the real axis, the clustering and the canonical order (descending re,
+ascending im) all live in ``classify_doubled_spectrum``. The canonical-form
+construction takes its clusters and scales from here.
 """
 
 from __future__ import annotations
@@ -62,14 +68,19 @@ class InvariantSpectrum:
 
     def as_multiset(self) -> np.ndarray:
         """The n invariants as complex numbers, conjugates included, sorted."""
-        out: list[complex] = []
-        for v in self.values:
-            if v.kind == REAL:
-                out.append(complex(v.re, 0.0))
-            else:
-                out.append(complex(v.re, v.im))
-                out.append(complex(v.re, -v.im))
-        return np.array(sorted(out, key=lambda z: (z.real, z.imag)), dtype=complex)
+        return invariant_multiset(self.values)
+
+
+def invariant_multiset(values) -> np.ndarray:
+    """Invariants as complex numbers, conjugates included, sorted by (re, im)."""
+    out: list[complex] = []
+    for v in values:
+        if v.kind == REAL:
+            out.append(complex(v.re, 0.0))
+        else:
+            out.append(complex(v.re, v.im))
+            out.append(complex(v.re, -v.im))
+    return np.array(sorted(out, key=lambda z: (z.real, z.imag)), dtype=complex)
 
 
 def sigma_matrix(x) -> np.ndarray:
@@ -84,6 +95,12 @@ def sigma_matrix(x) -> np.ndarray:
     core = x @ sig @ x.T
     core = (core - core.T) / 2
     return core @ sig.T
+
+
+def spectral_scale(w) -> float:
+    """The unit of every spectral gap: max(1, max|w|), or 1 for an empty array."""
+    w = np.asarray(w)
+    return max(1.0, float(np.max(np.abs(w)))) if w.size else 1.0
 
 
 def _snap_real(w: np.ndarray, gap_abs: float) -> np.ndarray:
@@ -162,6 +179,25 @@ def cluster_doubled_spectrum(w: np.ndarray, gap_abs: float):
     return real_clusters, pair_clusters, worst
 
 
+def classify_doubled_spectrum(w: np.ndarray, tol: Tolerances):
+    """Snap, cluster and order the raw eigenvalues of Sigma(X) once.
+
+    The absolute gap is ``degeneracy_gap`` times ``spectral_scale(w)``.
+    Eigenvalues whose imaginary part lies within it are snapped to the real
+    axis, then ``cluster_doubled_spectrum`` groups them. Returns
+    ``(clusters, worst_spread, gap_abs)``, where each cluster is an
+    ``(Invariant, indices)`` pair, in canonical order (descending re,
+    ascending im); a pair cluster lists only its members with im > 0.
+    Raises ClusteringAmbiguous as ``cluster_doubled_spectrum`` does.
+    """
+    gap_abs = tol.degeneracy_gap * spectral_scale(w)
+    real_clusters, pair_clusters, worst = cluster_doubled_spectrum(_snap_real(w, gap_abs), gap_abs)
+    clusters = [(Invariant(value, 0.0, REAL), group) for value, group in real_clusters]
+    clusters += [(Invariant(a, b, COMPLEX_PAIR), group) for a, b, group in pair_clusters]
+    clusters.sort(key=lambda c: (-c[0].re, c[0].im))
+    return clusters, worst, gap_abs
+
+
 def invariants(x, tol: Tolerances = DEFAULT_TOL) -> InvariantSpectrum:
     """Invariant spectrum of X: eigenvalues of Sigma(X), clustered into doubles.
 
@@ -179,23 +215,13 @@ def invariants(x, tol: Tolerances = DEFAULT_TOL) -> InvariantSpectrum:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigenFailure(f"eigensolver failed on Sigma(X): {exc}") from exc
 
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    gap_abs = tol.degeneracy_gap * scale
-    w = _snap_real(w, gap_abs)
-
-    real_clusters, pair_clusters, worst = cluster_doubled_spectrum(w, gap_abs)
-
-    values: list[Invariant] = []
-    for value, group in real_clusters:
-        values.extend([Invariant(value, 0.0, REAL)] * (len(group) // 2))
-    for a, b, group in pair_clusters:
-        values.extend([Invariant(a, b, COMPLEX_PAIR)] * (len(group) // 2))
-    values.sort(key=lambda v: (-v.re, v.im))
+    clusters, worst, gap_abs = classify_doubled_spectrum(w, tol)
+    values = tuple(v for v, group in clusters for _ in range(len(group) // 2))
 
     spectrum = InvariantSpectrum(
         n=n,
-        values=tuple(values),
-        pairing_residual=worst / scale,
+        values=values,
+        pairing_residual=worst / spectral_scale(w),
         has_zero=any(abs(v.as_complex()) <= gap_abs for v in values),
     )
     if spectrum.slots() != n:  # structural guarantee of the doubling
@@ -212,5 +238,5 @@ def multiset_distance(a: InvariantSpectrum, b: InvariantSpectrum) -> float:
     vb = b.as_multiset()
     if va.shape != vb.shape:
         return float("inf")
-    scale = max(1.0, float(np.max(np.abs(va))), float(np.max(np.abs(vb))))
+    scale = max(spectral_scale(va), spectral_scale(vb))
     return float(np.max(np.abs(va - vb))) / scale

@@ -321,6 +321,18 @@ def test_decompose_real_and_pair_with_tied_real_parts(t):
     assert sorted(v.kind for v in d.blocks.blocks) == sorted([REAL, REAL, COMPLEX_PAIR])
 
 
+@pytest.mark.parametrize("t", range(8))
+def test_decompose_repeated_real_and_pair_clusters(t):
+    # a threefold real invariant and a twofold pair: symplectic pairing must
+    # project within each repeated cluster, in the real and the complex case
+    p = [[1.0, 2.0], [-2.0, 1.0]]
+    j = direct_sum(direct_sum(p, p), np.diag([3.0, 3.0, 3.0]))
+    x = random_symplectic(7, 50 + t) @ direct_sum(np.eye(7), j) @ random_symplectic(7, 60 + t)
+    d = decompose(x)
+    assert verify_decomposition(x, d).verdict
+    assert [v.kind for v in d.blocks.blocks] == [REAL, REAL, REAL, COMPLEX_PAIR, COMPLEX_PAIR]
+
+
 def test_decompose_is_deterministic_and_draws_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("decompose must not search for symmetric factors")
