@@ -16,7 +16,8 @@ The general factorization of a real matrix into two real symmetric factors
 
 The classical normal-mode decomposition of a positive definite matrix
 (``williamson``) is included; its frequencies nu_k relate to the invariants
-by lambda_k = nu_k**2.
+by lambda_k = nu_k**2. It is the only user of scipy (``scipy.linalg.schur``),
+which it imports on first use, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .core import (
     DEFAULT_TOL,
@@ -547,7 +547,13 @@ def williamson(x, tol: Tolerances = DEFAULT_TOL) -> WilliamsonResult:
     X must be symmetric positive definite; S is symplectic and the
     frequencies nu are returned in descending order together with the mode
     occupations (nu - 1) / 2.
+
+    scipy is imported here, on first use, and nowhere else in the package.
     """
+    # Imported at call time so that ``import sympeq`` and every CLI command
+    # but this one skip the cost of loading scipy.linalg.
+    from scipy.linalg import schur
+
     x = as_even_square(x, "X")
     nrm = frobenius(x)
     if frobenius(x - x.T) > 1e-10 * max(nrm, 1e-300):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from sympeq import io
+from sympeq import io, random_symplectic
 from sympeq.cli import run
 
 
@@ -168,3 +168,41 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["values"][0]["re"] == 1.0
+
+
+COLD_CHILD = """
+import json, sys
+import sympeq, sympeq.cli
+files, thermal, out = json.loads(sys.argv[1])
+codes = [sympeq.cli.run([cmd, "--input", path, "--output", path + ".out"])
+         for cmd, path in zip(("invariants", "decompose", "witness"), files)]
+scipy_before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+codes.append(sympeq.cli.run(["williamson", "--input", thermal, "--output", out]))
+print(json.dumps({"codes": codes, "scipy_before_williamson": scipy_before}))
+"""
+
+
+def test_cold_path_loads_scipy_only_for_williamson(tmp_path):
+    files = [
+        str(gen(tmp_path, f"x{seed}.json", "--kind", "random-x", "--n", "2", "--seed", str(seed)))
+        for seed in (3, 4, 5)
+    ]
+    s = random_symplectic(2, seed=9)
+    g = s @ np.diag([3.0, 1.5, 3.0, 1.5]) @ s.T
+    thermal = tmp_path / "thermal.json"
+    io.save_document(io.matrix_to_doc((g + g.T) / 2), str(thermal))
+    child_out = tmp_path / "w-child.json"
+
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_CHILD, json.dumps([files, str(thermal), str(child_out)])],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["scipy_before_williamson"] == []
+    assert doc["codes"] == [0, 0, 0, 0]
+
+    rc, parent_out = analyze(tmp_path, "williamson", thermal, "w-parent.json")
+    assert rc == 0
+    assert child_out.read_bytes() == parent_out.read_bytes()
