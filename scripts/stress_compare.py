@@ -1,0 +1,303 @@
+"""Compare two sympeq source trees on a fixed set of 2100 stress inputs.
+
+Usage: python scripts/stress_compare.py --parent TREE --change TREE
+
+TREE is a source tree (its ``src`` directory holds ``sympeq``) or the
+``src`` directory itself. The inputs are generated once, in a child process
+running the parent tree; then each tree evaluates them in its own child
+process with that tree's ``src`` on PYTHONPATH:
+
+* 1200 random X at n = 1..8, a third scaled by 10^U(-4, 4);
+* 400 ``random_valid_channel`` inputs, squeezing on every other one;
+* 500 symplectically dressed near-degenerate canonical forms I (+) J in five
+  families (repeated real and pair clusters, reals split by 1e-8..1e-4,
+  near-real pairs, tied real parts, near-coincident pairs), every seventh
+  scaled.
+
+Every input goes through ``invariants`` and ``decompose`` (with
+``verify_decomposition``); the channels also through ``normalize_channel``
+and ``williamson_invariant_gap`` of X X^T + I. Each input is reported as
+bit-identical, last digits only (same outcome, some number differs), or a
+different outcome: another error type or message, other kinds, block order
+or verdict, or contractual values (invariants, blocks, the Williamson gap)
+apart by more than 1e-9 of their scale. The exit status is 1 on any
+different outcome.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pickle
+import re
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+FAMILIES = ("repeated", "split_reals", "near_real_pair", "tied_real_parts", "near_pairs")
+# fields whose values are contractual; other numbers (factors, residuals)
+# may move in their last digits without changing the outcome
+CONTRACTUAL = ("values", "gap")
+CONTRACT_RTOL = 1e-9
+_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+# ---------------------------------------------------------------------------
+# inputs (generated in a child running the parent tree)
+# ---------------------------------------------------------------------------
+
+
+def _pair(a: float, b: float) -> np.ndarray:
+    return np.array([[a, b], [-b, a]])
+
+
+def _dressed_form(sp, family: str, rng: np.random.Generator, seed: int):
+    if family == "repeated":
+        a, b, r = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0)
+        blocks = [_pair(a, b), _pair(a, b)] + [np.array([[r]])] * int(rng.integers(2, 4))
+    elif family == "split_reals":
+        r = rng.uniform(0.5, 3.0)
+        delta = r * 10.0 ** rng.uniform(-8, -4)
+        blocks = [np.array([[r]]), np.array([[r + delta]]), np.array([[rng.uniform(-3.0, -0.5)]])]
+    elif family == "near_real_pair":
+        a = rng.uniform(0.5, 3.0)
+        blocks = [_pair(a, a * 10.0 ** rng.uniform(-10, -5)), np.array([[rng.uniform(-3.0, -0.5)]])]
+    elif family == "tied_real_parts":
+        a = rng.uniform(0.5, 3.0)
+        blocks = [np.array([[a]]), _pair(a, rng.uniform(1e-4, 1.0)), np.array([[rng.uniform(-3.0, 0.4)]])]
+    else:  # near_pairs
+        a, b = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0)
+        delta = 10.0 ** rng.uniform(-8, -4)
+        blocks = [_pair(a, b), _pair(a + delta, b + delta), np.array([[rng.uniform(0.5, 3.0)]])]
+    j = blocks[0]
+    for blk in blocks[1:]:
+        j = sp.direct_sum(j, blk)
+    n = j.shape[0]
+    form = sp.direct_sum(np.eye(n), j)
+    return sp.random_symplectic(n, seed) @ form @ sp.random_symplectic(n, seed + 1)
+
+
+def generate(path: Path) -> None:
+    import sympeq as sp
+
+    inputs = []
+    for i in range(1200):
+        rng = np.random.default_rng(1_000_000 + i)
+        n = 1 + i % 8
+        x = rng.standard_normal((2 * n, 2 * n))
+        if i % 3 == 0:
+            x = x * 10.0 ** rng.uniform(-4, 4)
+        inputs.append({"family": "random", "x": x})
+    for i in range(400):
+        n = 1 + i % 6
+        ch = sp.random_valid_channel(n, 1 + i % 3, squeezing=bool(i % 2), seed=2_000_000 + i)
+        inputs.append({"family": "channel", "x": ch.x, "y": ch.y})
+    for i in range(500):
+        family = FAMILIES[i % len(FAMILIES)]
+        rng = np.random.default_rng(3_000_000 + i)
+        x = _dressed_form(sp, family, rng, seed=3_000_000 + 2 * i)
+        if i % 7 == 0:
+            x = x * 10.0 ** rng.uniform(-4, 4)
+        inputs.append({"family": family, "x": x})
+    path.write_bytes(pickle.dumps(inputs))
+
+
+# ---------------------------------------------------------------------------
+# evaluation (one child per tree)
+# ---------------------------------------------------------------------------
+
+
+def _values(values) -> dict:
+    return {"kinds": [v.kind for v in values], "values": [[v.re, v.im] for v in values]}
+
+
+def _flat(a) -> list:
+    return np.asarray(a, dtype=float).ravel().tolist()
+
+
+def _run(sp, fn) -> dict:
+    try:
+        return fn()
+    except sp.SympeqError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _decompose(sp, x) -> dict:
+    d = sp.decompose(x)
+    rep = sp.verify_decomposition(x, d)
+    return {
+        **_values(d.blocks.blocks),
+        "s1": _flat(d.s1),
+        "s2": _flat(d.s2),
+        "residuals": [d.recon_residual, d.s1_residual, d.s2_residual],
+        "verify": [rep.recon, rep.s1, rep.s2, rep.spectrum_match],
+        "verdict": rep.verdict,
+    }
+
+
+def _invariants(sp, x) -> dict:
+    spec = sp.invariants(x)
+    return {**_values(spec.values), "pairing_residual": spec.pairing_residual, "has_zero": spec.has_zero}
+
+
+def _normalize(sp, item) -> dict:
+    n = item["x"].shape[0] // 2
+    res = sp.normalize_channel(sp.GaussianChannel(n, item["x"], item["y"]))
+    return {
+        **_values(res.blocks.blocks),
+        "s1": _flat(res.s1),
+        "s2": _flat(res.s2),
+        "y_out": _flat(res.ch_out.y),
+        "validity_residual": res.ch_out.validity_residual,
+        "valid": sp.channel_validity(res.ch_out).valid,
+    }
+
+
+def evaluate(path: Path) -> None:
+    import sympeq as sp
+
+    out = []
+    for item in pickle.loads(path.read_bytes()):
+        x = item["x"]
+        rec = {
+            "invariants": _run(sp, lambda: _invariants(sp, x)),
+            "decompose": _run(sp, lambda: _decompose(sp, x)),
+        }
+        if item["family"] == "channel":
+            rec["normalize_channel"] = _run(sp, lambda: _normalize(sp, item))
+            rec["williamson_invariant_gap"] = _run(
+                sp, lambda: {"gap": sp.williamson_invariant_gap(x @ x.T + np.eye(x.shape[0]))}
+            )
+        out.append({"family": item["family"], "ops": rec})
+    json.dump(out, sys.stdout)
+
+
+# ---------------------------------------------------------------------------
+# comparison (in the calling process)
+# ---------------------------------------------------------------------------
+
+
+def _split(value, path: str, shape: list, numbers: dict) -> None:
+    """Separate a record into its outcome (shape) and its numbers by field."""
+    if isinstance(value, bool) or value is None:
+        shape.append((path, value))
+    elif isinstance(value, (int, float)):
+        numbers.setdefault(path, []).append(float(value))
+    elif isinstance(value, str):
+        if path.endswith("message"):
+            numbers.setdefault(path, []).extend(float(t) for t in _NUMBER.findall(value))
+            value = _NUMBER.sub("#", value)
+        shape.append((path, value))
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            _split(value[key], f"{path}.{key}", shape, numbers)
+    else:
+        shape.append((path, len(value)))
+        for item in value:
+            _split(item, path, shape, numbers)
+
+
+def _relative_gap(a: list, b: list) -> float:
+    a, b = np.asarray(a), np.asarray(b)
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(a - b)
+    diff[np.isnan(a) & np.isnan(b)] = 0.0
+    diff[np.isnan(diff)] = np.inf
+    scale = max(1e-300, float(np.nanmax(np.abs(np.concatenate([a, b])))))
+    return float(np.max(diff)) / scale
+
+
+def compare(old: dict, new: dict) -> tuple[str, str, float]:
+    """Classify one input: ('identical' | 'digits' | 'different', detail, worst gap)."""
+    shape_old, shape_new, num_old, num_new = [], [], {}, {}
+    _split(old, "", shape_old, num_old)
+    _split(new, "", shape_new, num_new)
+    if shape_old != shape_new:
+        first = next((a for a, b in zip(shape_old, shape_new) if a != b), shape_old[-1:])
+        return "different", f"outcome at {first}", np.inf
+    worst, detail = 0.0, ""
+    for field, a in num_old.items():
+        b = num_new[field]
+        if [x.hex() for x in a] == [x.hex() for x in b]:
+            continue
+        gap = _relative_gap(a, b)
+        if field.split(".")[-1] in CONTRACTUAL and gap > CONTRACT_RTOL:
+            return "different", f"{field} apart by {gap:.2e}", gap
+        if gap >= worst:
+            worst, detail = gap, field
+    return ("digits", detail, worst) if detail else ("identical", "", 0.0)
+
+
+def _src(tree: str) -> Path:
+    path = Path(tree).resolve()
+    for cand in (path / "src", path):
+        if (cand / "sympeq" / "__init__.py").is_file():
+            return cand
+    raise SystemExit(f"no sympeq package under {tree}")
+
+
+def _child(src: Path, *args: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, __file__, *args], env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"child on {src} failed:\n{proc.stderr}")
+    return proc.stdout
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", help="source tree of the reference")
+    parser.add_argument("--change", help="source tree compared against it")
+    parser.add_argument("--worker", choices=("generate", "evaluate"), help=argparse.SUPPRESS)
+    parser.add_argument("--inputs", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker == "generate":
+        generate(args.inputs)
+        return 0
+    if args.worker == "evaluate":
+        evaluate(args.inputs)
+        return 0
+    if not (args.parent and args.change):
+        parser.error("--parent and --change are required")
+
+    parent, change = _src(args.parent), _src(args.change)
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = Path(tmp) / "inputs.pkl"
+        _child(parent, "--worker", "generate", "--inputs", str(inputs))
+        old = json.loads(_child(parent, "--worker", "evaluate", "--inputs", str(inputs)))
+        new = json.loads(_child(change, "--worker", "evaluate", "--inputs", str(inputs)))
+
+    counts: Counter = Counter()
+    by_family: dict[str, Counter] = {}
+    errors: Counter = Counter()
+    worst = (0.0, "", -1)
+    for i, (a, b) in enumerate(zip(old, new)):
+        verdict, detail, gap = compare(a["ops"], b["ops"])
+        counts[verdict] += 1
+        by_family.setdefault(a["family"], Counter())[verdict] += 1
+        for op, rec in b["ops"].items():
+            if "error" in rec:
+                errors[(op, rec["error"])] += 1
+        if verdict == "different":
+            print(f"input {i} ({a['family']}): different outcome: {detail}")
+        elif verdict == "digits" and gap >= worst[0]:
+            worst = (gap, detail, i)
+
+    print(f"{len(old)} inputs: {counts['identical']} bit-identical, "
+          f"{counts['digits']} last digits only, {counts['different']} different outcome")
+    for family, c in by_family.items():
+        print(f"  {family:16s} {c['identical']:5d} identical {c['digits']:5d} digits {c['different']:5d} different")
+    if counts["digits"]:
+        print(f"  largest number difference: {worst[0]:.2e} relative, in {worst[1]} of input {worst[2]}")
+    for (op, name), k in sorted(errors.items()):
+        print(f"  change: {op} raised {name} on {k} inputs")
+    return 1 if counts["different"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

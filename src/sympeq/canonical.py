@@ -3,10 +3,12 @@
 The main entry point ``decompose`` produces symplectic S1, S2 with
 ``S1 @ X @ S2 = I_n (+) J`` where J is block diagonal: one scalar per real
 invariant and one 2x2 rotation-scaling block [[a, b], [-b, a]] per complex
-conjugate invariant pair. The construction has two stages:
+conjugate invariant pair. One eigendecomposition of the skew-Hamiltonian
+Sigma(X) serves both the invariants (its eigenvalues) and stage 1 (its
+eigenvectors). The construction has two stages:
 
-1. symplectic block-diagonalization of the skew-Hamiltonian Sigma(X) to
-   -(M (+) M^T), exposed as ``block_diagonalize_skew_hamiltonian``;
+1. symplectic block-diagonalization of Sigma(X) to -(M (+) M^T), exposed as
+   ``block_diagonalize_skew_hamiltonian``;
 2. a real eigenbasis R of -M, whose GL embedding re-bases stage 1 so that
    R^{-1} M R is in real block form; its symmetric factors then follow in
    closed form, with no search and no random draw.
@@ -22,6 +24,7 @@ which it imports on first use, so importing this module loads no scipy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +34,13 @@ from .core import (
     Tolerances,
     as_even_square,
     as_matrix,
+    block_diag,
     direct_sum,
     frobenius,
-    gl_embed,
     is_symplectic,
+    readonly_form,
     reciprocal_condition,
-    symplectic_form,
+    symplectic_residual,
 )
 from .errors import (
     ClusteringAmbiguous,
@@ -58,8 +62,9 @@ from .invariants import (
     classify_doubled_spectrum,
     invariant_multiset,
     invariants,
-    sigma_matrix,
+    sigma_of_checked,
     spectral_scale,
+    spectrum_from_eigenvalues,
 )
 
 __all__ = [
@@ -153,7 +158,7 @@ def canonical_from_invariants(spectrum: InvariantSpectrum) -> CanonicalBlocks:
             pos += 2
     if pos != n:
         raise DimensionError(f"blocks fill {pos} slots, expected {n}")
-    return CanonicalBlocks(n=n, blocks=spectrum.values, assembled=direct_sum(np.eye(n), j))
+    return CanonicalBlocks(n=n, blocks=spectrum.values, assembled=block_diag(np.eye(n), j))
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +166,16 @@ def canonical_from_invariants(spectrum: InvariantSpectrum) -> CanonicalBlocks:
 # ---------------------------------------------------------------------------
 
 
-def _fix_phase(col: np.ndarray) -> np.ndarray:
-    # gauge: the largest-magnitude entry is made real and positive
-    k = int(np.argmax(np.abs(col)))
-    pivot = col[k]
-    if pivot == 0:
-        return col
-    if np.iscomplexobj(col):
-        return col * (np.conj(pivot) / abs(pivot))
-    return col if pivot > 0 else -col
+def _fix_phase(cols: np.ndarray) -> np.ndarray:
+    # gauge per column: the largest-magnitude entry is made real and positive
+    pivot = cols[np.abs(cols).argmax(axis=0), np.arange(cols.shape[1])]
+    if not np.iscomplexobj(cols):
+        return np.where(pivot < 0, -cols, cols)
+    mag = np.hypot(pivot.real, pivot.imag)  # abs() of each pivot, bit for bit
+    mag[mag == 0] = 1.0  # a zero column stays zero
+    # scaling the rows of the transpose multiplies each column by a broadcast
+    # scalar, which rounds exactly as col * phase does column by column
+    return (cols.T * (pivot.conj() / mag)[:, None]).T
 
 
 def _orthonormal_span(cols: np.ndarray, dim: int) -> np.ndarray:
@@ -179,8 +185,15 @@ def _orthonormal_span(cols: np.ndarray, dim: int) -> np.ndarray:
         raise DegenerateSpectrum(
             "invariant subspace is rank deficient (defective or near-defective input)"
         )
-    basis = u[:, :dim]
-    return np.column_stack([_fix_phase(basis[:, k]) for k in range(dim)])
+    return _fix_phase(u[:, :dim])
+
+
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm of a contiguous 1-D vector: the same dot products and
+    # square root, without the dispatch that dominates at these sizes
+    if np.iscomplexobj(v):
+        return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    return math.sqrt(v.dot(v))
 
 
 def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
@@ -196,25 +209,28 @@ def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
     pairs = []
     while cols:
         u = cols.pop(0)
-        nu = np.linalg.norm(u)
+        nu = _norm(u)
         if nu < 1e-10:
             raise DegenerateSpectrum("collapsed basis vector in symplectic pairing")
         u = u / nu
         if not cols:
             raise IsotropicEigenspace("odd leftover vector in symplectic pairing")
-        scores = [abs(u @ sig @ c) / max(np.linalg.norm(c), 1e-300) for c in cols]
-        j = int(np.argmax(scores))
+        # u @ sig @ c evaluates as (u @ sig) @ c, so the row is formed once
+        us = u @ sig
+        scores = [abs(us @ c) / max(_norm(c), 1e-300) for c in cols]
+        j = max(range(len(scores)), key=scores.__getitem__)  # first maximum
         if scores[j] < _PAIRING_MIN:
             raise IsotropicEigenspace(
                 "symplectic form degenerates on an invariant subspace"
             )
         w = cols.pop(j)
-        w = w / (-(u @ sig @ w) / k)  # now u^T sig w = -k
-        balance = np.sqrt(np.linalg.norm(w))
+        w = w / (-(us @ w) / k)  # now u^T sig w = -k
+        balance = math.sqrt(_norm(w))
         u, w = u * balance, w / balance
+        us, ws = u @ sig, w @ sig
         for i, vec in enumerate(cols):
-            vec = vec - ((w @ sig @ vec) / k) * u + ((u @ sig @ vec) / k) * w
-            nv = np.linalg.norm(vec)
+            vec = vec - ((ws @ vec) / k) * u + ((us @ vec) / k) * w
+            nv = _norm(vec)
             if nv < 1e-10:
                 raise DegenerateSpectrum("collapsed basis vector in symplectic pairing")
             cols[i] = vec / nv
@@ -237,8 +253,7 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
     bilinearly paired basis.
     """
     sig_h = as_even_square(sigma_mat, "Sigma")
-    n = sig_h.shape[0] // 2
-    sig = symplectic_form(n)
+    sig = readonly_form(sig_h.shape[0] // 2)
     skew = sig_h @ sig
     if frobenius(skew.T + skew) > 1e-10 * max(1.0, frobenius(sig_h)):
         raise NotSkewHamiltonian("(Sigma sigma)^T != -(Sigma sigma) within tolerance")
@@ -252,7 +267,17 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
         clusters, _, _ = classify_doubled_spectrum(w, tol)
     except ClusteringAmbiguous as exc:
         raise DegenerateSpectrum(str(exc)) from exc
+    return _block_diagonalize(sig_h, v, clusters, tol)
 
+
+def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters, tol: Tolerances):
+    """Stage 1 from one eigendecomposition of the skew-Hamiltonian sig_h.
+
+    ``v`` holds its eigenvectors and ``clusters`` the classification of its
+    eigenvalues by ``classify_doubled_spectrum``.
+    """
+    n = sig_h.shape[0] // 2
+    sig = readonly_form(n)
     u_cols: list[np.ndarray] = []
     w_cols: list[np.ndarray] = []
     for inv, idx in clusters:
@@ -278,6 +303,7 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
     s = np.linalg.inv(t)
     similar = s @ sig_h @ t
     m = -(similar[:n, :n] + similar[n:, n:].T) / 2
+    # m is computed and can overflow; direct_sum keeps its finiteness check here
     residual = frobenius(similar + direct_sum(m, m.T))
     if residual > tol.residual_tol * max(1.0, 1.0 / rc) * max(1.0, frobenius(sig_h)):
         raise DegenerateSpectrum(
@@ -386,7 +412,7 @@ def _real_jordan_basis(k: np.ndarray, spectrum: InvariantSpectrum, tol: Toleranc
     scale = spectral_scale(w)
     gap_abs = tol.degeneracy_gap * scale
 
-    slots = []  # (eigenvalue, kinds, columns)
+    lams, kinds, real_idx, pair_idx = [], [], [], []  # per slot
     i = 0
     n = k.shape[0]
     while i < n:
@@ -395,36 +421,46 @@ def _real_jordan_basis(k: np.ndarray, spectrum: InvariantSpectrum, tol: Toleranc
             # conjugate partner is adjacent for real input matrices
             if i + 1 >= n or abs(np.conj(lam) - w[i + 1]) > max(gap_abs, 1e-8 * scale):
                 raise DegenerateSpectrum("conjugate eigenvalue pairing broken")
-            vec = v[:, i] if lam.imag > 0 else v[:, i + 1]
             lam_up = lam if lam.imag > 0 else np.conj(lam)
-            vec = _fix_phase(vec)
-            cols = [vec.real, vec.imag]
-            if abs(lam_up.imag) <= gap_abs:
-                slots.append((lam_up, (REAL, REAL), cols))
-            else:
-                slots.append((lam_up, (COMPLEX_PAIR,), cols))
+            lams.append(lam_up)
+            kinds.append((REAL, REAL) if abs(lam_up.imag) <= gap_abs else (COMPLEX_PAIR,))
+            pair_idx.append(i if lam.imag > 0 else i + 1)
             i += 2
         else:
-            vec = _fix_phase(v[:, i].real.copy())
+            lams.append(lam)
+            kinds.append((REAL,))
+            real_idx.append(i)
+            i += 1
+
+    # columns per slot, in eigenvalue order: a unit real eigenvector, or the
+    # raw (Re v, Im v) of a pair
+    real_vecs = iter(_fix_phase(v[:, real_idx].real).T if real_idx else ())
+    pair_vecs = iter(_fix_phase(v[:, pair_idx]).T if pair_idx else ())
+    cols = []
+    for kind in kinds:
+        if kind == (REAL,):
+            vec = next(real_vecs)
             nv = np.linalg.norm(vec)
             if nv < 1e-12:
                 raise DegenerateSpectrum("vanishing eigenvector for a real eigenvalue")
-            slots.append((lam, (REAL,), [vec / nv]))
-            i += 1
+            cols.append([vec / nv])
+        else:
+            vec = next(pair_vecs)
+            cols.append([vec.real, vec.imag])
 
+    # rank each slot by the index of the nearest entry of its kind in
+    # spectrum.values (the first of equals; 0 when its kind is absent); hypot
+    # gives the distances that abs() of each complex difference gives
     values = spectrum.values
-
-    def _rank(slot):
-        lam, kind = slot[0], slot[1][0]
-        same = (j for j, val in enumerate(values) if val.kind == kind)
-        return min(same, key=lambda j: abs(values[j].as_complex() - lam), default=0)
-
-    slots.sort(key=_rank)
-    r = np.column_stack([col for slot in slots for col in slot[2]])
+    d = np.array([val.as_complex() for val in values])[None, :] - np.array(lams)[:, None]
+    same = np.array([val.kind for val in values])[None, :] == np.array([kd[0] for kd in kinds])[:, None]
+    ranks = np.argmin(np.where(same, np.hypot(d.real, d.imag), np.inf), axis=1)
+    slots = [(kinds[j], cols[j]) for j in np.argsort(ranks, kind="stable")]
+    r = np.column_stack([col for slot in slots for col in slot[1]])
     if reciprocal_condition(r) < _JORDAN_RCOND_MIN:
         raise DegenerateSpectrum("eigenvector basis is near-singular (defective input)")
-    e = np.concatenate([[1.0] if len(slot[2]) == 1 else [1.0, -1.0] for slot in slots])
-    return r, e, tuple(kind for slot in slots for kind in slot[1])
+    e = np.concatenate([[1.0] if len(slot[1]) == 1 else [1.0, -1.0] for slot in slots])
+    return r, e, tuple(kind for slot in slots for kind in slot[0])
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +476,14 @@ def decompose(
 ) -> Decomposition:
     """Symplectic equivalence normal form S1 @ X @ S2 = I_n (+) J.
 
-    Pipeline: block-diagonalize Sigma(X) symplectically to -(M (+) M^T),
-    re-base that similarity by the GL embedding of a real eigenbasis R of
-    -M, so that Mb = R^{-1} M R is in real block form, and factor Mb = A B
-    in closed form with A = diag(e) and B = e Mb (e = +1 per real column,
-    (+1, -1) per complex column pair). Then W = [[0, A], [B, 0]],
+    Pipeline: one eigendecomposition of Sigma(X) serves the invariants and
+    stage 1. Its eigenvalues give the invariant spectrum, the blocks of J,
+    equal to ``invariants(x).values``; its eigenvectors block-diagonalize
+    Sigma(X) symplectically to -(M (+) M^T). Re-base that similarity by the
+    GL embedding of a real eigenbasis R of -M, so that Mb = R^{-1} M R is in
+    real block form, and factor Mb = A B in closed form with A = diag(e) and
+    B = e Mb (e = +1 per real column, (+1, -1) per complex column pair).
+    Then W = [[0, A], [B, 0]],
     S2 = (S X)^{-1} W sigma and S1 = (A (+) A) S. The construction is
     deterministic: ``seed`` and ``debug`` are accepted for compatibility and
     ignored. The returned factors are one valid choice; only the canonical
@@ -459,18 +498,25 @@ def decompose(
     if reciprocal_condition(x) < _X_RCOND_MIN:
         raise SingularInput("X is singular within tolerance (rcond < 1e-12)")
 
-    spectrum = invariants(x, tol)
+    # one eigendecomposition of Sigma(X) serves the invariants and stage 1
+    sig_x = sigma_of_checked(x)
+    try:
+        w, v = np.linalg.eig(sig_x)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise EigenFailure(f"eigensolver failed on Sigma(X): {exc}") from exc
+    spectrum, clusters = spectrum_from_eigenvalues(w, tol)
     if spectrum.has_zero:
         raise SingularInput("zero invariant detected; canonical form requires nonsingular X")
 
-    s, m = block_diagonalize_skew_hamiltonian(sigma_matrix(x), tol)
+    s, m = _block_diagonalize(sig_x, v, clusters, tol)
     r, e, kinds = _real_jordan_basis(-m, spectrum, tol)
     if kinds != tuple(v.kind for v in spectrum.values):
         raise DegenerateSpectrum(
             "invariant classification differs between Sigma(X) and the reduced block"
         )
-    # S Sigma S^{-1} = -(Mb (+) Mb^T) after re-basing, even where M has off-block mass
-    s = gl_embed(r) @ s
+    # S Sigma S^{-1} = -(Mb (+) Mb^T) after re-basing, even where M has off-block
+    # mass; R^{-1} (+) R^T is the GL embedding of R, whose rcond is checked above
+    s = block_diag(np.linalg.inv(r), r.T) @ s
     b = e[:, None] * np.linalg.solve(r, m @ r)
 
     w_mat = np.zeros((2 * n, 2 * n))
@@ -482,13 +528,13 @@ def decompose(
         raise SingularInput(f"S X is singular: {exc}") from exc
 
     s1 = np.concatenate([e, e])[:, None] * s  # gl_embed(diag(e)) @ S
-    s2 = s_prime @ symplectic_form(n)
+    s2 = s_prime @ readonly_form(n)
 
     blocks = canonical_from_invariants(spectrum)
     recon = frobenius(s1 @ x @ s2 - blocks.assembled)
     recon /= max(frobenius(s1) * frobenius(x) * frobenius(s2), 1e-300)
-    s1_res = is_symplectic(s1, tol).residual
-    s2_res = is_symplectic(s2, tol).residual
+    s1_res = symplectic_residual(s1)
+    s2_res = symplectic_residual(s2)
     if recon > tol.residual_tol or s1_res > tol.residual_tol or s2_res > tol.residual_tol:
         raise DegenerateSpectrum(
             "decomposition failed its own residual contract "
@@ -566,7 +612,7 @@ def williamson(x, tol: Tolerances = DEFAULT_TOL) -> WilliamsonResult:
         raise NotPositiveDefinite(f"minimal eigenvalue {evals[0]:.3e} is not positive")
     inv_sqrt = (evecs * (evals**-0.5)) @ evecs.T
 
-    sig = symplectic_form(n)
+    sig = readonly_form(n)
     y = inv_sqrt @ sig @ inv_sqrt
     y = (y - y.T) / 2
     t, z = schur(y, output="real")

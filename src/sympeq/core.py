@@ -11,6 +11,7 @@ Conventions fixed once here and inherited by every other module:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,7 +73,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     return m
 
@@ -104,9 +105,22 @@ def symplectic_form(n: int) -> np.ndarray:
     """The 2n x 2n symplectic form [[0, -I], [I, 0]] (P block first)."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DimensionError(f"mode count must be a positive integer, got {n!r}")
+    return readonly_form(int(n)).copy()
+
+
+@lru_cache(maxsize=64)
+def readonly_form(n: int) -> np.ndarray:
+    """The symplectic form for an integer mode count n, built once per n.
+
+    The array is shared between callers and therefore read-only; the public
+    ``symplectic_form`` hands out writable copies of it.
+    """
+    if n < 1:
+        raise DimensionError(f"mode count must be a positive integer, got {n!r}")
     sig = np.zeros((2 * n, 2 * n))
     sig[:n, n:] = -np.eye(n)
     sig[n:, :n] = np.eye(n)
+    sig.flags.writeable = False
     return sig
 
 
@@ -124,11 +138,15 @@ def is_symplectic(s, tol: Tolerances = DEFAULT_TOL) -> SymplecticCheck:
     squared norm.
     """
     s = as_even_square(s, "S")
-    n = s.shape[0] // 2
-    sig = symplectic_form(n)
-    residual = frobenius(s @ sig @ s.T - sig)
+    residual = symplectic_residual(s)
     scale = max(1.0, frobenius(s) ** 2)
     return SymplecticCheck(residual=residual, verdict=residual <= tol.residual_tol * scale)
+
+
+def symplectic_residual(s: np.ndarray) -> float:
+    """||S sigma S^T - sigma||_F for a checked even square S."""
+    sig = readonly_form(s.shape[0] // 2)
+    return frobenius(s @ sig @ s.T - sig)
 
 
 def gl_embed(g) -> np.ndarray:
@@ -143,8 +161,11 @@ def gl_embed(g) -> np.ndarray:
 
 def direct_sum(a, b) -> np.ndarray:
     """Block-diagonal assembly diag(A, B); dimensions add."""
-    a = as_matrix(a, "A")
-    b = as_matrix(b, "B")
+    return block_diag(as_matrix(a, "A"), as_matrix(b, "B"))
+
+
+def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``direct_sum`` of two checked 2-D float arrays."""
     out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
     out[: a.shape[0], : a.shape[1]] = a
     out[a.shape[0] :, a.shape[1] :] = b

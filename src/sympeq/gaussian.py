@@ -26,6 +26,7 @@ from .core import (
     Tolerances,
     as_even_square,
     as_matrix,
+    block_diag,
     direct_sum,
     frobenius,
     hermitian_min_eig,
@@ -94,7 +95,7 @@ class BipartiteCovariance:
 
     def form(self) -> np.ndarray:
         sig = symplectic_form(self.n)
-        return direct_sum(sig, sig)
+        return block_diag(sig, sig)
 
     @classmethod
     def from_assembled(cls, n: int, gamma) -> "BipartiteCovariance":
@@ -180,7 +181,7 @@ class SchmidtReport:
 
 def transform_bipartite(g: BipartiteCovariance, s_a, s_b) -> BipartiteCovariance:
     """Apply the local symplectic pair: Gamma -> (S_A (+) S_B) Gamma (...)^T."""
-    local = direct_sum(as_even_square(s_a, "S_A"), as_even_square(s_b, "S_B"))
+    local = block_diag(as_even_square(s_a, "S_A"), as_even_square(s_b, "S_B"))
     full = local @ g.assembled() @ local.T
     return BipartiteCovariance.from_assembled(g.n, full)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, as_even_square, symplectic_form
+from .core import DEFAULT_TOL, Tolerances, as_even_square, readonly_form
 from .errors import ClusteringAmbiguous, EigenFailure
 
 __all__ = [
@@ -91,7 +91,12 @@ def sigma_matrix(x) -> np.ndarray:
     the last bit.
     """
     x = as_even_square(x, "X")
-    sig = symplectic_form(x.shape[0] // 2)
+    return sigma_of_checked(x)
+
+
+def sigma_of_checked(x: np.ndarray) -> np.ndarray:
+    """``sigma_matrix`` of a checked even square float array."""
+    sig = readonly_form(x.shape[0] // 2)
     core = x @ sig @ x.T
     core = (core - core.T) / 2
     return core @ sig.T
@@ -110,21 +115,30 @@ def _snap_real(w: np.ndarray, gap_abs: float) -> np.ndarray:
     return snapped
 
 
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # |z| through hypot, which equals abs() of each complex scalar bit for
+    # bit; np.abs on a complex array may round differently in the last bit
+    return np.hypot(z.real, z.imag)
+
+
 def _linkage_groups(order: np.ndarray, w: np.ndarray, gap_abs: float) -> list[list[int]]:
     # single linkage over a sorted index order; break where the complex gap
     # between consecutive members exceeds the threshold
-    groups: list[list[int]] = [[int(order[0])]]
-    for idx in order[1:]:
-        if abs(w[idx] - w[groups[-1][-1]]) <= gap_abs:
-            groups[-1].append(int(idx))
+    vals = w[order]
+    joins = (_modulus(vals[1:] - vals[:-1]) <= gap_abs).tolist()
+    idx = order.tolist()
+    groups: list[list[int]] = [[idx[0]]]
+    for i, join in zip(idx[1:], joins):
+        if join:
+            groups[-1].append(i)
         else:
-            groups.append([int(idx)])
+            groups.append([i])
     return groups
 
 
 def _group_spread(w: np.ndarray, group: list[int]) -> float:
     vals = w[group]
-    return float(max(abs(a - b) for a in vals for b in vals))
+    return float(_modulus(vals[:, None] - vals).max())
 
 
 def cluster_doubled_spectrum(w: np.ndarray, gap_abs: float):
@@ -154,7 +168,7 @@ def cluster_doubled_spectrum(w: np.ndarray, gap_abs: float):
                 raise ClusteringAmbiguous(
                     f"real eigenvalue cluster of odd size {len(group)} cannot be doubled"
                 )
-            real_clusters.append((float(np.mean(w[group].real)), group))
+            real_clusters.append((float(w[group].real.mean()), group))
             worst = max(worst, _group_spread(w, group))
 
     pair_clusters: list[tuple[float, float, list[int]]] = []
@@ -166,8 +180,8 @@ def cluster_doubled_spectrum(w: np.ndarray, gap_abs: float):
                 raise ClusteringAmbiguous(
                     f"complex eigenvalue cluster of odd size {len(group)} cannot be doubled"
                 )
-            a = float(np.mean(w[group].real))
-            b = float(np.mean(w[group].imag))
+            a = float(w[group].real.mean())
+            b = float(w[group].imag.mean())
             pair_clusters.append((a, b, group))
             worst = max(worst, _group_spread(w, group))
         # mirror check against the lower half plane
@@ -208,13 +222,22 @@ def invariants(x, tol: Tolerances = DEFAULT_TOL) -> InvariantSpectrum:
     ClusteringAmbiguous. ``has_zero`` flags invariants at zero (singular X),
     which downstream canonical-form construction refuses.
     """
-    sig_x = sigma_matrix(x)
-    n = sig_x.shape[0] // 2
     try:
-        w = np.linalg.eigvals(sig_x)
+        w = np.linalg.eigvals(sigma_matrix(x))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigenFailure(f"eigensolver failed on Sigma(X): {exc}") from exc
+    return spectrum_from_eigenvalues(w, tol)[0]
 
+
+def spectrum_from_eigenvalues(w: np.ndarray, tol: Tolerances):
+    """The invariant spectrum read off the 2n raw eigenvalues of Sigma(X).
+
+    Returns ``(spectrum, clusters)``, the clusters as given by
+    ``classify_doubled_spectrum``, so that a caller holding the
+    eigenvectors of the same eigensolve can build on them. Raises
+    ClusteringAmbiguous as ``invariants`` does.
+    """
+    n = w.shape[0] // 2
     clusters, worst, gap_abs = classify_doubled_spectrum(w, tol)
     values = tuple(v for v, group in clusters for _ in range(len(group) // 2))
 
@@ -228,7 +251,7 @@ def invariants(x, tol: Tolerances = DEFAULT_TOL) -> InvariantSpectrum:
         raise ClusteringAmbiguous(
             f"clusters cover {spectrum.slots()} slots, expected {n}"
         )
-    return spectrum
+    return spectrum, clusters
 
 
 def multiset_distance(a: InvariantSpectrum, b: InvariantSpectrum) -> float:

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -49,6 +50,33 @@ def spectrum_of(*entries) -> InvariantSpectrum:
             slots += 1
     values.sort(key=lambda v: (-v.re, v.im))
     return InvariantSpectrum(n=slots, values=tuple(values), pairing_residual=0.0, has_zero=False)
+
+
+# --- stage-1 helpers against their per-column references --------------------
+
+
+def _fix_phase_column(col):
+    k = int(np.argmax(np.abs(col)))
+    pivot = col[k]
+    if pivot == 0:
+        return col
+    if np.iscomplexobj(col):
+        return col * (np.conj(pivot) / abs(pivot))
+    return col if pivot > 0 else -col
+
+
+def test_fix_phase_and_norm_equal_per_column_references_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for trial in range(2000):
+        rows, k = int(rng.integers(1, 17)), int(rng.integers(1, 9))
+        cols = rng.standard_normal((rows, k)) * 10.0 ** rng.uniform(-8, 8)
+        if trial % 2:
+            cols = cols + 1j * rng.standard_normal((rows, k))
+        cols = np.asarray(cols, order="CF"[trial % 4 // 2])
+        reference = np.column_stack([_fix_phase_column(cols[:, j]) for j in range(k)])
+        assert canonical._fix_phase(cols).tobytes() == reference.tobytes()
+        col = np.ascontiguousarray(cols[:, 0])
+        assert float(canonical._norm(col)).hex() == float(np.linalg.norm(col)).hex()
 
 
 # --- canonical_from_invariants ----------------------------------------------
@@ -331,6 +359,68 @@ def test_decompose_repeated_real_and_pair_clusters(t):
     d = decompose(x)
     assert verify_decomposition(x, d).verdict
     assert [v.kind for v in d.blocks.blocks] == [REAL, REAL, REAL, COMPLEX_PAIR, COMPLEX_PAIR]
+
+
+def test_decompose_eigensolves_sigma_once(monkeypatch):
+    # one eig of Sigma(X) serves the invariants and stage 1; the second eig is
+    # the n x n one of -M in stage 2
+    calls = {"eig": 0, "eigvals": 0, "invariants": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    spy = counting("invariants", invariants)
+    monkeypatch.setattr(importlib.import_module("sympeq.invariants"), "invariants", spy)
+    monkeypatch.setattr(canonical, "invariants", spy)
+    x = np.random.default_rng(5).standard_normal((8, 8))
+    decompose(x)
+    assert calls == {"eig": 2, "eigvals": 0, "invariants": 0}
+
+
+def _tied_real_parts(t):
+    j = direct_sum(direct_sum([[2.0]], [[2.0, 1e-3], [-1e-3, 2.0]]), [[1.0]])
+    return random_symplectic(4, 30 + t) @ direct_sum(np.eye(4), j) @ random_symplectic(4, 40 + t)
+
+
+def _repeated_clusters(t):
+    p = [[1.0, 2.0], [-2.0, 1.0]]
+    j = direct_sum(direct_sum(p, p), np.diag([3.0, 3.0, 3.0]))
+    return random_symplectic(7, 50 + t) @ direct_sum(np.eye(7), j) @ random_symplectic(7, 60 + t)
+
+
+def _near_real_pair(t):
+    near_real = direct_sum(np.array([[1.0, 1e-9], [-1e-9, 1.0]]), np.array([[3.0]]))
+    return random_symplectic(3, 10 + t) @ direct_sum(np.eye(3), near_real) @ random_symplectic(3, 20 + t)
+
+
+def _scaled_gaussian(seed, n, power):
+    return 10.0**power * np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [_scaled_gaussian(s, 1 + s % 6, p) for s in range(6) for p in (-4, -2, 0, 4)]
+    + [_repeated_clusters(t) for t in range(2)]
+    + [_near_real_pair(t) for t in range(2)]
+    + [_tied_real_parts(t) for t in range(4)],
+)
+def test_decompose_blocks_equal_invariants_exactly(x):
+    # decompose reads its blocks off the same eigenvalues that invariants
+    # computes separately: equal to the last bit, with no tolerance
+    spectrum = invariants(x)
+    if spectrum.has_zero:
+        # small scales put invariants under the absolute gap (ROADMAP item 1);
+        # decompose then refuses the same input
+        with pytest.raises(SingularInput):
+            decompose(x)
+        return
+    assert decompose(x).blocks.blocks == spectrum.values
 
 
 def test_decompose_is_deterministic_and_draws_nothing(monkeypatch):

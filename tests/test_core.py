@@ -15,6 +15,7 @@ from sympeq import (
     random_symplectic,
     symplectic_form,
 )
+from sympeq.core import readonly_form
 
 seeds = st.integers(min_value=0, max_value=10**6)
 small_n = st.integers(min_value=1, max_value=4)
@@ -43,6 +44,21 @@ def test_form_algebraic_identities_exact(n):
 def test_form_rejects_bad_n():
     with pytest.raises(DimensionError):
         symplectic_form(0)
+
+
+def test_symplectic_form_copies_survive_mutation():
+    # internal callers share one read-only form per n; callers of the public
+    # function get their own writable copy
+    first = symplectic_form(2)
+    assert first.flags.writeable
+    first[:] = 7.0
+    assert np.array_equal(symplectic_form(2), [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    squeezer = np.diag([2.0, 3.0, 0.5, 1 / 3])
+    check = is_symplectic(squeezer)
+    assert check.residual == 0.0 and check.verdict
+    assert not is_symplectic(np.diag([2.0, 3.0, 0.5, 0.5])).verdict
+    with pytest.raises(ValueError):
+        readonly_form(2)[0, 0] = 1.0
 
 
 def test_is_symplectic_identity():

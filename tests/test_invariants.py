@@ -16,7 +16,7 @@ from sympeq import (
     symplectic_form,
     williamson,
 )
-from sympeq.invariants import cluster_doubled_spectrum
+from sympeq.invariants import _group_spread, _linkage_groups, cluster_doubled_spectrum
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -195,6 +195,40 @@ def test_cluster_groups_exact_repeats():
     reals, pairs, worst = cluster_doubled_spectrum(w, 1e-6)
     assert len(reals) == 1 and len(reals[0][1]) == 4
     assert not pairs and worst == 0.0
+
+
+def _spectra(count: int):
+    # conjugation-free stress values: clustered and scattered, real and
+    # complex, at scales 1e-8..1e8
+    rng = np.random.default_rng(4)
+    for _ in range(count):
+        k = int(rng.integers(1, 12))
+        w = rng.standard_normal(k) + 1j * rng.standard_normal(k) * (rng.random() < 0.5)
+        if rng.random() < 0.5:
+            w = np.repeat(w[: (k + 1) // 2], 2)[:k] + 1e-7 * rng.standard_normal(k)
+        yield w * 10.0 ** rng.uniform(-8, 8)
+
+
+def test_group_spread_equals_pairwise_loop_bit_for_bit():
+    # pairing_residual is reported, so the spread must equal the reference
+    # loop exactly, not within a tolerance
+    for w in _spectra(2000):
+        group = list(range(w.size))
+        reference = float(max(abs(a - b) for a in w for b in w))
+        assert _group_spread(w, group).hex() == reference.hex()
+
+
+def test_linkage_groups_equal_sequential_loop():
+    for w in _spectra(2000):
+        order = np.argsort(w.real)
+        gap = 1e-6 * max(1.0, float(np.max(np.abs(w))))
+        reference = [[int(order[0])]]
+        for idx in order[1:]:
+            if abs(w[idx] - w[reference[-1][-1]]) <= gap:
+                reference[-1].append(int(idx))
+            else:
+                reference.append([int(idx)])
+        assert _linkage_groups(order, w, gap) == reference
 
 
 def test_loose_gap_merges_near_degenerate_invariants():
