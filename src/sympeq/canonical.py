@@ -8,10 +8,14 @@ Sigma(X) serves both the invariants (its eigenvalues) and stage 1 (its
 eigenvectors). The construction has two stages:
 
 1. symplectic block-diagonalization of Sigma(X) to -(M (+) M^T), exposed as
-   ``block_diagonalize_skew_hamiltonian``;
+   ``block_diagonalize_skew_hamiltonian``. The invariant clusters are
+   grouped by kind and size; each group is one stack, with one batched SVD,
+   one phase gauge and one symplectic Gram-Schmidt run on all its members
+   at once, so a generic input costs two such passes whatever its size;
 2. a real eigenbasis R of -M, whose GL embedding re-bases stage 1 so that
-   R^{-1} M R is in real block form; its symmetric factors then follow in
-   closed form, with no search and no random draw.
+   R^{-1} M R is in real block form (an ill-conditioned basis of a
+   repeated eigenvalue is replaced by an orthonormal one); its symmetric
+   factors then follow in closed form, with no search and no random draw.
 
 The general factorization of a real matrix into two real symmetric factors
 (``factor_two_symmetric``) remains a standalone operation.
@@ -24,7 +28,6 @@ which it imports on first use, so importing this module loads no scipy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +90,7 @@ _X_RCOND_MIN = 1e-12
 _FACTOR_RCOND_MIN = 1e-10
 _FACTOR_RCOND_GOOD = 1e-3  # stop drawing once a factor this well-conditioned appears
 _JORDAN_RCOND_MIN = 1e-10
+_REPEAT_SPREAD = 1e-11  # eigenvalues of -M this close (relative) are one repeated eigenvalue
 _PAIRING_MIN = 1e-10
 
 
@@ -178,64 +182,82 @@ def _fix_phase(cols: np.ndarray) -> np.ndarray:
     return (cols.T * (pivot.conj() / mag)[:, None]).T
 
 
-def _orthonormal_span(cols: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis of the column span; raises if the rank falls short."""
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    if s.size < dim or s[dim - 1] <= 1e-8 * s[0]:
+def _orthonormal_spans(stack: np.ndarray, dim: int) -> np.ndarray:
+    """Gauged orthonormal bases of the column spans of a (k, rows, cols) stack.
+
+    One batched SVD serves all k members; raises if any rank falls short.
+    """
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    if any(sv[dim - 1] <= 1e-8 * sv[0] for sv in s.tolist()):
         raise DegenerateSpectrum(
             "invariant subspace is rank deficient (defective or near-defective input)"
         )
-    return _fix_phase(u[:, :dim])
-
-
-def _norm(v: np.ndarray) -> float:
-    # np.linalg.norm of a contiguous 1-D vector: the same dot products and
-    # square root, without the dispatch that dominates at these sizes
-    if np.iscomplexobj(v):
-        return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
-    return math.sqrt(v.dot(v))
+    # the gauge acts column by column, so the k bases are gauged side by side
+    k, rows, _ = u.shape
+    side_by_side = _fix_phase(u[:, :, :dim].transpose(1, 0, 2).reshape(rows, k * dim))
+    return side_by_side.reshape(rows, k, dim).transpose(1, 0, 2)
 
 
 def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
-    """Split an invariant subspace into pairs (u, w) with u^T sig w = -k.
+    """Split each of a (k, 2n, d) stack of invariant subspaces into pairs (u, w)
+    with u^T sig w = -c.
 
-    Gram-Schmidt with respect to the bilinear form u^T sig w; remaining
-    vectors are projected onto the form-complement of each extracted pair.
-    k = 1 for a real basis. A complex basis gets k = 2, which makes the real
-    and imaginary parts of its pairs assemble into a symplectic basis.
+    Gram-Schmidt with respect to the bilinear form u^T sig w, run on all k
+    members at once: each step pairs the first remaining vector u with the
+    first remaining v of largest |u^T sig v|, and projects the others onto
+    the form-complement of the pair. Every vector entering a step has unit
+    length (a column of an orthonormal basis, or renormalised after the
+    projection), so the pairing score is |u^T sig v| itself. c = 1 for a real
+    basis. A complex basis gets c = 2, which makes the real and imaginary
+    parts of its pairs assemble into a symplectic basis. Returns the u- and
+    w-vectors as (k, d/2, 2n) stacks.
     """
-    k = 2.0 if np.iscomplexobj(basis) else 1.0
-    cols = [basis[:, i].copy() for i in range(basis.shape[1])]
-    pairs = []
-    while cols:
-        u = cols.pop(0)
-        nu = _norm(u)
-        if nu < 1e-10:
-            raise DegenerateSpectrum("collapsed basis vector in symplectic pairing")
-        u = u / nu
-        if not cols:
+    c = 2.0 if np.iscomplexobj(basis) else 1.0
+    k, dim, d = basis.shape
+    us = np.empty((k, d // 2, dim), dtype=basis.dtype)
+    ws = np.empty_like(us)
+    cols = basis.transpose(0, 2, 1)  # one basis vector per row
+    for step in range(d):
+        if cols.shape[1] == 1:
             raise IsotropicEigenspace("odd leftover vector in symplectic pairing")
-        # u @ sig @ c evaluates as (u @ sig) @ c, so the row is formed once
-        us = u @ sig
-        scores = [abs(us @ c) / max(_norm(c), 1e-300) for c in cols]
-        j = max(range(len(scores)), key=scores.__getitem__)  # first maximum
-        if scores[j] < _PAIRING_MIN:
+        u, rest = cols[:, 0], cols[:, 1:]
+        form = (rest @ (u @ sig)[:, :, None])[:, :, 0]  # u^T sig v for every v
+        if rest.shape[1] == 1:  # the only candidate; basic indexing is cheaper
+            f, v = form[:, 0], rest[:, 0]
+        else:
+            members, j = np.arange(k), np.abs(form).argmax(axis=1)  # first maximum
+            f, v = form[members, j], rest[members, j]
+        score = np.abs(f)
+        if score.min() < _PAIRING_MIN:
             raise IsotropicEigenspace(
                 "symplectic form degenerates on an invariant subspace"
             )
-        w = cols.pop(j)
-        w = w / (-(us @ w) / k)  # now u^T sig w = -k
-        balance = math.sqrt(_norm(w))
-        u, w = u * balance, w / balance
-        us, ws = u @ sig, w @ sig
-        for i, vec in enumerate(cols):
-            vec = vec - ((ws @ vec) / k) * u + ((us @ vec) / k) * w
-            nv = _norm(vec)
-            if nv < 1e-10:
-                raise DegenerateSpectrum("collapsed basis vector in symplectic pairing")
-            cols[i] = vec / nv
-        pairs.append((u, w))
-    return pairs
+        # w = v / (-f / c) has u^T sig w = -c and length c / |f|; the balance
+        # sqrt(c / |f|) scales u up and w down to equal lengths
+        balance = np.sqrt(c / score)
+        us[:, step] = u * balance[:, None]
+        ws[:, step] = v * (-c / (f * balance))[:, None]
+        if rest.shape[1] == 1:
+            break
+        keep = np.ones(form.shape, dtype=bool)
+        keep[members, j] = False
+        cols = rest[keep].reshape(k, -1, dim)
+        u, w = us[:, step, :, None], ws[:, step, :, None]
+        # v - (w^T sig v / c) u + (u^T sig v / c) w, renormalised; each
+        # v^T sig x = -x^T sig v
+        along_u, along_w = cols @ (sig @ w / c), cols @ (sig @ u / c)
+        cols = cols + along_u * u.transpose(0, 2, 1) - along_w * w.transpose(0, 2, 1)
+        nv = np.linalg.norm(cols, axis=2)
+        if nv.min() < 1e-10:
+            raise DegenerateSpectrum("collapsed basis vector in symplectic pairing")
+        cols = cols / nv[:, :, None]
+    return us, ws
+
+
+def _split_parts(z: np.ndarray) -> np.ndarray:
+    # (k, p, m) complex vectors -> (k, p, 2, m): the rows Re z_i, Im z_i
+    k, p, m = z.shape
+    return np.ascontiguousarray(z).view(float).reshape(k, p, m, 2).transpose(0, 1, 3, 2)
 
 
 def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL):
@@ -243,13 +265,15 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
 
     Returns ``(S, M)`` with S symplectic and ``S Sigma S^{-1} = -(M (+) M^T)``.
     The eigenspaces of distinct invariants are orthogonal with respect to the
-    symplectic form, which is exploited to build the basis cluster by cluster.
-    The clusters, and the canonical order they are processed in, come from
+    symplectic form, so each cluster's basis is built on its own eigenspace.
+    The clusters, and the canonical order of their columns, come from
     ``classify_doubled_spectrum``; an ambiguous clustering raises
-    DegenerateSpectrum. Within each invariant subspace a symplectic
-    Gram-Schmidt produces vectors u, w with u^T sig w = -1; u-vectors fill the
-    first-half columns of S^{-1} and w-vectors the second half. Complex
-    conjugate clusters are handled through the real and imaginary parts of a
+    DegenerateSpectrum. Clusters of one kind and size are processed together
+    as one stack: one batched SVD gives orthonormal bases of their
+    eigenspaces, and a symplectic Gram-Schmidt run on all of them at once
+    produces vectors u, w with u^T sig w = -1; u-vectors fill the first-half
+    columns of S^{-1} and w-vectors the second half. Complex conjugate
+    clusters are handled through the real and imaginary parts of a
     bilinearly paired basis.
     """
     sig_h = as_even_square(sigma_mat, "Sigma")
@@ -278,25 +302,36 @@ def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters, tol: Toleranc
     """
     n = sig_h.shape[0] // 2
     sig = readonly_form(n)
-    u_cols: list[np.ndarray] = []
-    w_cols: list[np.ndarray] = []
+    # Clusters of one kind and size are paired as one stack. A cluster of
+    # size d owns a run of u-columns of T from its offset in canonical order,
+    # d/2 for a real cluster and d for a complex one (Re z, Im z of each
+    # pair), and the same run of w-columns n further on.
+    groups: dict = {}
+    offset = 0
     for inv, idx in clusters:
-        if inv.kind == REAL:
-            raw = v[:, idx]
-            real_stack = np.column_stack([raw.real, raw.imag]) if np.iscomplexobj(raw) else raw
-            basis = _orthonormal_span(np.asarray(real_stack, dtype=float), len(idx))
-            for u, wv in _symplectic_pairs(basis, sig):
-                u_cols.append(u)
-                w_cols.append(wv)
-        else:
-            basis = _orthonormal_span(v[:, idx].astype(complex), len(idx))
-            for z, y in _symplectic_pairs(basis, sig):
-                u_cols.append(z.real)
-                u_cols.append(z.imag)
-                w_cols.append(y.real)
-                w_cols.append(-y.imag)
+        key = (inv.kind, len(idx))
+        if key not in groups:
+            groups[key] = ([], [])
+        members, columns = groups[key]
+        members.extend(idx)
+        width = len(idx) // 2 if inv.kind == REAL else len(idx)
+        columns.extend(range(offset, offset + width))
+        offset += width
 
-    t = np.column_stack(u_cols + w_cols)
+    pieces, order = [], []
+    for (kind, d), (members, columns) in groups.items():
+        raw = v[:, members].reshape(2 * n, -1, d).transpose(1, 0, 2)  # (k, 2n, d)
+        if kind == REAL and np.iscomplexobj(raw):
+            raw = np.concatenate((raw.real, raw.imag), axis=2)
+        u, w = _symplectic_pairs(_orthonormal_spans(raw, d), sig)
+        if kind != REAL:
+            # a complex pair (z, y) gives the columns Re z, Im z and Re y, -Im y
+            u, w = _split_parts(u), _split_parts(w.conj())
+        pieces += [u.reshape(-1, 2 * n), w.reshape(-1, 2 * n)]
+        order += columns + [col + n for col in columns]
+    rows = np.empty((2 * n, 2 * n))  # the columns of T
+    rows[order] = np.concatenate(pieces)
+    t = rows.T
     rc = reciprocal_condition(t)
     if rc < _JORDAN_RCOND_MIN:
         raise DegenerateSpectrum("symplectic eigenbasis is numerically singular")
@@ -401,66 +436,117 @@ def _real_jordan_basis(k: np.ndarray, spectrum: InvariantSpectrum, tol: Toleranc
     pair keeps its raw columns for that reason and fills two real slots.
     Slots follow the canonical order of ``spectrum``: each is ranked by the
     index of the nearest entry of its kind in ``spectrum.values``, so rounding
-    cannot swap a real slot and a complex pair whose real parts tie.
+    cannot swap a real slot and a complex pair whose real parts tie. Slots of
+    one repeated invariant share a rank and form one run of columns. Where
+    their eigenvalues agree to rounding (1e-11 of the spectral scale), the
+    eigenvectors ``eig`` returns are an arbitrary, possibly ill-conditioned
+    basis of one eigenspace, and the run takes an orthonormal basis of its
+    span instead (a real run then takes the signs +1, a complex one keeps
+    (+1, -1) per pair).
     """
     try:
         w, v = np.linalg.eig(k)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigenFailure(f"eigensolver failed: {exc}") from exc
+    n = k.shape[0]
     w = w.astype(complex)
-    v = v.astype(complex)
     scale = spectral_scale(w)
     gap_abs = tol.degeneracy_gap * scale
 
-    lams, kinds, real_idx, pair_idx = [], [], [], []  # per slot
+    # a slot is a real eigenvalue or a conjugate pair, whose members LAPACK
+    # lists as adjacent entries; a pair is represented by its b > 0 member.
+    # The walk runs over plain Python numbers, which cost a fraction of
+    # numpy scalars.
+    vals = w.tolist()
+    up, is_pair, is_complex = [], [], []
+    tol_pair = max(gap_abs, 1e-8 * scale)
     i = 0
-    n = k.shape[0]
     while i < n:
-        lam = w[i]
-        if abs(lam.imag) > 0:
-            # conjugate partner is adjacent for real input matrices
-            if i + 1 >= n or abs(np.conj(lam) - w[i + 1]) > max(gap_abs, 1e-8 * scale):
-                raise DegenerateSpectrum("conjugate eigenvalue pairing broken")
-            lam_up = lam if lam.imag > 0 else np.conj(lam)
-            lams.append(lam_up)
-            kinds.append((REAL, REAL) if abs(lam_up.imag) <= gap_abs else (COMPLEX_PAIR,))
-            pair_idx.append(i if lam.imag > 0 else i + 1)
-            i += 2
-        else:
-            lams.append(lam)
-            kinds.append((REAL,))
-            real_idx.append(i)
+        lam = vals[i]
+        if lam.imag == 0:
+            up.append(i)
+            is_pair.append(False)
+            is_complex.append(False)
             i += 1
-
-    # columns per slot, in eigenvalue order: a unit real eigenvector, or the
-    # raw (Re v, Im v) of a pair
-    real_vecs = iter(_fix_phase(v[:, real_idx].real).T if real_idx else ())
-    pair_vecs = iter(_fix_phase(v[:, pair_idx]).T if pair_idx else ())
-    cols = []
-    for kind in kinds:
-        if kind == (REAL,):
-            vec = next(real_vecs)
-            nv = np.linalg.norm(vec)
-            if nv < 1e-12:
-                raise DegenerateSpectrum("vanishing eigenvector for a real eigenvalue")
-            cols.append([vec / nv])
-        else:
-            vec = next(pair_vecs)
-            cols.append([vec.real, vec.imag])
+            continue
+        if i + 1 >= n or abs(lam.conjugate() - vals[i + 1]) > tol_pair:
+            raise DegenerateSpectrum("conjugate eigenvalue pairing broken")
+        up.append(i if lam.imag > 0 else i + 1)
+        is_pair.append(True)
+        is_complex.append(abs(lam.imag) > gap_abs)  # a snapped pair fills two real slots
+        i += 2
+    lams = w[up]
 
     # rank each slot by the index of the nearest entry of its kind in
     # spectrum.values (the first of equals; 0 when its kind is absent); hypot
     # gives the distances that abs() of each complex difference gives
     values = spectrum.values
-    d = np.array([val.as_complex() for val in values])[None, :] - np.array(lams)[:, None]
-    same = np.array([val.kind for val in values])[None, :] == np.array([kd[0] for kd in kinds])[:, None]
-    ranks = np.argmin(np.where(same, np.hypot(d.real, d.imag), np.inf), axis=1)
-    slots = [(kinds[j], cols[j]) for j in np.argsort(ranks, kind="stable")]
-    r = np.column_stack([col for slot in slots for col in slot[1]])
+    d = np.array([val.as_complex() for val in values]) - lams[:, None]
+    same = np.array([val.kind == COMPLEX_PAIR for val in values]) == np.array(is_complex)[:, None]
+    ranks = np.where(same, np.hypot(d.real, d.imag), np.inf).argmin(axis=1)
+    order = np.argsort(ranks, kind="stable").tolist()
+    ranks = ranks.tolist()
+
+    # columns in slot order: a unit real eigenvector, or the raw (Re v, Im v)
+    # of a pair with the signs (+1, -1); the slots of one repeated invariant
+    # share its rank and form one run of columns
+    real_cols, real_pos, pair_cols, pair_pos, kinds = [], [], [], [], []
+    runs: dict = {}  # rank -> [first column, end column, complex, eigenvalues]
+    col = 0
+    for slot in order:
+        run = runs.setdefault(ranks[slot], [col, col, is_complex[slot], []])
+        if is_pair[slot]:
+            pair_cols.append(up[slot])
+            pair_pos.append(col)
+            kinds += [COMPLEX_PAIR] if is_complex[slot] else [REAL, REAL]
+            col += 2
+        else:
+            real_cols.append(up[slot])
+            real_pos.append(col)
+            kinds.append(REAL)
+            col += 1
+        run[1] = col
+        run[3].append(vals[up[slot]])
+
+    r = np.empty((n, n))
+    e = np.ones(n)
+    if real_cols:
+        vecs = _fix_phase(v[:, real_cols].real)
+        nv = np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
+        if nv.min() < 1e-12:
+            raise DegenerateSpectrum("vanishing eigenvector for a real eigenvalue")
+        r[:, real_pos] = vecs / nv
+    if pair_cols:
+        vecs = _fix_phase(v[:, pair_cols])
+        pos = np.array(pair_pos)
+        r[:, pos] = vecs.real
+        r[:, pos + 1] = vecs.imag
+        e[pos + 1] = -1.0
+
+    # eig may return any basis of the eigenspace of a repeated eigenvalue,
+    # however ill-conditioned; take an orthonormal basis of its span. Slots
+    # of one repeated invariant whose eigenvalues differ by more than
+    # rounding keep their eigenvectors, which diagonalize K within the run.
+    for first, end, cplx, lams_run in runs.values():
+        if len(lams_run) == 1:
+            continue
+        if max(abs(a - b) for a in lams_run for b in lams_run) > _REPEAT_SPREAD * scale:
+            continue
+        run = r[:, first:end]  # a view
+        basis = run[:, ::2] + 1j * run[:, 1::2] if cplx else run
+        u, s, _ = np.linalg.svd(basis, full_matrices=False)
+        if s[-1] < _JORDAN_RCOND_MIN * s[0]:
+            raise DegenerateSpectrum("eigenvector basis is near-singular (defective input)")
+        if cplx:  # pairs keep the (Re v, Im v) layout and the signs (+1, -1)
+            run[:, ::2] = u.real
+            run[:, 1::2] = u.imag
+        else:
+            run[:] = u
+            e[first:end] = 1.0
+
     if reciprocal_condition(r) < _JORDAN_RCOND_MIN:
         raise DegenerateSpectrum("eigenvector basis is near-singular (defective input)")
-    e = np.concatenate([[1.0] if len(slot[1]) == 1 else [1.0, -1.0] for slot in slots])
-    return r, e, tuple(kind for slot in slots for kind in slot[0])
+    return r, e, tuple(kinds)
 
 
 # ---------------------------------------------------------------------------

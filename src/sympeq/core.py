@@ -10,6 +10,7 @@ Conventions fixed once here and inherited by every other module:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,7 +91,19 @@ def as_even_square(a, name: str = "matrix") -> np.ndarray:
 
 
 def frobenius(a) -> float:
-    return float(np.linalg.norm(a))
+    """Frobenius norm; rescaled by max|a| where the sum of squares overflows.
+
+    Every finite ``np.linalg.norm`` is returned unchanged, bit for bit. When
+    it overflows although every entry is finite, the norm is recomputed as
+    m * ||a / m|| with m = max|a|.
+    """
+    nrm = float(np.linalg.norm(a))
+    if nrm == math.inf:
+        a = np.asarray(a)
+        m = float(np.abs(a).max())
+        if m < math.inf:
+            nrm = m * float(np.linalg.norm(a / m))
+    return nrm
 
 
 def reciprocal_condition(a) -> float:

@@ -105,7 +105,7 @@ def sigma_of_checked(x: np.ndarray) -> np.ndarray:
 def spectral_scale(w) -> float:
     """The unit of every spectral gap: max(1, max|w|), or 1 for an empty array."""
     w = np.asarray(w)
-    return max(1.0, float(np.max(np.abs(w)))) if w.size else 1.0
+    return max(1.0, float(np.abs(w).max())) if w.size else 1.0
 
 
 def _snap_real(w: np.ndarray, gap_abs: float) -> np.ndarray:
@@ -136,9 +136,44 @@ def _linkage_groups(order: np.ndarray, w: np.ndarray, gap_abs: float) -> list[li
     return groups
 
 
-def _group_spread(w: np.ndarray, group: list[int]) -> float:
-    vals = w[group]
-    return float(_modulus(vals[:, None] - vals).max())
+def _group_spread(w: np.ndarray, groups) -> float:
+    # the largest pairwise distance within one group, or within any of a
+    # stack of equal-size groups
+    vals = w[groups]
+    return float(_modulus(vals[..., :, None] - vals[..., None, :]).max())
+
+
+def _group_means(w: np.ndarray, groups: list[list[int]]):
+    """Mean of each group and the largest spread within any group.
+
+    Groups of one size are reduced together as one (k, size) array. Each row
+    is summed as ``w[group].mean()`` sums it (the real and imaginary parts of
+    a complex ``w`` apart), so every mean is bit-identical to the per-group
+    one.
+    """
+    by_size: dict[int, list[int]] = {}
+    for i, group in enumerate(groups):
+        by_size.setdefault(len(group), []).append(i)
+    means = np.empty(len(groups), dtype=w.dtype)
+    worst = 0.0
+    for size, members in by_size.items():
+        stack = [groups[i] for i in members]
+        vals = w[stack]
+        if np.iscomplexobj(vals):
+            means.real[members] = np.add.reduce(vals.real, axis=1) / size
+            means.imag[members] = np.add.reduce(vals.imag, axis=1) / size
+        else:
+            means[members] = np.add.reduce(vals, axis=1) / size
+        worst = max(worst, _group_spread(w, stack))
+    return means, worst
+
+
+def _check_even(groups: list[list[int]], kind: str) -> None:
+    for group in groups:
+        if len(group) % 2 != 0:
+            raise ClusteringAmbiguous(
+                f"{kind} eigenvalue cluster of odd size {len(group)} cannot be doubled"
+            )
 
 
 def cluster_doubled_spectrum(w: np.ndarray, gap_abs: float):
@@ -163,31 +198,24 @@ def cluster_doubled_spectrum(w: np.ndarray, gap_abs: float):
     real_clusters: list[tuple[float, list[int]]] = []
     if len(reals):
         order = reals[np.argsort(w[reals].real)]
-        for group in _linkage_groups(order, w, gap_abs):
-            if len(group) % 2 != 0:
-                raise ClusteringAmbiguous(
-                    f"real eigenvalue cluster of odd size {len(group)} cannot be doubled"
-                )
-            real_clusters.append((float(w[group].real.mean()), group))
-            worst = max(worst, _group_spread(w, group))
+        groups = _linkage_groups(order, w, gap_abs)
+        _check_even(groups, "real")
+        means, worst = _group_means(w.real, groups)
+        real_clusters = list(zip(means.tolist(), groups))
 
     pair_clusters: list[tuple[float, float, list[int]]] = []
     if len(ups):
         key = np.lexsort((w[ups].imag, w[ups].real))
         order = ups[key]
-        for group in _linkage_groups(order, w, gap_abs):
-            if len(group) % 2 != 0:
-                raise ClusteringAmbiguous(
-                    f"complex eigenvalue cluster of odd size {len(group)} cannot be doubled"
-                )
-            a = float(w[group].real.mean())
-            b = float(w[group].imag.mean())
-            pair_clusters.append((a, b, group))
-            worst = max(worst, _group_spread(w, group))
+        groups = _linkage_groups(order, w, gap_abs)
+        _check_even(groups, "complex")
+        means, spread = _group_means(w, groups)
+        pair_clusters = list(zip(means.real.tolist(), means.imag.tolist(), groups))
+        worst = max(worst, spread)
         # mirror check against the lower half plane
         up_sorted = np.sort_complex(w[ups])
         down_sorted = np.sort_complex(np.conj(w[downs]))
-        if np.max(np.abs(up_sorted - down_sorted)) > gap_abs:
+        if np.abs(up_sorted - down_sorted).max() > gap_abs:
             raise ClusteringAmbiguous("conjugate partners do not match within the gap")
 
     return real_clusters, pair_clusters, worst

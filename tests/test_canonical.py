@@ -34,6 +34,7 @@ from sympeq import (
     williamson,
     williamson_invariant_gap,
 )
+from sympeq.invariants import classify_doubled_spectrum
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -65,7 +66,7 @@ def _fix_phase_column(col):
     return col if pivot > 0 else -col
 
 
-def test_fix_phase_and_norm_equal_per_column_references_bit_for_bit():
+def test_fix_phase_equals_per_column_reference_bit_for_bit():
     rng = np.random.default_rng(11)
     for trial in range(2000):
         rows, k = int(rng.integers(1, 17)), int(rng.integers(1, 9))
@@ -75,8 +76,168 @@ def test_fix_phase_and_norm_equal_per_column_references_bit_for_bit():
         cols = np.asarray(cols, order="CF"[trial % 4 // 2])
         reference = np.column_stack([_fix_phase_column(cols[:, j]) for j in range(k)])
         assert canonical._fix_phase(cols).tobytes() == reference.tobytes()
-        col = np.ascontiguousarray(cols[:, 0])
-        assert float(canonical._norm(col)).hex() == float(np.linalg.norm(col)).hex()
+
+
+# --- stage 1 against the per-cluster Gram-Schmidt -----------------------------
+
+
+def _reference_pairs(basis, sig):
+    # symplectic Gram-Schmidt on one cluster, vector by vector
+    c = 2.0 if np.iscomplexobj(basis) else 1.0
+    cols = [basis[:, i].copy() for i in range(basis.shape[1])]
+    pairs = []
+    while cols:
+        u = cols.pop(0)
+        u = u / np.linalg.norm(u)
+        us = u @ sig
+        scores = [abs(us @ v) / np.linalg.norm(v) for v in cols]
+        w = cols.pop(int(np.argmax(scores)))
+        w = w / (-(us @ w) / c)
+        balance = math.sqrt(np.linalg.norm(w))
+        u, w = u * balance, w / balance
+        us, ws = u @ sig, w @ sig
+        cols = [v - ((ws @ v) / c) * u + ((us @ v) / c) * w for v in cols]
+        cols = [v / np.linalg.norm(v) for v in cols]
+        pairs.append((u, w))
+    return pairs
+
+
+def _reference_stage1_basis(v, clusters, n):
+    """T = S^{-1} built cluster by cluster, one SVD and one pairing each."""
+    sig = canonical.readonly_form(n)
+    u_cols, w_cols = [], []
+    for inv, idx in clusters:
+        raw = v[:, idx]
+        if inv.kind == REAL:
+            stack = np.column_stack([raw.real, raw.imag]) if np.iscomplexobj(raw) else raw
+            basis = np.linalg.svd(stack, full_matrices=False)[0][:, : len(idx)]
+            for u, w in _reference_pairs(basis, sig):
+                u_cols.append(u)
+                w_cols.append(w)
+        else:
+            basis = np.linalg.svd(raw, full_matrices=False)[0][:, : len(idx)]
+            for z, y in _reference_pairs(basis, sig):
+                u_cols += [z.real, z.imag]
+                w_cols += [y.real, -y.imag]
+    return np.column_stack(u_cols + w_cols)
+
+
+def _projector(cols):
+    q = np.linalg.svd(cols, full_matrices=False)[0]
+    return q @ q.T
+
+
+@pytest.mark.parametrize("t", range(3))
+def test_stacked_stage1_spans_the_per_cluster_eigenspaces(t):
+    # real and complex clusters of sizes 2, 4 and 6 in one call
+    p = lambda a, b: np.array([[a, b], [-b, a]])
+    blocks = [[[1.5]], *[[[2.5]]] * 2, *[[[3.5]]] * 3]
+    blocks += [p(0.5, 1.0), *[p(-1.0, 0.7)] * 2, *[p(0.3, 2.0)] * 3]
+    j = blocks[0]
+    for blk in blocks[1:]:
+        j = direct_sum(j, blk)
+    n = j.shape[0]
+    x = random_symplectic(n, 80 + t) @ direct_sum(np.eye(n), j) @ random_symplectic(n, 90 + t)
+    sig_h = sigma_matrix(x)
+    w, v = np.linalg.eig(sig_h)
+    clusters = classify_doubled_spectrum(w, canonical.DEFAULT_TOL)[0]
+    assert {(inv.kind, len(idx)) for inv, idx in clusters} == {
+        (kind, d) for kind in (REAL, COMPLEX_PAIR) for d in (2, 4, 6)
+    }
+
+    s, m = canonical._block_diagonalize(sig_h, v, clusters, canonical.DEFAULT_TOL)
+    sig = canonical.readonly_form(n)
+    assert np.linalg.norm(s @ sig @ s.T - sig) <= 1e-13 * max(1.0, np.linalg.norm(s) ** 2)
+    t_new, t_ref = np.linalg.inv(s), _reference_stage1_basis(v, clusters, n)
+    offset = 0
+    for inv, idx in clusters:
+        width = len(idx) // 2 if inv.kind == REAL else len(idx)
+        cols = np.r_[offset : offset + width, n + offset : n + offset + width]
+        gap = np.linalg.norm(_projector(t_new[:, cols]) - _projector(t_ref[:, cols]))
+        assert gap <= 1e-8, (inv, gap)
+        offset += width
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_stage1_svds_do_not_grow_with_n(monkeypatch, n):
+    # one stage-1 SVD per (kind, size) group of clusters, plus the three of
+    # reciprocal_condition (X, the stage-1 basis T and R)
+    x = np.random.default_rng(n).standard_normal((2 * n, 2 * n))
+    w = np.linalg.eigvals(sigma_matrix(x))
+    clusters = classify_doubled_spectrum(w, canonical.DEFAULT_TOL)[0]
+    groups = {(inv.kind, len(idx)) for inv, idx in clusters}
+    assert groups <= {(REAL, 2), (COMPLEX_PAIR, 2)} and len(clusters) >= n // 2
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    decompose(x)
+    assert len(calls) <= len(groups) + 3, calls
+
+
+def test_real_jordan_basis_orthonormalises_an_ill_conditioned_repeat(monkeypatch):
+    # a fourfold invariant: -M has a fourfold eigenvalue 2.0, and eig may
+    # return any basis of its eigenspace, here one with rcond about 1e-7
+    j = np.diag([2.0, 2.0, 2.0, 2.0, -1.0])
+    x = random_symplectic(5, 70) @ direct_sum(np.eye(5), j) @ random_symplectic(5, 71)
+    eig = np.linalg.eig
+    skewed = []
+
+    def skewing(a):
+        w, v = eig(a)
+        if a.shape[0] != 5:
+            return w, v
+        rep = np.flatnonzero(np.abs(w - 2.0) < 1e-6)
+        assert rep.size == 4 and not np.iscomplexobj(v)
+        mix = np.eye(4)
+        mix[0, 1:] = 1.0
+        mix[1:, 1:] *= 1e-6
+        v = v.copy()
+        v[:, rep] = v[:, rep] @ mix
+        v[:, rep] /= np.linalg.norm(v[:, rep], axis=0)
+        skewed.append(np.linalg.cond(v[:, rep]))
+        return w, v
+
+    jordan = canonical._real_jordan_basis
+    bases = []
+
+    def recording(*args):
+        out = jordan(*args)
+        bases.append(out[0])
+        return out
+
+    monkeypatch.setattr(np.linalg, "eig", skewing)
+    monkeypatch.setattr(canonical, "_real_jordan_basis", recording)
+    d = decompose(x)
+    assert skewed and skewed[0] > 1e6
+    assert verify_decomposition(x, d).verdict
+    assert canonical.reciprocal_condition(bases[0]) >= 1e-3
+
+
+@pytest.mark.parametrize("p", [86, 90, 120])
+def test_decompose_survives_an_overflowing_residual_norm(p):
+    # the rounding residue of S1 X S2 - I (+) J is about |X|^2 1e-16, whose
+    # square overflows past |X| ~ 1e85
+    x = 10.0**p * np.random.default_rng(0).standard_normal((4, 4))
+    d = decompose(x)
+    assert verify_decomposition(x, d).verdict
+
+
+def test_overflow_safe_norm_leaves_finite_results_bit_identical(monkeypatch):
+    x = 1e84 * np.random.default_rng(0).standard_normal((4, 4))
+    d = decompose(x)
+    monkeypatch.setattr(canonical, "frobenius", lambda a: float(np.linalg.norm(a)))
+    plain = decompose(x)
+    assert d.s1.tobytes() == plain.s1.tobytes() and d.s2.tobytes() == plain.s2.tobytes()
+    assert (d.recon_residual, d.s1_residual, d.s2_residual) == (
+        plain.recon_residual,
+        plain.s1_residual,
+        plain.s2_residual,
+    )
 
 
 # --- canonical_from_invariants ----------------------------------------------

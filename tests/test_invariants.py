@@ -16,7 +16,7 @@ from sympeq import (
     symplectic_form,
     williamson,
 )
-from sympeq.invariants import _group_spread, _linkage_groups, cluster_doubled_spectrum
+from sympeq.invariants import _group_means, _group_spread, _linkage_groups, cluster_doubled_spectrum
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -216,6 +216,24 @@ def test_group_spread_equals_pairwise_loop_bit_for_bit():
         group = list(range(w.size))
         reference = float(max(abs(a - b) for a in w for b in w))
         assert _group_spread(w, group).hex() == reference.hex()
+
+
+def test_group_means_equal_per_group_means_bit_for_bit():
+    # the invariant values are reported, so groups reduced together as one
+    # array must give each group's own mean and spread exactly
+    rng = np.random.default_rng(5)
+    for w in _spectra(2000):
+        cuts = sorted(set(rng.integers(1, w.size, size=w.size // 2).tolist())) if w.size > 1 else []
+        order = rng.permutation(w.size).tolist()
+        groups = [order[a:b] for a, b in zip([0] + cuts, cuts + [w.size])]
+        means, worst = _group_means(w, groups)
+        for group, mean in zip(groups, means.tolist()):
+            assert mean.real.hex() == float(w[group].real.mean()).hex()
+            assert mean.imag.hex() == float(w[group].imag.mean()).hex()
+        real_means, _ = _group_means(w.real, groups)
+        reference = [float(w[g].real.mean()).hex() for g in groups]
+        assert reference == [m.hex() for m in real_means.tolist()]
+        assert worst == max(_group_spread(w, group) for group in groups)
 
 
 def test_linkage_groups_equal_sequential_loop():
