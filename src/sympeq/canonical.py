@@ -11,11 +11,17 @@ eigenvectors). The construction has two stages:
    ``block_diagonalize_skew_hamiltonian``. The invariant clusters are
    grouped by kind and size; each group is one stack, with one batched SVD,
    one phase gauge and one symplectic Gram-Schmidt run on all its members
-   at once, so a generic input costs two such passes whatever its size;
-2. a real eigenbasis R of -M, whose GL embedding re-bases stage 1 so that
-   R^{-1} M R is in real block form (an ill-conditioned basis of a
-   repeated eigenvalue is replaced by an orthonormal one); its symmetric
-   factors then follow in closed form, with no search and no random draw.
+   at once, so a generic input costs two such passes whatever its size.
+   Its columns follow the canonical order of the invariants, so M equals
+   -J to rounding;
+2. the symmetric factors of M in closed form, with no search and no random
+   draw, read off M as stage 1 leaves it. Only when that result misses the
+   residual contract (off-block mass in M, as near a real/complex or a
+   clustering threshold or where stage 1 is ill-conditioned) is stage 1
+   re-based by the GL embedding of a real eigenbasis R of -M, which brings
+   R^{-1} M R to real block form (an ill-conditioned basis of a repeated
+   eigenvalue is replaced by an orthonormal one), and the factors read
+   again. A generic input thus costs one eigendecomposition in all.
 
 The general factorization of a real matrix into two real symmetric factors
 (``factor_two_symmetric``) remains a standalone operation.
@@ -92,6 +98,8 @@ _FACTOR_RCOND_GOOD = 1e-3  # stop drawing once a factor this well-conditioned ap
 _JORDAN_RCOND_MIN = 1e-10
 _REPEAT_SPREAD = 1e-11  # eigenvalues of -M this close (relative) are one repeated eigenvalue
 _PAIRING_MIN = 1e-10
+# signs e of the closed-form factor A = diag(e), per slot of each invariant kind
+_SIGNS = {REAL: (1.0,), COMPLEX_PAIR: (1.0, -1.0)}
 
 
 @dataclass(eq=False)
@@ -422,7 +430,7 @@ def factor_two_symmetric(m, seed: int = 0, max_draws: int = 64) -> TwoSymmetricF
 
 
 # ---------------------------------------------------------------------------
-# stage 2: real eigenbasis of M and the closed-form symmetric factors
+# re-basing stage 1 on a real eigenbasis of -M, where M is not in block form
 # ---------------------------------------------------------------------------
 
 
@@ -554,6 +562,45 @@ def _real_jordan_basis(k: np.ndarray, spectrum: InvariantSpectrum, tol: Toleranc
 # ---------------------------------------------------------------------------
 
 
+def _finish(x: np.ndarray, s: np.ndarray, b: np.ndarray, e: np.ndarray, blocks) -> Decomposition:
+    """S1 and S2 from a stage-1 similarity S whose reduced block Mb has e Mb = B.
+
+    W = [[0, diag(e)], [sym(B), 0]], S2 = (S X)^{-1} W sigma and
+    S1 = (e (+) e) S; the residuals are those ``verify_decomposition``
+    recomputes.
+    """
+    n = e.shape[0]
+    w_mat = np.zeros((2 * n, 2 * n))
+    w_mat[:n, n:] = np.diag(e)
+    w_mat[n:, :n] = (b + b.T) / 2
+    try:
+        s_prime = np.linalg.solve(s @ x, w_mat)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInput(f"S X is singular: {exc}") from exc
+
+    s1 = np.concatenate([e, e])[:, None] * s  # gl_embed(diag(e)) @ S
+    s2 = s_prime @ readonly_form(n)
+    recon = frobenius(s1 @ x @ s2 - blocks.assembled)
+    recon /= max(frobenius(s1) * frobenius(x) * frobenius(s2), 1e-300)
+    return Decomposition(
+        s1=s1,
+        s2=s2,
+        blocks=blocks,
+        recon_residual=recon,
+        s1_residual=symplectic_residual(s1),
+        s2_residual=symplectic_residual(s2),
+    )
+
+
+def _meets_contract(d: Decomposition, tol: Tolerances) -> bool:
+    """The residual contract: recon, s1 and s2 each within residual_tol."""
+    return not (
+        d.recon_residual > tol.residual_tol
+        or d.s1_residual > tol.residual_tol
+        or d.s2_residual > tol.residual_tol
+    )
+
+
 def decompose(
     x,
     tol: Tolerances = DEFAULT_TOL,
@@ -565,22 +612,27 @@ def decompose(
     Pipeline: one eigendecomposition of Sigma(X) serves the invariants and
     stage 1. Its eigenvalues give the invariant spectrum, the blocks of J,
     equal to ``invariants(x).values``; its eigenvectors block-diagonalize
-    Sigma(X) symplectically to -(M (+) M^T). Re-base that similarity by the
-    GL embedding of a real eigenbasis R of -M, so that Mb = R^{-1} M R is in
-    real block form, and factor Mb = A B in closed form with A = diag(e) and
-    B = e Mb (e = +1 per real column, (+1, -1) per complex column pair).
-    Then W = [[0, A], [B, 0]],
-    S2 = (S X)^{-1} W sigma and S1 = (A (+) A) S. The construction is
-    deterministic: ``seed`` and ``debug`` are accepted for compatibility and
-    ignored. The returned factors are one valid choice; only the canonical
-    matrix, the residuals, and symplecticity are contractual.
+    Sigma(X) symplectically to -(M (+) M^T), with M = -J to rounding in the
+    canonical block order. Writing Mb for M, or for its re-based form below,
+    Mb = A B in closed form with A = diag(e) and B = e Mb (e = +1 per real
+    slot, (+1, -1) per complex pair); then W = [[0, A], [B, 0]],
+    S2 = (S X)^{-1} W sigma and S1 = (A (+) A) S.
+
+    The first attempt takes Mb = M as stage 1 leaves it. Only if that result
+    misses the residual contract (stage 1 ill-conditioned, or a near-real
+    or near-coincident spectrum, leaving off-block mass in M) is stage 1
+    re-based by the GL embedding of a real eigenbasis R of -M, so that
+    Mb = R^{-1} M R is in real block form, and the contract checked again.
+    The construction is deterministic: ``seed`` and ``debug`` are accepted
+    for compatibility and ignored. The returned factors are one valid
+    choice; only the canonical matrix, the residuals, and symplecticity are
+    contractual.
 
     Raises SingularInput for singular X, DegenerateSpectrum (or subclasses)
     when the spectrum is too degenerate or ill-conditioned for a trustworthy
     result, never returning a silently bad decomposition.
     """
     x = as_even_square(x, "X")
-    n = x.shape[0] // 2
     if reciprocal_condition(x) < _X_RCOND_MIN:
         raise SingularInput("X is singular within tolerance (rcond < 1e-12)")
 
@@ -595,6 +647,13 @@ def decompose(
         raise SingularInput("zero invariant detected; canonical form requires nonsingular X")
 
     s, m = _block_diagonalize(sig_x, v, clusters, tol)
+    blocks = canonical_from_invariants(spectrum)
+    # stage 1 orders M's blocks as the spectrum orders J's: read M as it is
+    e = np.array([sign for val in spectrum.values for sign in _SIGNS[val.kind]])
+    d = _finish(x, s, e[:, None] * m, e, blocks)
+    if _meets_contract(d, tol):
+        return d
+
     r, e, kinds = _real_jordan_basis(-m, spectrum, tol)
     if kinds != tuple(v.kind for v in spectrum.values):
         raise DegenerateSpectrum(
@@ -603,37 +662,13 @@ def decompose(
     # S Sigma S^{-1} = -(Mb (+) Mb^T) after re-basing, even where M has off-block
     # mass; R^{-1} (+) R^T is the GL embedding of R, whose rcond is checked above
     s = block_diag(np.linalg.inv(r), r.T) @ s
-    b = e[:, None] * np.linalg.solve(r, m @ r)
-
-    w_mat = np.zeros((2 * n, 2 * n))
-    w_mat[:n, n:] = np.diag(e)
-    w_mat[n:, :n] = (b + b.T) / 2
-    try:
-        s_prime = np.linalg.solve(s @ x, w_mat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInput(f"S X is singular: {exc}") from exc
-
-    s1 = np.concatenate([e, e])[:, None] * s  # gl_embed(diag(e)) @ S
-    s2 = s_prime @ readonly_form(n)
-
-    blocks = canonical_from_invariants(spectrum)
-    recon = frobenius(s1 @ x @ s2 - blocks.assembled)
-    recon /= max(frobenius(s1) * frobenius(x) * frobenius(s2), 1e-300)
-    s1_res = symplectic_residual(s1)
-    s2_res = symplectic_residual(s2)
-    if recon > tol.residual_tol or s1_res > tol.residual_tol or s2_res > tol.residual_tol:
+    d = _finish(x, s, e[:, None] * np.linalg.solve(r, m @ r), e, blocks)
+    if not _meets_contract(d, tol):
         raise DegenerateSpectrum(
             "decomposition failed its own residual contract "
-            f"(recon {recon:.3e}, s1 {s1_res:.3e}, s2 {s2_res:.3e})"
+            f"(recon {d.recon_residual:.3e}, s1 {d.s1_residual:.3e}, s2 {d.s2_residual:.3e})"
         )
-    return Decomposition(
-        s1=s1,
-        s2=s2,
-        blocks=blocks,
-        recon_residual=recon,
-        s1_residual=s1_res,
-        s2_residual=s2_res,
-    )
+    return d
 
 
 def verify_decomposition(x, d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
@@ -701,7 +736,10 @@ def williamson(x, tol: Tolerances = DEFAULT_TOL) -> WilliamsonResult:
     sig = readonly_form(n)
     y = inv_sqrt @ sig @ inv_sqrt
     y = (y - y.T) / 2
-    t, z = schur(y, output="real")
+    try:
+        t, z = schur(y, output="real")
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"real Schur decomposition failed: {exc}") from exc
 
     p_cols, q_cols, kappa = [], [], []
     for i in range(n):

@@ -13,6 +13,7 @@ from sympeq import (
     ClusteringAmbiguous,
     DegenerateSpectrum,
     Decomposition,
+    EigenFailure,
     Invariant,
     InvariantSpectrum,
     NotPositiveDefinite,
@@ -181,7 +182,9 @@ def test_stage1_svds_do_not_grow_with_n(monkeypatch, n):
 
 def test_real_jordan_basis_orthonormalises_an_ill_conditioned_repeat(monkeypatch):
     # a fourfold invariant: -M has a fourfold eigenvalue 2.0, and eig may
-    # return any basis of its eigenspace, here one with rcond about 1e-7
+    # return any basis of its eigenspace, here one with rcond about 1e-7.
+    # decompose finishes this input on its first attempt, so that attempt is
+    # rejected here to drive the re-basing
     j = np.diag([2.0, 2.0, 2.0, 2.0, -1.0])
     x = random_symplectic(5, 70) @ direct_sum(np.eye(5), j) @ random_symplectic(5, 71)
     eig = np.linalg.eig
@@ -212,7 +215,9 @@ def test_real_jordan_basis_orthonormalises_an_ill_conditioned_repeat(monkeypatch
 
     monkeypatch.setattr(np.linalg, "eig", skewing)
     monkeypatch.setattr(canonical, "_real_jordan_basis", recording)
+    attempts = _reject_first_attempt(monkeypatch)
     d = decompose(x)
+    assert len(attempts) == 2 and len(bases) == 1
     assert skewed and skewed[0] > 1e6
     assert verify_decomposition(x, d).verdict
     assert canonical.reciprocal_condition(bases[0]) >= 1e-3
@@ -408,6 +413,17 @@ def test_williamson_rejects_asymmetric():
         williamson(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_williamson_schur_failure_is_typed(monkeypatch):
+    import scipy.linalg
+
+    def failing(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+
+    monkeypatch.setattr(scipy.linalg, "schur", failing)
+    with pytest.raises(EigenFailure, match="Schur"):
+        williamson(np.diag([2.0, 2.0]))
+
+
 def test_williamson_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         williamson(np.diag([1.0, -1.0]))
@@ -479,8 +495,10 @@ def test_decompose_debug_mode_runs():
 
 
 def test_decompose_ill_conditioned_stage1_channel():
-    # stage 1 leaves off-block mass in M here; decompose must re-base on an
-    # eigenbasis of M rather than read M as already block diagonal
+    # stage 1 is ill-conditioned here (rcond of its basis about 6e-5) and
+    # leaves off-block mass in M; the first attempt, which reads M as block
+    # diagonal, still meets the contract (s2 6.1e-9, against 2.6e-9 after
+    # re-basing on an eigenbasis of -M)
     ch = random_valid_channel(8, 4, squeezing=True, seed=2)
     normalize_channel(ch)
     d = decompose(ch.x)
@@ -523,8 +541,8 @@ def test_decompose_repeated_real_and_pair_clusters(t):
 
 
 def test_decompose_eigensolves_sigma_once(monkeypatch):
-    # one eig of Sigma(X) serves the invariants and stage 1; the second eig is
-    # the n x n one of -M in stage 2
+    # one eig of Sigma(X) serves the invariants and stage 1, and a generic X
+    # is finished from stage 1's block form with no eigensolve of -M
     calls = {"eig": 0, "eigvals": 0, "invariants": 0}
 
     def counting(name, fn):
@@ -541,7 +559,7 @@ def test_decompose_eigensolves_sigma_once(monkeypatch):
     monkeypatch.setattr(canonical, "invariants", spy)
     x = np.random.default_rng(5).standard_normal((8, 8))
     decompose(x)
-    assert calls == {"eig": 2, "eigvals": 0, "invariants": 0}
+    assert calls == {"eig": 1, "eigvals": 0, "invariants": 0}
 
 
 def _tied_real_parts(t):
@@ -582,6 +600,69 @@ def test_decompose_blocks_equal_invariants_exactly(x):
             decompose(x)
         return
     assert decompose(x).blocks.blocks == spectrum.values
+
+
+def _reject_first_attempt(monkeypatch):
+    """Make decompose's contract gate refuse its first attempt; returns the
+    list of decompositions the gate has seen."""
+    meets = canonical._meets_contract
+    attempts = []
+
+    def rejecting(d, tol):
+        attempts.append(d)
+        return len(attempts) > 1 and meets(d, tol)
+
+    monkeypatch.setattr(canonical, "_meets_contract", rejecting)
+    return attempts
+
+
+def _counting_rebases(monkeypatch):
+    jordan = canonical._real_jordan_basis
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return jordan(*args)
+
+    monkeypatch.setattr(canonical, "_real_jordan_basis", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_decompose_finishes_gaussian_input_without_rebasing(monkeypatch, n):
+    calls = _counting_rebases(monkeypatch)
+    x = np.random.default_rng(n).standard_normal((2 * n, 2 * n))
+    d = decompose(x)
+    assert calls == []
+    assert verify_decomposition(x, d).verdict
+
+
+@pytest.mark.parametrize("t", [2, 21])
+def test_decompose_rebases_a_near_real_pair_that_misses_the_contract(monkeypatch, t):
+    # the snapped pair 1 +- 1e-9 i leaves e M asymmetric by about 2.5e-9; on
+    # these dressings that puts the first attempt's S2 off the contract
+    # (s2 1.1e-8 and 2.6e-8), and the re-based one on it (1.3e-9 and 2.6e-9)
+    calls = _counting_rebases(monkeypatch)
+    x = _near_real_pair(t)
+    d = decompose(x)
+    assert calls == [3]
+    assert verify_decomposition(x, d).verdict
+
+
+@pytest.mark.parametrize(
+    "x",
+    [_scaled_gaussian(s, 1 + s % 6, p) for s in range(6) for p in (0, 3)]
+    + [_tied_real_parts(t) for t in range(4)]
+    + [_repeated_clusters(t) for t in range(4)]
+    + [_near_real_pair(t) for t in range(4)],
+)
+def test_rebasing_alone_verifies(monkeypatch, x):
+    # the fallback path must stand on its own, although generic inputs
+    # almost never reach it
+    attempts = _reject_first_attempt(monkeypatch)
+    d = decompose(x)
+    assert len(attempts) == 2 and d is attempts[1]
+    assert verify_decomposition(x, d).verdict
 
 
 def test_decompose_is_deterministic_and_draws_nothing(monkeypatch):

@@ -119,6 +119,20 @@ def test_exit_code_2_on_not_positive_definite(tmp_path, capsys):
     assert "NotPositiveDefinite" in capsys.readouterr().err
 
 
+def test_exit_code_2_on_schur_failure(tmp_path, capsys, monkeypatch):
+    import scipy.linalg
+
+    def failing(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+
+    monkeypatch.setattr(scipy.linalg, "schur", failing)
+    path = tmp_path / "thermal.json"
+    io.save_document(io.matrix_to_doc(np.diag([2.0, 2.0])), str(path))
+    rc = run(["williamson", "--input", str(path)])
+    assert rc == 2
+    assert "EigenFailure" in capsys.readouterr().err
+
+
 def test_exit_code_1_on_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
