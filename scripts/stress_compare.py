@@ -22,6 +22,11 @@ different outcome: another error type or message, other kinds, block order
 or verdict, or contractual values (invariants, blocks, the Williamson gap)
 apart by more than 1e-9 of their scale. The exit status is 1 on any
 different outcome.
+
+Per family and tree, the report also counts the ``decompose`` calls that
+re-based, i.e. ran ``numpy.linalg.eig`` more than once (the child wraps that
+function, so the count needs nothing from the tree), and how many of those
+returned a decomposition.
 """
 
 from __future__ import annotations
@@ -45,6 +50,13 @@ FAMILIES = ("repeated", "split_reals", "near_real_pair", "tied_real_parts", "nea
 CONTRACTUAL = ("values", "gap")
 CONTRACT_RTOL = 1e-9
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+_EIG = np.linalg.eig
+_EIG_CALLS = [0]  # numpy.linalg.eig calls made so far in an evaluating child
+
+
+def _counting_eig(*args, **kwargs):
+    _EIG_CALLS[0] += 1
+    return _EIG(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +139,13 @@ def _run(sp, fn) -> dict:
         return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def _decompose(sp, x) -> dict:
-    d = sp.decompose(x)
+def _decompose(sp, x, eigs: list) -> dict:
+    # eigs receives the number of eig calls decompose made, also when it raises
+    start = _EIG_CALLS[0]
+    try:
+        d = sp.decompose(x)
+    finally:
+        eigs.append(_EIG_CALLS[0] - start)
     rep = sp.verify_decomposition(x, d)
     return {
         **_values(d.blocks.blocks),
@@ -161,19 +178,21 @@ def _normalize(sp, item) -> dict:
 def evaluate(path: Path) -> None:
     import sympeq as sp
 
+    np.linalg.eig = _counting_eig
     out = []
     for item in pickle.loads(path.read_bytes()):
         x = item["x"]
+        eigs: list = []
         rec = {
             "invariants": _run(sp, lambda: _invariants(sp, x)),
-            "decompose": _run(sp, lambda: _decompose(sp, x)),
+            "decompose": _run(sp, lambda: _decompose(sp, x, eigs)),
         }
         if item["family"] == "channel":
             rec["normalize_channel"] = _run(sp, lambda: _normalize(sp, item))
             rec["williamson_invariant_gap"] = _run(
                 sp, lambda: {"gap": sp.williamson_invariant_gap(x @ x.T + np.eye(x.shape[0]))}
             )
-        out.append({"family": item["family"], "ops": rec})
+        out.append({"family": item["family"], "ops": rec, "rebased": eigs[0] > 1})
     json.dump(out, sys.stdout)
 
 
@@ -279,7 +298,12 @@ def main(argv=None) -> int:
     for i, (a, b) in enumerate(zip(old, new)):
         verdict, detail, gap = compare(a["ops"], b["ops"])
         counts[verdict] += 1
-        by_family.setdefault(a["family"], Counter())[verdict] += 1
+        family = by_family.setdefault(a["family"], Counter())
+        family[verdict] += 1
+        for side, rec in (("parent", a), ("change", b)):
+            if rec["rebased"]:
+                family[f"{side} rebased"] += 1
+                family[f"{side} returned"] += "error" not in rec["ops"]["decompose"]
         for op, rec in b["ops"].items():
             if "error" in rec:
                 errors[(op, rec["error"])] += 1
@@ -294,6 +318,10 @@ def main(argv=None) -> int:
         print(f"  {family:16s} {c['identical']:5d} identical {c['digits']:5d} digits {c['different']:5d} different")
     if counts["digits"]:
         print(f"  largest number difference: {worst[0]:.2e} relative, in {worst[1]} of input {worst[2]}")
+    print("  decompose calls that re-based (of which returned), parent -> change:")
+    for family, c in by_family.items():
+        print(f"  {family:16s} {c['parent rebased']:5d} ({c['parent returned']}) "
+              f"-> {c['change rebased']:5d} ({c['change returned']})")
     for (op, name), k in sorted(errors.items()):
         print(f"  change: {op} raised {name} on {k} inputs")
     return 1 if counts["different"] else 0

@@ -19,9 +19,13 @@ eigenvectors). The construction has two stages:
    residual contract (off-block mass in M, as near a real/complex or a
    clustering threshold or where stage 1 is ill-conditioned) is stage 1
    re-based by the GL embedding of a real eigenbasis R of -M, which brings
-   R^{-1} M R to real block form (an ill-conditioned basis of a repeated
-   eigenvalue is replaced by an orthonormal one), and the factors read
-   again. A generic input thus costs one eigendecomposition in all.
+   R^{-1} M R to real block form, and the factors read again. R comes from
+   one eigendecomposition of -M: each eigenvector goes to the cluster whose
+   run of M's columns holds most of its mass, and takes its kind and
+   position from that run, so the spectrum is classified once, on
+   Sigma(X). An ill-conditioned basis of a repeated eigenvalue is replaced
+   by an orthonormal one. A generic input thus costs one eigendecomposition
+   in all.
 
 The general factorization of a real matrix into two real symmetric factors
 (``factor_two_symmetric``) remains a standalone operation.
@@ -49,6 +53,7 @@ from .core import (
     is_symplectic,
     readonly_form,
     reciprocal_condition,
+    symmetric_part,
     symplectic_residual,
 )
 from .errors import (
@@ -60,7 +65,6 @@ from .errors import (
     NoNonsingularFactor,
     NotPositiveDefinite,
     NotSkewHamiltonian,
-    NotSymmetric,
     SingularInput,
 )
 from .invariants import (
@@ -434,96 +438,67 @@ def factor_two_symmetric(m, seed: int = 0, max_draws: int = 64) -> TwoSymmetricF
 # ---------------------------------------------------------------------------
 
 
-def _real_jordan_basis(k: np.ndarray, spectrum: InvariantSpectrum, tol: Tolerances):
-    """Real basis R, column signs e and slot kinds with R^{-1} K R in real block form.
+def _real_jordan_basis(k: np.ndarray, clusters):
+    """Real basis R and column signs e with R^{-1} K R in real block form.
 
-    Diagonalizable K only: real eigenvalues contribute their (real)
-    eigenvector, complex pairs the raw real and imaginary parts (Re v, Im v)
-    of the b > 0 member's eigenvector. Those column pairs carry the signs
+    Diagonalizable K = -M only. Stage 1 built M's columns cluster by cluster
+    in canonical order, so each of ``clusters`` owns a run of columns: one
+    per real slot, two per complex pair. Each eigenvector of K goes to the
+    run holding most of its mass (conjugates share one, as |conj(v)| = |v|)
+    and takes its kind and position from it; nothing is classified here.
+    Within a run, unit real eigenvectors come first with the sign +1, then
+    per pair the raw (Re v, Im v) of its b > 0 member with the signs
     (+1, -1), which makes diag(e) R^{-1} K R symmetric; a snapped near-real
-    pair keeps its raw columns for that reason and fills two real slots.
-    Slots follow the canonical order of ``spectrum``: each is ranked by the
-    index of the nearest entry of its kind in ``spectrum.values``, so rounding
-    cannot swap a real slot and a complex pair whose real parts tie. Slots of
-    one repeated invariant share a rank and form one run of columns. Where
-    their eigenvalues agree to rounding (1e-11 of the spectral scale), the
-    eigenvectors ``eig`` returns are an arbitrary, possibly ill-conditioned
-    basis of one eigenspace, and the run takes an orthonormal basis of its
-    span instead (a real run then takes the signs +1, a complex one keeps
-    (+1, -1) per pair).
+    pair keeps those columns in a real run. A run must receive as many
+    columns as it is wide, a pair run no real eigenvalue. Where a run of
+    several eigenvalues agrees to rounding (1e-11 of the spectral scale),
+    ``eig`` may return any, possibly ill-conditioned, basis of one
+    eigenspace, and the run takes an orthonormal basis of its span instead
+    (a real run then takes the signs +1, a pair run keeps (+1, -1)).
     """
     try:
         w, v = np.linalg.eig(k)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigenFailure(f"eigensolver failed: {exc}") from exc
     n = k.shape[0]
-    w = w.astype(complex)
-    scale = spectral_scale(w)
-    gap_abs = tol.degeneracy_gap * scale
 
-    # a slot is a real eigenvalue or a conjugate pair, whose members LAPACK
-    # lists as adjacent entries; a pair is represented by its b > 0 member.
-    # The walk runs over plain Python numbers, which cost a fraction of
-    # numpy scalars.
-    vals = w.tolist()
-    up, is_pair, is_complex = [], [], []
-    tol_pair = max(gap_abs, 1e-8 * scale)
-    i = 0
-    while i < n:
-        lam = vals[i]
-        if lam.imag == 0:
-            up.append(i)
-            is_pair.append(False)
-            is_complex.append(False)
-            i += 1
-            continue
-        if i + 1 >= n or abs(lam.conjugate() - vals[i + 1]) > tol_pair:
-            raise DegenerateSpectrum("conjugate eigenvalue pairing broken")
-        up.append(i if lam.imag > 0 else i + 1)
-        is_pair.append(True)
-        is_complex.append(abs(lam.imag) > gap_abs)  # a snapped pair fills two real slots
-        i += 2
-    lams = w[up]
-
-    # rank each slot by the index of the nearest entry of its kind in
-    # spectrum.values (the first of equals; 0 when its kind is absent); hypot
-    # gives the distances that abs() of each complex difference gives
-    values = spectrum.values
-    d = np.array([val.as_complex() for val in values]) - lams[:, None]
-    same = np.array([val.kind == COMPLEX_PAIR for val in values]) == np.array(is_complex)[:, None]
-    ranks = np.where(same, np.hypot(d.real, d.imag), np.inf).argmin(axis=1)
-    order = np.argsort(ranks, kind="stable").tolist()
-    ranks = ranks.tolist()
-
-    # columns in slot order: a unit real eigenvector, or the raw (Re v, Im v)
-    # of a pair with the signs (+1, -1); the slots of one repeated invariant
-    # share its rank and form one run of columns
-    real_cols, real_pos, pair_cols, pair_pos, kinds = [], [], [], [], []
-    runs: dict = {}  # rank -> [first column, end column, complex, eigenvalues]
+    # the runs of M's columns, one per cluster in canonical order
+    starts, widths, pair_runs = [], [], []
     col = 0
-    for slot in order:
-        run = runs.setdefault(ranks[slot], [col, col, is_complex[slot], []])
-        if is_pair[slot]:
-            pair_cols.append(up[slot])
-            pair_pos.append(col)
-            kinds += [COMPLEX_PAIR] if is_complex[slot] else [REAL, REAL]
-            col += 2
-        else:
-            real_cols.append(up[slot])
-            real_pos.append(col)
-            kinds.append(REAL)
-            col += 1
-        run[1] = col
-        run[3].append(vals[up[slot]])
+    for inv, idx in clusters:
+        starts.append(col)
+        pair_runs.append(inv.kind == COMPLEX_PAIR)
+        widths.append(len(idx) if pair_runs[-1] else len(idx) // 2)
+        col += widths[-1]
+    owners = np.add.reduceat(np.abs(v) ** 2, starts, axis=0).argmax(axis=0).tolist()
+
+    # the bookkeeping runs over plain Python numbers, which cost a fraction
+    # of numpy scalars; a pair is represented by its b > 0 member
+    vals = w.tolist()
+    reals = [[] for _ in starts]
+    pairs = [[] for _ in starts]
+    for j, lam in enumerate(vals):
+        if lam.imag == 0:
+            reals[owners[j]].append(j)
+        elif lam.imag > 0:
+            pairs[owners[j]].append(j)
+
+    real_cols, real_pos, pair_cols, pair_pos = [], [], [], []
+    for first, width, cplx, rs, ps in zip(starts, widths, pair_runs, reals, pairs):
+        if len(rs) + 2 * len(ps) != width or (cplx and rs):
+            raise DegenerateSpectrum(
+                "invariant classification differs between Sigma(X) and the reduced block"
+            )
+        real_cols += rs
+        real_pos += range(first, first + len(rs))
+        pair_cols += ps
+        pair_pos += range(first + len(rs), first + width, 2)
 
     r = np.empty((n, n))
     e = np.ones(n)
     if real_cols:
         vecs = _fix_phase(v[:, real_cols].real)
-        nv = np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
-        if nv.min() < 1e-12:
-            raise DegenerateSpectrum("vanishing eigenvector for a real eigenvalue")
-        r[:, real_pos] = vecs / nv
+        r[:, real_pos] = vecs / np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
     if pair_cols:
         vecs = _fix_phase(v[:, pair_cols])
         pos = np.array(pair_pos)
@@ -532,15 +507,17 @@ def _real_jordan_basis(k: np.ndarray, spectrum: InvariantSpectrum, tol: Toleranc
         e[pos + 1] = -1.0
 
     # eig may return any basis of the eigenspace of a repeated eigenvalue,
-    # however ill-conditioned; take an orthonormal basis of its span. Slots
-    # of one repeated invariant whose eigenvalues differ by more than
-    # rounding keep their eigenvectors, which diagonalize K within the run.
-    for first, end, cplx, lams_run in runs.values():
-        if len(lams_run) == 1:
+    # however ill-conditioned; take an orthonormal basis of its span. A run
+    # whose eigenvalues differ by more than rounding keeps its eigenvectors,
+    # which diagonalize K within the run.
+    scale = spectral_scale(w)
+    for first, width, cplx, rs, ps in zip(starts, widths, pair_runs, reals, pairs):
+        lams = [vals[j] for j in rs + ps]
+        if len(lams) == 1:
             continue
-        if max(abs(a - b) for a in lams_run for b in lams_run) > _REPEAT_SPREAD * scale:
+        if max(abs(a - b) for a in lams for b in lams) > _REPEAT_SPREAD * scale:
             continue
-        run = r[:, first:end]  # a view
+        run = r[:, first : first + width]  # a view
         basis = run[:, ::2] + 1j * run[:, 1::2] if cplx else run
         u, s, _ = np.linalg.svd(basis, full_matrices=False)
         if s[-1] < _JORDAN_RCOND_MIN * s[0]:
@@ -550,11 +527,11 @@ def _real_jordan_basis(k: np.ndarray, spectrum: InvariantSpectrum, tol: Toleranc
             run[:, 1::2] = u.imag
         else:
             run[:] = u
-            e[first:end] = 1.0
+            e[first : first + width] = 1.0
 
     if reciprocal_condition(r) < _JORDAN_RCOND_MIN:
         raise DegenerateSpectrum("eigenvector basis is near-singular (defective input)")
-    return r, e, tuple(kinds)
+    return r, e
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +599,9 @@ def decompose(
     misses the residual contract (stage 1 ill-conditioned, or a near-real
     or near-coincident spectrum, leaving off-block mass in M) is stage 1
     re-based by the GL embedding of a real eigenbasis R of -M, so that
-    Mb = R^{-1} M R is in real block form, and the contract checked again.
+    Mb = R^{-1} M R is in real block form, and the contract checked again;
+    each eigenvector of -M takes its slot from the cluster run of stage 1
+    that holds most of its mass.
     The construction is deterministic: ``seed`` and ``debug`` are accepted
     for compatibility and ignored. The returned factors are one valid
     choice; only the canonical matrix, the residuals, and symplecticity are
@@ -654,11 +633,7 @@ def decompose(
     if _meets_contract(d, tol):
         return d
 
-    r, e, kinds = _real_jordan_basis(-m, spectrum, tol)
-    if kinds != tuple(v.kind for v in spectrum.values):
-        raise DegenerateSpectrum(
-            "invariant classification differs between Sigma(X) and the reduced block"
-        )
+    r, e = _real_jordan_basis(-m, clusters)
     # S Sigma S^{-1} = -(Mb (+) Mb^T) after re-basing, even where M has off-block
     # mass; R^{-1} (+) R^T is the GL embedding of R, whose rcond is checked above
     s = block_diag(np.linalg.inv(r), r.T) @ s
@@ -722,14 +697,11 @@ def williamson(x, tol: Tolerances = DEFAULT_TOL) -> WilliamsonResult:
     from scipy.linalg import schur
 
     x = as_even_square(x, "X")
-    nrm = frobenius(x)
-    if frobenius(x - x.T) > 1e-10 * max(nrm, 1e-300):
-        raise NotSymmetric("X must be symmetric for the normal-mode decomposition")
-    xs = (x + x.T) / 2
+    xs = symmetric_part(x, "X must be symmetric for the normal-mode decomposition")
     n = xs.shape[0] // 2
 
     evals, evecs = np.linalg.eigh(xs)
-    if evals[0] <= tol.psd_tol * max(1.0, nrm):
+    if evals[0] <= tol.psd_tol * max(1.0, frobenius(x)):
         raise NotPositiveDefinite(f"minimal eigenvalue {evals[0]:.3e} is not positive")
     inv_sqrt = (evecs * (evals**-0.5)) @ evecs.T
 

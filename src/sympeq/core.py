@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInput, SingularInput
+from .errors import DimensionError, InvalidInput, NotSymmetric, SingularInput
 
 __all__ = [
     "Tolerances",
@@ -104,6 +104,16 @@ def frobenius(a) -> float:
         if m < math.inf:
             nrm = m * float(np.linalg.norm(a / m))
     return nrm
+
+
+def symmetric_part(a: np.ndarray, message: str) -> np.ndarray:
+    """(A + A^T) / 2 of a matrix symmetric to within 1e-10 of its norm.
+
+    Raises NotSymmetric with ``message`` otherwise.
+    """
+    if frobenius(a - a.T) > 1e-10 * max(frobenius(a), 1e-300):
+        raise NotSymmetric(message)
+    return (a + a.T) / 2
 
 
 def reciprocal_condition(a) -> float:

@@ -33,9 +33,10 @@ from .core import (
     mode_direct_sum,
     random_symplectic,
     reciprocal_condition,
+    symmetric_part,
     symplectic_form,
 )
-from .errors import DimensionError, InvalidInput, NotPure, NotSymmetric, SingularInput
+from .errors import DimensionError, InvalidInput, NotPure, SingularInput
 from .invariants import COMPLEX_PAIR, REAL, InvariantSpectrum, invariants, sigma_matrix
 
 __all__ = [
@@ -125,9 +126,8 @@ class GaussianChannel:
         y = as_even_square(y, "Y")
         if x.shape != y.shape:
             raise DimensionError("X and Y must have equal shape")
-        if frobenius(y - y.T) > 1e-10 * max(frobenius(y), 1e-300):
-            raise NotSymmetric("channel noise block Y must be symmetric")
-        ch = cls(n=x.shape[0] // 2, x=x, y=(y + y.T) / 2)
+        y = symmetric_part(y, "channel noise block Y must be symmetric")
+        ch = cls(n=x.shape[0] // 2, x=x, y=y)
         report = channel_validity(ch, tol)
         ch.validity_residual = max(0.0, -report.min_eig)
         return ch
@@ -229,9 +229,7 @@ def state_validity(g, tol: Tolerances = DEFAULT_TOL) -> ValidityReport:
     else:
         gamma = as_even_square(g, "Gamma")
         omega = symplectic_form(gamma.shape[0] // 2)
-    if frobenius(gamma - gamma.T) > 1e-10 * max(frobenius(gamma), 1e-300):
-        raise NotSymmetric("covariance matrix must be symmetric")
-    min_eig = hermitian_min_eig((gamma + gamma.T) / 2, omega)
+    min_eig = hermitian_min_eig(symmetric_part(gamma, "covariance matrix must be symmetric"), omega)
     return ValidityReport(
         min_eig=min_eig,
         valid=min_eig >= -tol.psd_tol * max(1.0, frobenius(gamma)),
@@ -278,11 +276,10 @@ def apply_channel(gamma, ch: GaussianChannel) -> np.ndarray:
 def channel_validity(ch: GaussianChannel, tol: Tolerances = DEFAULT_TOL) -> ValidityReport:
     """Complete-positivity check: Y + i (X^T sigma X - sigma) >= 0."""
     y = as_even_square(ch.y, "Y")
-    if frobenius(y - y.T) > 1e-10 * max(frobenius(y), 1e-300):
-        raise NotSymmetric("channel noise block Y must be symmetric")
+    ys = symmetric_part(y, "channel noise block Y must be symmetric")
     sig = symplectic_form(ch.n)
     skew = ch.x.T @ sig @ ch.x - sig
-    min_eig = hermitian_min_eig((y + y.T) / 2, skew)
+    min_eig = hermitian_min_eig(ys, skew)
     scale = max(1.0, float(np.hypot(frobenius(y), frobenius(skew))))
     return ValidityReport(min_eig=min_eig, valid=min_eig >= -tol.psd_tol * scale)
 

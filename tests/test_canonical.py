@@ -21,6 +21,7 @@ from sympeq import (
     SingularInput,
     block_diagonalize_skew_hamiltonian,
     canonical_from_invariants,
+    channel_validity,
     decompose,
     direct_sum,
     factor_two_symmetric,
@@ -578,6 +579,14 @@ def _near_real_pair(t):
     return random_symplectic(3, 10 + t) @ direct_sum(np.eye(3), near_real) @ random_symplectic(3, 20 + t)
 
 
+def _mass_between_clusters():
+    # every cluster is a singleton, but stage 1's basis has rcond 2.7e-4 and
+    # leaves 7.3e-12 of mass between clusters in M; the first attempt misses
+    # the contract (s2 2.47e-8), and only an eigensolve of all of -M, not one
+    # per cluster block, removes that mass
+    return random_valid_channel(7, 6, squeezing=True, seed=519043367)
+
+
 def _scaled_gaussian(seed, n, power):
     return 10.0**power * np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
 
@@ -649,12 +658,26 @@ def test_decompose_rebases_a_near_real_pair_that_misses_the_contract(monkeypatch
     assert verify_decomposition(x, d).verdict
 
 
+def test_rebasing_rescues_mass_between_clusters(monkeypatch):
+    calls = _counting_rebases(monkeypatch)
+    ch = _mass_between_clusters()
+    d = decompose(ch.x)
+    assert calls == [7]
+    assert verify_decomposition(ch.x, d).verdict
+    res = normalize_channel(ch)
+    assert calls == [7, 7]
+    assert verify_decomposition(ch.x, Decomposition(res.s1, res.s2, res.blocks, 0.0, 0.0, 0.0)).verdict
+    assert channel_validity(res.ch_out).valid
+
+
 @pytest.mark.parametrize(
     "x",
     [_scaled_gaussian(s, 1 + s % 6, p) for s in range(6) for p in (0, 3)]
     + [_tied_real_parts(t) for t in range(4)]
     + [_repeated_clusters(t) for t in range(4)]
-    + [_near_real_pair(t) for t in range(4)],
+    + [_near_real_pair(t) for t in range(4)]
+    + [_tied_real_parts(t) for t in range(4, 16)]
+    + [_mass_between_clusters().x],
 )
 def test_rebasing_alone_verifies(monkeypatch, x):
     # the fallback path must stand on its own, although generic inputs
