@@ -72,7 +72,6 @@ from .invariants import (
     REAL,
     Invariant,
     InvariantSpectrum,
-    classify_doubled_spectrum,
     invariant_multiset,
     invariants,
     sigma_of_checked,
@@ -279,7 +278,7 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
     The eigenspaces of distinct invariants are orthogonal with respect to the
     symplectic form, so each cluster's basis is built on its own eigenspace.
     The clusters, and the canonical order of their columns, come from
-    ``classify_doubled_spectrum``; an ambiguous clustering raises
+    ``spectrum_from_eigenvalues``; an ambiguous clustering raises
     DegenerateSpectrum. Clusters of one kind and size are processed together
     as one stack: one batched SVD gives orthonormal bases of their
     eigenspaces, and a symplectic Gram-Schmidt run on all of them at once
@@ -300,7 +299,7 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
         raise EigenFailure(f"eigensolver failed: {exc}") from exc
 
     try:
-        clusters, _, _ = classify_doubled_spectrum(w, tol)
+        clusters = spectrum_from_eigenvalues(w, tol)[1]
     except ClusteringAmbiguous as exc:
         raise DegenerateSpectrum(str(exc)) from exc
     return _block_diagonalize(sig_h, v, clusters, tol)
@@ -310,7 +309,7 @@ def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters, tol: Toleranc
     """Stage 1 from one eigendecomposition of the skew-Hamiltonian sig_h.
 
     ``v`` holds its eigenvectors and ``clusters`` the classification of its
-    eigenvalues by ``classify_doubled_spectrum``.
+    eigenvalues by ``spectrum_from_eigenvalues``.
     """
     n = sig_h.shape[0] // 2
     sig = readonly_form(n)

@@ -7,11 +7,12 @@ The spectrum is two-fold degenerate and conjugation-closed; this module
 computes it, clusters the doubles, and classifies entries as real values or
 complex-conjugate pairs.
 
-This module is the one place where the spectral policy is decided: the scale
-(``spectral_scale``), the absolute gap, the snap of near-real eigenvalues to
-the real axis, the clustering and the canonical order (descending re,
-ascending im) all live in ``classify_doubled_spectrum``. The canonical-form
-construction takes its clusters and scales from here.
+This module is the one place where the spectral policy is decided, in one
+function, ``spectrum_from_eigenvalues``: the absolute gap (from
+``spectral_scale``), the snap of near-real eigenvalues to the real axis, the
+clustering and its checks, and the canonical order (descending re, ascending
+im). The canonical-form construction takes its clusters and scales from
+here.
 """
 
 from __future__ import annotations
@@ -108,13 +109,6 @@ def spectral_scale(w) -> float:
     return max(1.0, float(np.abs(w).max())) if w.size else 1.0
 
 
-def _snap_real(w: np.ndarray, gap_abs: float) -> np.ndarray:
-    w = w.astype(complex)
-    snapped = w.copy()
-    snapped.imag[np.abs(w.imag) <= gap_abs] = 0.0
-    return snapped
-
-
 def _modulus(z: np.ndarray) -> np.ndarray:
     # |z| through hypot, which equals abs() of each complex scalar bit for
     # bit; np.abs on a complex array may round differently in the last bit
@@ -168,78 +162,6 @@ def _group_means(w: np.ndarray, groups: list[list[int]]):
     return means, worst
 
 
-def _check_even(groups: list[list[int]], kind: str) -> None:
-    for group in groups:
-        if len(group) % 2 != 0:
-            raise ClusteringAmbiguous(
-                f"{kind} eigenvalue cluster of odd size {len(group)} cannot be doubled"
-            )
-
-
-def cluster_doubled_spectrum(w: np.ndarray, gap_abs: float):
-    """Group a conjugation-closed, doubled spectrum into invariant clusters.
-
-    Returns ``(real_clusters, pair_clusters, worst_spread)`` where a real
-    cluster is ``(value, indices)`` covering an even number of eigenvalues and
-    a pair cluster is ``(a, b, up_indices)`` covering the members with
-    positive imaginary part only. Raises ClusteringAmbiguous when a cluster
-    cannot be doubled or conjugation symmetry is broken.
-    """
-    w = np.asarray(w, dtype=complex)
-    reals = np.where(w.imag == 0.0)[0]
-    ups = np.where(w.imag > 0.0)[0]
-    downs = np.where(w.imag < 0.0)[0]
-    if len(ups) != len(downs):
-        raise ClusteringAmbiguous(
-            "conjugate closure violated: unequal counts above/below the real axis"
-        )
-
-    worst = 0.0
-    real_clusters: list[tuple[float, list[int]]] = []
-    if len(reals):
-        order = reals[np.argsort(w[reals].real)]
-        groups = _linkage_groups(order, w, gap_abs)
-        _check_even(groups, "real")
-        means, worst = _group_means(w.real, groups)
-        real_clusters = list(zip(means.tolist(), groups))
-
-    pair_clusters: list[tuple[float, float, list[int]]] = []
-    if len(ups):
-        key = np.lexsort((w[ups].imag, w[ups].real))
-        order = ups[key]
-        groups = _linkage_groups(order, w, gap_abs)
-        _check_even(groups, "complex")
-        means, spread = _group_means(w, groups)
-        pair_clusters = list(zip(means.real.tolist(), means.imag.tolist(), groups))
-        worst = max(worst, spread)
-        # mirror check against the lower half plane
-        up_sorted = np.sort_complex(w[ups])
-        down_sorted = np.sort_complex(np.conj(w[downs]))
-        if np.abs(up_sorted - down_sorted).max() > gap_abs:
-            raise ClusteringAmbiguous("conjugate partners do not match within the gap")
-
-    return real_clusters, pair_clusters, worst
-
-
-def classify_doubled_spectrum(w: np.ndarray, tol: Tolerances):
-    """Snap, cluster and order the raw eigenvalues of Sigma(X) once.
-
-    The absolute gap is ``degeneracy_gap`` times ``spectral_scale(w)``.
-    Eigenvalues whose imaginary part lies within it are snapped to the real
-    axis, then ``cluster_doubled_spectrum`` groups them. Returns
-    ``(clusters, worst_spread, gap_abs)``, where each cluster is an
-    ``(Invariant, indices)`` pair, in canonical order (descending re,
-    ascending im); a pair cluster lists only its members with im > 0.
-    Raises ClusteringAmbiguous as ``cluster_doubled_spectrum`` does.
-    """
-    gap_abs = tol.degeneracy_gap * spectral_scale(w)
-    real_clusters, pair_clusters, worst = cluster_doubled_spectrum(_snap_real(w, gap_abs), gap_abs)
-    clusters = [(Invariant(value, 0.0, REAL), group) for value, group in real_clusters]
-    clusters += [(Invariant(a, b, COMPLEX_PAIR), group) for a, b, group in pair_clusters]
-    clusters.sort(key=lambda c: (-c[0].re, c[0].im))
-    return clusters, worst, gap_abs
-
-
 def invariants(x, tol: Tolerances = DEFAULT_TOL) -> InvariantSpectrum:
     """Invariant spectrum of X: eigenvalues of Sigma(X), clustered into doubles.
 
@@ -258,27 +180,67 @@ def invariants(x, tol: Tolerances = DEFAULT_TOL) -> InvariantSpectrum:
 
 
 def spectrum_from_eigenvalues(w: np.ndarray, tol: Tolerances):
-    """The invariant spectrum read off the 2n raw eigenvalues of Sigma(X).
+    """Snap, cluster and order the 2n raw eigenvalues of Sigma(X) once.
 
-    Returns ``(spectrum, clusters)``, the clusters as given by
-    ``classify_doubled_spectrum``, so that a caller holding the
+    The absolute gap is ``degeneracy_gap`` times ``spectral_scale(w)``.
+    Eigenvalues whose imaginary part lies within it are snapped to the real
+    axis (on a copy; ``w`` is not modified), then grouped by single linkage,
+    the reals along the real axis and the members with im > 0 in (re, im)
+    order. Returns ``(spectrum, clusters)``, where each cluster is an
+    ``(Invariant, indices)`` pair in canonical order and a pair cluster
+    lists only its members with im > 0, so that a caller holding the
     eigenvectors of the same eigensolve can build on them. Raises
-    ClusteringAmbiguous as ``invariants`` does.
+    ClusteringAmbiguous when conjugate closure is broken, a cluster has odd
+    size, or conjugate partners do not match within the gap.
     """
     n = w.shape[0] // 2
-    clusters, worst, gap_abs = classify_doubled_spectrum(w, tol)
-    values = tuple(v for v, group in clusters for _ in range(len(group) // 2))
+    scale = spectral_scale(w)
+    gap_abs = tol.degeneracy_gap * scale
+    w = w.astype(complex)
+    w.imag[np.abs(w.imag) <= gap_abs] = 0.0
+    reals = np.where(w.imag == 0.0)[0]
+    ups = np.where(w.imag > 0.0)[0]
+    downs = np.where(w.imag < 0.0)[0]
+    if len(ups) != len(downs):
+        raise ClusteringAmbiguous(
+            "conjugate closure violated: unequal counts above/below the real axis"
+        )
 
+    clusters, worst = [], 0.0
+    runs = (
+        (REAL, reals[np.argsort(w[reals].real)], w.real),
+        (COMPLEX_PAIR, ups[np.lexsort((w[ups].imag, w[ups].real))], w),
+    )
+    for kind, order, vals in runs:
+        if not len(order):
+            continue
+        groups = _linkage_groups(order, w, gap_abs)
+        for group in groups:
+            if len(group) % 2 != 0:
+                name = "real" if kind == REAL else "complex"
+                raise ClusteringAmbiguous(
+                    f"{name} eigenvalue cluster of odd size {len(group)} cannot be doubled"
+                )
+        means, spread = _group_means(vals, groups)
+        worst = max(worst, spread)
+        clusters += [
+            (Invariant(a, b, kind), group)
+            for a, b, group in zip(means.real.tolist(), means.imag.tolist(), groups)
+        ]
+    if len(ups):  # mirror check against the lower half plane
+        up_sorted = np.sort_complex(w[ups])
+        down_sorted = np.sort_complex(np.conj(w[downs]))
+        if np.abs(up_sorted - down_sorted).max() > gap_abs:
+            raise ClusteringAmbiguous("conjugate partners do not match within the gap")
+
+    clusters.sort(key=lambda c: (-c[0].re, c[0].im))
+    values = tuple(v for v, group in clusters for _ in range(len(group) // 2))
     spectrum = InvariantSpectrum(
         n=n,
         values=values,
-        pairing_residual=worst / spectral_scale(w),
+        pairing_residual=worst / scale,
         has_zero=any(abs(v.as_complex()) <= gap_abs for v in values),
     )
-    if spectrum.slots() != n:  # structural guarantee of the doubling
-        raise ClusteringAmbiguous(
-            f"clusters cover {spectrum.slots()} slots, expected {n}"
-        )
     return spectrum, clusters
 
 

@@ -36,7 +36,7 @@ from sympeq import (
     williamson,
     williamson_invariant_gap,
 )
-from sympeq.invariants import classify_doubled_spectrum
+from sympeq.invariants import spectrum_from_eigenvalues
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -142,7 +142,7 @@ def test_stacked_stage1_spans_the_per_cluster_eigenspaces(t):
     x = random_symplectic(n, 80 + t) @ direct_sum(np.eye(n), j) @ random_symplectic(n, 90 + t)
     sig_h = sigma_matrix(x)
     w, v = np.linalg.eig(sig_h)
-    clusters = classify_doubled_spectrum(w, canonical.DEFAULT_TOL)[0]
+    clusters = spectrum_from_eigenvalues(w, canonical.DEFAULT_TOL)[1]
     assert {(inv.kind, len(idx)) for inv, idx in clusters} == {
         (kind, d) for kind in (REAL, COMPLEX_PAIR) for d in (2, 4, 6)
     }
@@ -166,7 +166,7 @@ def test_stage1_svds_do_not_grow_with_n(monkeypatch, n):
     # reciprocal_condition (X, the stage-1 basis T and R)
     x = np.random.default_rng(n).standard_normal((2 * n, 2 * n))
     w = np.linalg.eigvals(sigma_matrix(x))
-    clusters = classify_doubled_spectrum(w, canonical.DEFAULT_TOL)[0]
+    clusters = spectrum_from_eigenvalues(w, canonical.DEFAULT_TOL)[1]
     groups = {(inv.kind, len(idx)) for inv, idx in clusters}
     assert groups <= {(REAL, 2), (COMPLEX_PAIR, 2)} and len(clusters) >= n // 2
     calls = []

@@ -16,7 +16,7 @@ from sympeq import (
     symplectic_form,
     williamson,
 )
-from sympeq.invariants import _group_means, _group_spread, _linkage_groups, cluster_doubled_spectrum
+from sympeq.invariants import _group_means, _group_spread, _linkage_groups, spectrum_from_eigenvalues
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -181,20 +181,20 @@ def test_conjugate_closure(seed, n):
 def test_cluster_rejects_odd_real_group():
     w = np.array([1.0, 1.0, 2.0], dtype=complex)
     with pytest.raises(ClusteringAmbiguous):
-        cluster_doubled_spectrum(w, 1e-6)
+        spectrum_from_eigenvalues(w, Tolerances())
 
 
 def test_cluster_rejects_unbalanced_conjugates():
     w = np.array([1 + 1j, 1 + 1j, 1 - 1j, 2.0], dtype=complex)
     with pytest.raises(ClusteringAmbiguous):
-        cluster_doubled_spectrum(w, 1e-6)
+        spectrum_from_eigenvalues(w, Tolerances())
 
 
 def test_cluster_groups_exact_repeats():
     w = np.array([1.0, 1.0, 1.0, 1.0], dtype=complex)
-    reals, pairs, worst = cluster_doubled_spectrum(w, 1e-6)
-    assert len(reals) == 1 and len(reals[0][1]) == 4
-    assert not pairs and worst == 0.0
+    spectrum, clusters = spectrum_from_eigenvalues(w, Tolerances())
+    assert len(clusters) == 1 and len(clusters[0][1]) == 4
+    assert clusters[0][0].kind == REAL and spectrum.pairing_residual == 0.0
 
 
 def _spectra(count: int):
