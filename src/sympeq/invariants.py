@@ -104,9 +104,14 @@ def sigma_of_checked(x: np.ndarray) -> np.ndarray:
 
 
 def spectral_scale(w) -> float:
-    """The unit of every spectral gap: max(1, max|w|), or 1 for an empty array."""
+    """The unit of every spectral gap: max|w|, or 1 when that is 0 or w is empty.
+
+    The scale is relative, so every gap, and with it the snap to the real
+    axis, the clustering and ``has_zero``, is the same for X and cX: the
+    invariants scale by c^2 and no verdict changes.
+    """
     w = np.asarray(w)
-    return max(1.0, float(np.abs(w).max())) if w.size else 1.0
+    return (float(np.abs(w).max()) or 1.0) if w.size else 1.0
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:

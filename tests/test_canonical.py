@@ -19,6 +19,7 @@ from sympeq import (
     NotPositiveDefinite,
     NotSymmetric,
     SingularInput,
+    SympeqError,
     block_diagonalize_skew_hamiltonian,
     canonical_from_invariants,
     channel_validity,
@@ -603,8 +604,8 @@ def test_decompose_blocks_equal_invariants_exactly(x):
     # computes separately: equal to the last bit, with no tolerance
     spectrum = invariants(x)
     if spectrum.has_zero:
-        # small scales put invariants under the absolute gap (ROADMAP item 1);
-        # decompose then refuses the same input
+        # an invariant within the relative gap of zero (X near singular):
+        # decompose refuses the same input
         with pytest.raises(SingularInput):
             decompose(x)
         return
@@ -711,6 +712,21 @@ def test_decompose_round_trip(seed, n):
         return  # typed rejection is an allowed outcome
     report = verify_decomposition(x, d)
     assert report.verdict, report
+
+
+def _decomposes(x) -> bool:
+    try:
+        decompose(x)
+    except SympeqError:
+        return False
+    return True
+
+
+@given(seeds, st.integers(min_value=1, max_value=6), st.floats(min_value=-6.0, max_value=6.0))
+@settings(max_examples=50, deadline=None)
+def test_decompose_of_cx_succeeds_exactly_when_of_x(seed, n, log_c):
+    x = np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
+    assert _decomposes(10.0**log_c * x) == _decomposes(x)
 
 
 @given(seeds)

@@ -13,12 +13,20 @@ from sympeq import (
     multiset_distance,
     random_symplectic,
     sigma_matrix,
+    squeezing_witness,
     symplectic_form,
     williamson,
 )
-from sympeq.invariants import _group_means, _group_spread, _linkage_groups, spectrum_from_eigenvalues
+from sympeq.invariants import (
+    _group_means,
+    _group_spread,
+    _linkage_groups,
+    spectral_scale,
+    spectrum_from_eigenvalues,
+)
 
 seeds = st.integers(min_value=0, max_value=10**6)
+log_scales = st.floats(min_value=-6.0, max_value=6.0)
 
 
 def canonical_block(a, b):
@@ -139,6 +147,32 @@ def test_equivalence_invariance(seed, n):
     s1 = random_symplectic(n, seed=seed + 1)
     s2 = random_symplectic(n, seed=seed + 2)
     assert multiset_distance(invariants(x), invariants(s1 @ x @ s2)) <= 1e-6
+
+
+@given(seeds, st.integers(min_value=1, max_value=6), log_scales)
+@settings(max_examples=50, deadline=None)
+def test_scaling_scales_invariants_by_c_squared(seed, n, log_c):
+    x = np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
+    c = 10.0**log_c
+    want = c**2 * invariants(x).as_multiset()
+    got = invariants(c * x).as_multiset()
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-8 * spectral_scale(want)
+
+
+@given(seeds, st.integers(min_value=1, max_value=6), log_scales)
+@settings(max_examples=50, deadline=None)
+def test_scaling_changes_no_kind_order_or_verdict(seed, n, log_c):
+    # the spectral gap is relative, so X and cX are classified alike
+    x = np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
+    c = 10.0**log_c
+    before, after = squeezing_witness(x), squeezing_witness(c * x)
+    assert [v.kind for v in after.spectrum.values] == [v.kind for v in before.spectrum.values]
+    want = c**2 * np.array([v.as_complex() for v in before.spectrum.values])
+    got = np.array([v.as_complex() for v in after.spectrum.values])
+    assert np.max(np.abs(got - want)) <= 1e-8 * spectral_scale(want)  # same block order
+    assert after.spectrum.has_zero == before.spectrum.has_zero
+    assert after.verdict == before.verdict
 
 
 @given(seeds, st.integers(min_value=1, max_value=4))
