@@ -20,8 +20,12 @@ and ``williamson_invariant_gap`` of X X^T + I. Each input is reported as
 bit-identical, last digits only (same outcome, some number differs), or a
 different outcome: another error type or message, other kinds, block order
 or verdict, or contractual values (invariants, blocks, the Williamson gap)
-apart by more than 1e-9 of their scale. The exit status is 1 on any
-different outcome.
+apart by more than 1e-9 of their scale. For every input with a different
+outcome the report prints each operation's outcome on both trees (``ok``,
+the error name, or the kinds of the blocks), and at the end it counts the
+transitions per family, operation and (parent, change) outcome, with the
+totals of success -> failure and failure -> success. The exit status is 1
+on any different outcome.
 
 Per family and tree, the report also counts the ``decompose`` calls that
 re-based, i.e. ran ``numpy.linalg.eig`` more than once (the child wraps that
@@ -252,6 +256,17 @@ def compare(old: dict, new: dict) -> tuple[str, str, float]:
     return ("digits", detail, worst) if detail else ("identical", "", 0.0)
 
 
+def _outcome(rec: dict) -> str:
+    """One operation's outcome: its error name, the kinds of its blocks
+    (marked when ``has_zero`` is set), or ok."""
+    if "error" in rec:
+        return rec["error"]
+    if "kinds" not in rec:
+        return "ok"
+    kinds = ", ".join("pair" if k == "complex_pair" else k for k in rec["kinds"])
+    return f"({kinds})" + (" has_zero" if rec.get("has_zero") else "")
+
+
 def _src(tree: str) -> Path:
     path = Path(tree).resolve()
     for cand in (path / "src", path):
@@ -294,6 +309,8 @@ def main(argv=None) -> int:
     counts: Counter = Counter()
     by_family: dict[str, Counter] = {}
     errors: Counter = Counter()
+    transitions: Counter = Counter()  # (family, op, parent outcome, change outcome)
+    flips: Counter = Counter()  # (parent failed, change failed) of the changed operations
     worst = (0.0, "", -1)
     for i, (a, b) in enumerate(zip(old, new)):
         verdict, detail, gap = compare(a["ops"], b["ops"])
@@ -308,7 +325,16 @@ def main(argv=None) -> int:
             if "error" in rec:
                 errors[(op, rec["error"])] += 1
         if verdict == "different":
+            moves = []
+            for op, old_rec in a["ops"].items():
+                new_rec = b["ops"][op]
+                move = (_outcome(old_rec), _outcome(new_rec))
+                moves.append(f"{op} {move[0]} -> {move[1]}")
+                if compare(old_rec, new_rec)[0] == "different":
+                    transitions[(a["family"], op, *move)] += 1
+                    flips[("error" in old_rec, "error" in new_rec)] += 1
             print(f"input {i} ({a['family']}): different outcome: {detail}")
+            print("    " + "; ".join(moves))
         elif verdict == "digits" and gap >= worst[0]:
             worst = (gap, detail, i)
 
@@ -324,6 +350,12 @@ def main(argv=None) -> int:
               f"-> {c['change rebased']:5d} ({c['change returned']})")
     for (op, name), k in sorted(errors.items()):
         print(f"  change: {op} raised {name} on {k} inputs")
+    if transitions:
+        print("  changed operations per family (parent -> change):")
+        for (family, op, before, after), k in sorted(transitions.items()):
+            print(f"  {family:16s} {op:24s} {before} -> {after}: {k}")
+    print(f"  operations success -> failure: {flips[(False, True)]}, "
+          f"failure -> success: {flips[(True, False)]}")
     return 1 if counts["different"] else 0
 
 
