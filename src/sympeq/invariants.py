@@ -54,6 +54,11 @@ class Invariant:
 class InvariantSpectrum:
     """Clustered invariants in canonical order (descending re, ascending im).
 
+    Real parts within the clustering gap (``degeneracy_gap`` times the
+    relative ``spectral_scale``) count as tied, so the order does not hang on
+    rounding: within a chain of tied entries the reals come first, in
+    descending order, then the pairs, by ascending im.
+
     ``n`` is the mode count; each real entry fills one of the n slots and each
     complex-pair entry fills two (the pair value and its conjugate), so the
     entries cover the 2n eigenvalues of Sigma(X) twice over.
@@ -184,6 +189,11 @@ def invariants(x, tol: Tolerances = DEFAULT_TOL) -> InvariantSpectrum:
     return spectrum_from_eigenvalues(w, tol)[0]
 
 
+def _tie_key(cluster):
+    inv = cluster[0]
+    return (False, -inv.re) if inv.kind == REAL else (True, inv.im)
+
+
 def spectrum_from_eigenvalues(w: np.ndarray, tol: Tolerances):
     """Snap, cluster and order the 2n raw eigenvalues of Sigma(X) once.
 
@@ -239,6 +249,14 @@ def spectrum_from_eigenvalues(w: np.ndarray, tol: Tolerances):
             raise ClusteringAmbiguous("conjugate partners do not match within the gap")
 
     clusters.sort(key=lambda c: (-c[0].re, c[0].im))
+    # real parts within the gap are tied: in a chain of tied clusters the
+    # reals come first (descending), then the pairs (ascending im)
+    start = 0
+    for end in range(1, len(clusters) + 1):
+        if end == len(clusters) or clusters[end - 1][0].re - clusters[end][0].re > gap_abs:
+            if end - start > 1:
+                clusters[start:end] = sorted(clusters[start:end], key=_tie_key)
+            start = end
     values = tuple(v for v, group in clusters for _ in range(len(group) // 2))
     spectrum = InvariantSpectrum(
         n=n,

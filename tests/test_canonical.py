@@ -519,15 +519,21 @@ def test_decompose_snapped_near_real_pair(t):
     assert blocks[1].re == blocks[2].re == pytest.approx(1.0, rel=1e-8)
 
 
-@pytest.mark.parametrize("t", range(16))
-def test_decompose_real_and_pair_with_tied_real_parts(t):
+@pytest.mark.parametrize(
+    "t, c",
+    [
+        pytest.param(t, c, id=str(t) if c == 1.0 else f"{t}-c{c:g}")
+        for c in (1.0, 1e-3, 1e3)
+        for t in range(16)
+    ],
+)
+def test_decompose_real_and_pair_with_tied_real_parts(t, c):
     # the real invariant 2 and the pair 2 +- 1e-3 i tie in their real part;
-    # rounding in the eigensolve must not swap their slots
-    j = direct_sum(direct_sum([[2.0]], [[2.0, 1e-3], [-1e-3, 2.0]]), [[1.0]])
-    x = random_symplectic(4, 30 + t) @ direct_sum(np.eye(4), j) @ random_symplectic(4, 40 + t)
+    # rounding in the eigensolve must not swap their slots, at any scale
+    x = c * _tied_real_parts(t)
     d = decompose(x)
     assert verify_decomposition(x, d).verdict
-    assert sorted(v.kind for v in d.blocks.blocks) == sorted([REAL, REAL, COMPLEX_PAIR])
+    assert [v.kind for v in d.blocks.blocks] == [REAL, COMPLEX_PAIR, REAL]
 
 
 @pytest.mark.parametrize("t", range(8))
