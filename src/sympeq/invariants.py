@@ -8,11 +8,11 @@ computes it, clusters the doubles, and classifies entries as real values or
 complex-conjugate pairs.
 
 This module is the one place where the spectral policy is decided, in one
-function, ``spectrum_from_eigenvalues``: the absolute gap (from
-``spectral_scale``), the snap of near-real eigenvalues to the real axis, the
-clustering and its checks, and the canonical order (descending re, ascending
-im). The canonical-form construction takes its clusters and scales from
-here.
+function, ``spectrum_from_eigenvalues``: the gap (``degeneracy_gap`` relative
+to ``spectral_scale``, max|w|), the snap of near-real eigenvalues to the real
+axis, the clustering and its checks, and the canonical order (descending re,
+ascending im; reals before pairs where real parts tie within the gap). The
+canonical-form construction takes its clusters and scales from here.
 """
 
 from __future__ import annotations
