@@ -23,15 +23,20 @@ Each operation's outcome is one of:
 Each CLI run's outcome is its exit status and the error name it printed.
 
 The report lists every input whose outcome differs, then the failures per
-outcome on each side. The exit status is 1 on any differing outcome, any
-contract violation or untyped error in either tree, or inputs that differ
-between the trees (their sha256 digests are compared); 0 otherwise.
+outcome on each side. Where a seed's inputs differ between the trees (their
+sha256 digests are compared), it names what differs: the operations whose
+arrays or parameters differ, the CLI input files, and for a JSON file the
+keys (dotted paths through its objects) whose values differ; the outcomes
+are still compared unless the lists of operations differ. The exit status
+is 1 on any differing outcome, any contract violation or untyped error in
+either tree, or inputs that differ between the trees; 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -41,6 +46,8 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 _CLI_ERROR = re.compile(r"error\[(\w+)\]")
@@ -72,6 +79,63 @@ def _cli_outcome(sp, op: dict) -> str:
     return f"exit {rc}" + (f" {names[0]}" if names else "")
 
 
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _op_digest(op: dict) -> str:
+    parts = [repr((op["kind"], op["n"], op["scale"])).encode()]
+    for arg in op["args"]:
+        if isinstance(arg, np.ndarray):
+            parts.append(repr((arg.dtype.str, arg.shape)).encode() + np.ascontiguousarray(arg).tobytes())
+        else:
+            parts.append(repr(arg).encode())
+    return _sha(b"\0".join(parts))
+
+
+def _key_digests(value, path: str, out: dict) -> dict:
+    # one digest per leaf of the JSON objects, keyed by its dotted path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _key_digests(item, f"{path}.{key}" if path else key, out)
+    else:
+        out[path] = _sha(json.dumps(value).encode())
+    return out
+
+
+def _parts(inputs: dict, workdir: Path) -> dict:
+    """Digests of each generated operation and of each input file."""
+    parts = {group: [_op_digest(op) for op in inputs[group]] for group in ("ops", "cli_ops")}
+    parts["files"] = {}
+    for path in sorted(workdir.glob("*.json")):
+        if not path.name.startswith("out-"):
+            data = path.read_bytes()
+            parts["files"][path.name] = {"sha": _sha(data), "keys": _key_digests(json.loads(data), "", {})}
+    return parts
+
+
+def _input_differences(a: dict, b: dict) -> list[str]:
+    """What differs between two seeds' inputs, one line per part."""
+    lines = []
+    for group in ("ops", "cli_ops"):
+        old, new = a["parts"][group], b["parts"][group]
+        if len(old) != len(new):
+            lines.append(f"{group}: {len(old)} against {len(new)} operations")
+        differ = [i for i, (x, y) in enumerate(zip(old, new)) if x != y]
+        if differ:
+            lines.append(f"{group} arrays or parameters of {len(differ)}: {', '.join(map(str, differ[:10]))}"
+                         + (" ..." if len(differ) > 10 else ""))
+    old, new = a["parts"]["files"], b["parts"]["files"]
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old or name not in new:
+            lines.append(f"file {name}: only in the {'change' if name in new else 'parent'}")
+        elif old[name]["sha"] != new[name]["sha"]:
+            x, y = old[name]["keys"], new[name]["keys"]
+            keys = sorted(k for k in x.keys() | y.keys() if x.get(k) != y.get(k))
+            lines.append(f"file {name}: keys {', '.join(keys)}" if keys else f"file {name}: bytes only")
+    return lines
+
+
 def evaluate(seeds: list[int]) -> None:
     sys.path.insert(0, str(PERFBENCH))
     import workloads
@@ -85,6 +149,7 @@ def evaluate(seeds: list[int]) -> None:
             workdir = Path(tmp)
             inputs = workloads.generate(sp, "apps-small", seed, workdir)
             digest = workloads.input_digest(inputs, workdir)
+            parts = _parts(inputs, workdir)
             here = os.getcwd()
             os.chdir(workdir)  # CLI paths are relative to the work directory
             try:
@@ -94,7 +159,7 @@ def evaluate(seeds: list[int]) -> None:
             ops = [_outcome(sp, workloads, op) for op in inputs["ops"]]
         labels = [f"{op['kind']} n={op['n']}" for op in inputs["ops"]]
         labels += [f"cli {op['args'][0][0]}" for op in inputs["cli_ops"]]
-        out[seed] = {"digest": digest, "labels": labels, "outcomes": ops + cli}
+        out[seed] = {"digest": digest, "parts": parts, "labels": labels, "outcomes": ops + cli}
     json.dump(out, sys.stdout)
 
 
@@ -156,8 +221,11 @@ def main(argv=None) -> int:
         a, b = old[seed], new[seed]
         if a["digest"] != b["digest"]:
             print(f"seed {seed}: inputs differ ({a['digest']} against {b['digest']})")
+            for line in _input_differences(a, b):
+                print(f"    {line}")
             status = 1
-            continue
+            if a["labels"] != b["labels"]:
+                continue
         for i, (label, x, y) in enumerate(zip(a["labels"], a["outcomes"], b["outcomes"])):
             for side, outcome in (("parent", x), ("change", y)):
                 if outcome not in ("ok", "exit 0"):

@@ -1,4 +1,4 @@
-"""Time ``decompose`` and ``invariants`` of two sympeq source trees per n.
+"""Time ``decompose``, ``invariants`` and two kernels of two sympeq trees per n.
 
 Usage: python scripts/decompose_timing.py --parent TREE --change TREE
        [--rounds 10] [--inputs 8] [--repeat 5]
@@ -7,9 +7,16 @@ TREE is a source tree (its ``src`` directory holds ``sympeq``) or the
 ``src`` directory itself. Each round starts one child process per tree,
 alternating which tree runs first. A child imports the tree with its ``src``
 on PYTHONPATH, builds the same seeded Gaussian X (``--inputs`` of them per
-n, for n = 1..8, 16, 24, 32), warms up on each, then times every call of
-``decompose`` and ``invariants`` (``--repeat`` per input) and reports the
-median per n. A call that raises a typed error is timed like any other.
+n, for n = 1..8, 16, 24, 32), warms up on each, then times every call
+(``--repeat`` per input) and reports the median per n of:
+
+* ``decompose`` and ``invariants`` of X;
+* ``spectrum_from_eigenvalues`` on the eigenvalues of Sigma(X), which
+  classifies them;
+* ``hermitian_min_eig`` of (X X^T + I, the antisymmetric part of X), the
+  kernel of the validity checks.
+
+A call that raises a typed error is timed like any other.
 
 The table gives, per n and operation, the median over rounds of the child
 medians for each tree and the change/parent ratio; a ratio above 1 means
@@ -29,7 +36,22 @@ import time
 from pathlib import Path
 
 NS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32)
-OPS = ("decompose", "invariants")
+OPS = ("decompose", "invariants", "spectrum_from_eigenvalues", "hermitian_min_eig")
+
+
+def _calls(sp, np, x) -> dict:
+    """Each operation on X as a function of no arguments."""
+    from sympeq.invariants import sigma_matrix, spectrum_from_eigenvalues
+
+    w = np.linalg.eigvals(sigma_matrix(x))
+    r = x @ x.T + np.eye(x.shape[0])
+    a = (x - x.T) / 2
+    return {
+        "decompose": lambda: sp.decompose(x),
+        "invariants": lambda: sp.invariants(x),
+        "spectrum_from_eigenvalues": lambda: spectrum_from_eigenvalues(w, sp.DEFAULT_TOL),
+        "hermitian_min_eig": lambda: sp.hermitian_min_eig(r, a),
+    }
 
 
 def measure(inputs: int, repeat: int) -> dict:
@@ -44,14 +66,15 @@ def measure(inputs: int, repeat: int) -> dict:
             np.random.default_rng(1000 * n + i).standard_normal((2 * n, 2 * n))
             for i in range(inputs)
         ]
+        calls = [_calls(sp, np, x) for x in xs]
         for op in OPS:
-            fn = getattr(sp, op)
             times = []
-            for x in xs:
+            for call in calls:
+                fn = call[op]
                 for timed in range(repeat + 1):
                     start = time.perf_counter()
                     try:
-                        fn(x)
+                        fn()
                     except sp.SympeqError:
                         pass
                     if timed:  # the first call per input warms up
@@ -102,14 +125,14 @@ def main(argv=None) -> int:
             runs[side].append(_child(trees[side], args.inputs, args.repeat))
 
     print(f"{args.rounds} rounds, {args.inputs} inputs x {args.repeat} calls per n; median ms per call")
-    print(f"{'op':12s} {'n':>3s} {'parent':>9s} {'change':>9s} {'ratio':>7s} {'faster':>7s}")
+    print(f"{'op':25s} {'n':>3s} {'parent':>9s} {'change':>9s} {'ratio':>7s} {'faster':>7s}")
     for op in OPS:
         for n in map(str, NS):
             old = [run[op][n] for run in runs["parent"]]
             new = [run[op][n] for run in runs["change"]]
             med_old, med_new = statistics.median(old), statistics.median(new)
             wins = sum(b < a for a, b in zip(old, new))
-            print(f"{op:12s} {n:>3s} {med_old:9.4f} {med_new:9.4f} {med_new / med_old:7.3f} "
+            print(f"{op:25s} {n:>3s} {med_old:9.4f} {med_new:9.4f} {med_new / med_old:7.3f} "
                   f"{wins:>3d}/{args.rounds}")
     return 0
 

@@ -91,18 +91,21 @@ def as_even_square(a, name: str = "matrix") -> np.ndarray:
 
 
 def frobenius(a) -> float:
-    """Frobenius norm; rescaled by max|a| where the sum of squares overflows.
+    """Frobenius norm of a real array; rescaled by max|a| where the sum of
+    squares overflows.
 
-    Every finite ``np.linalg.norm`` is returned unchanged, bit for bit. When
-    it overflows although every entry is finite, the norm is recomputed as
-    m * ||a / m|| with m = max|a|.
+    The norm is the square root of the flattened array dotted with itself,
+    which is what ``np.linalg.norm`` computes, bit for bit. When that overflows
+    although every entry is finite, the norm is recomputed as m * ||a / m||
+    with m = max|a|.
     """
-    nrm = float(np.linalg.norm(a))
+    flat = np.asarray(a, dtype=float).ravel(order="K")
+    nrm = math.sqrt(flat.dot(flat))
     if nrm == math.inf:
-        a = np.asarray(a)
-        m = float(np.abs(a).max())
+        m = float(np.abs(flat).max())
         if m < math.inf:
-            nrm = m * float(np.linalg.norm(a / m))
+            flat = flat / m
+            nrm = m * math.sqrt(flat.dot(flat))
     return nrm
 
 
@@ -253,11 +256,10 @@ def random_symplectic(n: int, seed: int = 0) -> np.ndarray:
 
 
 def hermitian_min_eig(sym_part, skew_part) -> float:
-    """Minimal eigenvalue of the Hermitian matrix R + iA, over real arithmetic.
+    """Minimal eigenvalue of the Hermitian matrix R + iA.
 
-    Uses the standard doubling [[R, -A], [A, R]], which is real symmetric with
-    the same spectrum (each eigenvalue twice). R must be symmetric and A
-    antisymmetric; small structural dust is projected out.
+    One complex Hermitian eigensolve of R + iA, of the size of R. R must be
+    symmetric and A antisymmetric; small structural dust is projected out.
     """
     r = as_matrix(sym_part, "R")
     a = as_matrix(skew_part, "A")
@@ -265,5 +267,4 @@ def hermitian_min_eig(sym_part, skew_part) -> float:
         raise DimensionError("R and A must be square matrices of equal shape")
     r = (r + r.T) / 2
     a = (a - a.T) / 2
-    embed = np.block([[r, -a], [a, r]])
-    return float(np.linalg.eigvalsh(embed)[0])
+    return float(np.linalg.eigvalsh(r + 1j * a)[0])

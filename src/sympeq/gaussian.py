@@ -92,7 +92,13 @@ class BipartiteCovariance:
             setattr(self, name, mat)
 
     def assembled(self) -> np.ndarray:
-        return np.block([[self.gamma_a, self.x], [self.x.T, self.gamma_b]])
+        d = 2 * self.n
+        out = np.empty((2 * d, 2 * d))
+        out[:d, :d] = self.gamma_a
+        out[:d, d:] = self.x
+        out[d:, :d] = self.x.T
+        out[d:, d:] = self.gamma_b
+        return out
 
     def form(self) -> np.ndarray:
         sig = symplectic_form(self.n)

@@ -13,11 +13,19 @@ to ``spectral_scale``, max|w|), the snap of near-real eigenvalues to the real
 axis, the clustering and its checks, and the canonical order (descending re,
 ascending im; reals before pairs where real parts tie within the gap). The
 canonical-form construction takes its clusters and scales from here.
+
+At a few modes numpy's per-call overhead outweighs the arithmetic, so numpy
+does only the scale, the snap, the sort orders and the mirror check, a fixed
+number of calls; the linkage, the checks, the spreads and the means run over
+Python scalars, rounding exactly as numpy's elementwise and summing ufuncs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import add
 
 import numpy as np
 
@@ -119,59 +127,6 @@ def spectral_scale(w) -> float:
     return (float(np.abs(w).max()) or 1.0) if w.size else 1.0
 
 
-def _modulus(z: np.ndarray) -> np.ndarray:
-    # |z| through hypot, which equals abs() of each complex scalar bit for
-    # bit; np.abs on a complex array may round differently in the last bit
-    return np.hypot(z.real, z.imag)
-
-
-def _linkage_groups(order: np.ndarray, w: np.ndarray, gap_abs: float) -> list[list[int]]:
-    # single linkage over a sorted index order; break where the complex gap
-    # between consecutive members exceeds the threshold
-    vals = w[order]
-    joins = (_modulus(vals[1:] - vals[:-1]) <= gap_abs).tolist()
-    idx = order.tolist()
-    groups: list[list[int]] = [[idx[0]]]
-    for i, join in zip(idx[1:], joins):
-        if join:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
-def _group_spread(w: np.ndarray, groups) -> float:
-    # the largest pairwise distance within one group, or within any of a
-    # stack of equal-size groups
-    vals = w[groups]
-    return float(_modulus(vals[..., :, None] - vals[..., None, :]).max())
-
-
-def _group_means(w: np.ndarray, groups: list[list[int]]):
-    """Mean of each group and the largest spread within any group.
-
-    Groups of one size are reduced together as one (k, size) array. Each row
-    is summed as ``w[group].mean()`` sums it (the real and imaginary parts of
-    a complex ``w`` apart), so every mean is bit-identical to the per-group
-    one.
-    """
-    by_size: dict[int, list[int]] = {}
-    for i, group in enumerate(groups):
-        by_size.setdefault(len(group), []).append(i)
-    means = np.empty(len(groups), dtype=w.dtype)
-    worst = 0.0
-    for size, members in by_size.items():
-        stack = [groups[i] for i in members]
-        vals = w[stack]
-        if np.iscomplexobj(vals):
-            means.real[members] = np.add.reduce(vals.real, axis=1) / size
-            means.imag[members] = np.add.reduce(vals.imag, axis=1) / size
-        else:
-            means[members] = np.add.reduce(vals, axis=1) / size
-        worst = max(worst, _group_spread(w, stack))
-    return means, worst
-
-
 def invariants(x, tol: Tolerances = DEFAULT_TOL) -> InvariantSpectrum:
     """Invariant spectrum of X: eigenvalues of Sigma(X), clustered into doubles.
 
@@ -187,6 +142,34 @@ def invariants(x, tol: Tolerances = DEFAULT_TOL) -> InvariantSpectrum:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigenFailure(f"eigensolver failed on Sigma(X): {exc}") from exc
     return spectrum_from_eigenvalues(w, tol)[0]
+
+
+def _linkage(order: list[int], vals: list[complex], gap_abs: float) -> list[list[int]]:
+    # single linkage over a sorted index order; break where the distance
+    # between consecutive members exceeds the gap (abs of a complex is hypot)
+    groups = [[order[0]]]
+    prev = vals[order[0]]
+    for i in order[1:]:
+        if abs(vals[i] - prev) <= gap_abs:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+        prev = vals[i]
+    return groups
+
+
+def _mean(members: list[complex]) -> tuple[float, float]:
+    """(re, im) of the mean, each part summed as ``np.add.reduce`` sums it.
+
+    numpy adds fewer than 8 elements one by one from 0.0, which ``reduce``
+    repeats exactly; from 8 on it sums pairwise, so numpy does those sums.
+    """
+    size = len(members)
+    if size < 8:
+        total = reduce(add, members, 0.0)
+        return total.real / size, total.imag / size
+    arr = np.array(members)
+    return float(np.add.reduce(arr.real)) / size, float(np.add.reduce(arr.imag)) / size
 
 
 def _tie_key(cluster):
@@ -213,40 +196,43 @@ def spectrum_from_eigenvalues(w: np.ndarray, tol: Tolerances):
     gap_abs = tol.degeneracy_gap * scale
     w = w.astype(complex)
     w.imag[np.abs(w.imag) <= gap_abs] = 0.0
-    reals = np.where(w.imag == 0.0)[0]
-    ups = np.where(w.imag > 0.0)[0]
-    downs = np.where(w.imag < 0.0)[0]
+    vals = w.tolist()
+    reals = [i for i, z in enumerate(vals) if z.imag == 0.0]
+    ups = [i for i, z in enumerate(vals) if z.imag > 0.0]
+    downs = [i for i, z in enumerate(vals) if z.imag < 0.0]
     if len(ups) != len(downs):
         raise ClusteringAmbiguous(
             "conjugate closure violated: unequal counts above/below the real axis"
         )
 
-    clusters, worst = [], 0.0
-    runs = (
-        (REAL, reals[np.argsort(w[reals].real)], w.real),
-        (COMPLEX_PAIR, ups[np.lexsort((w[ups].imag, w[ups].real))], w),
-    )
-    for kind, order, vals in runs:
-        if not len(order):
-            continue
-        groups = _linkage_groups(order, w, gap_abs)
+    # the run orders are numpy's, whose argsort is not stable on exact ties;
+    # a real member is a complex with im 0.0, so abs of a difference is |re|
+    runs = []
+    if reals:
+        order = np.argsort(w.real[reals]).tolist()
+        runs.append((REAL, _linkage([reals[k] for k in order], vals, gap_abs)))
+    if ups:
+        order = np.lexsort((w.imag[ups], w.real[ups])).tolist()
+        runs.append((COMPLEX_PAIR, _linkage([ups[k] for k in order], vals, gap_abs)))
+    for kind, groups in runs:
         for group in groups:
             if len(group) % 2 != 0:
                 name = "real" if kind == REAL else "complex"
                 raise ClusteringAmbiguous(
                     f"{name} eigenvalue cluster of odd size {len(group)} cannot be doubled"
                 )
-        means, spread = _group_means(vals, groups)
-        worst = max(worst, spread)
-        clusters += [
-            (Invariant(a, b, kind), group)
-            for a, b, group in zip(means.real.tolist(), means.imag.tolist(), groups)
-        ]
-    if len(ups):  # mirror check against the lower half plane
+    if ups:  # mirror check against the lower half plane
         up_sorted = np.sort_complex(w[ups])
         down_sorted = np.sort_complex(np.conj(w[downs]))
         if np.abs(up_sorted - down_sorted).max() > gap_abs:
             raise ClusteringAmbiguous("conjugate partners do not match within the gap")
+
+    clusters, worst = [], 0.0
+    for kind, groups in runs:
+        for group in groups:
+            members = [vals[i] for i in group]
+            worst = max(worst, max(abs(a - b) for a, b in combinations(members, 2)))
+            clusters.append((Invariant(*_mean(members), kind), group))
 
     clusters.sort(key=lambda c: (-c[0].re, c[0].im))
     # real parts within the gap are tied: in a chain of tied clusters the

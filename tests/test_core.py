@@ -187,6 +187,20 @@ def test_hermitian_min_eig_matches_complex_solver():
     assert abs(hermitian_min_eig(r, a) - want) <= 1e-12 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_hermitian_min_eig_matches_real_doubling(n):
+    # the real symmetric doubling [[R, -A], [A, R]] has the spectrum of
+    # R + iA with every eigenvalue twice
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        r = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        r = (r + r.T) / 2
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        a = (a - a.T) / 2
+        want = float(np.linalg.eigvalsh(np.block([[r, -a], [a, r]]))[0])
+        assert abs(hermitian_min_eig(r, a) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_tolerances_must_be_positive():
     with pytest.raises(ValueError):
         Tolerances(residual_tol=0.0)

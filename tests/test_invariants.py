@@ -17,10 +17,10 @@ from sympeq import (
     symplectic_form,
     williamson,
 )
+from sympeq.core import direct_sum
 from sympeq.invariants import (
-    _group_means,
-    _group_spread,
-    _linkage_groups,
+    Invariant,
+    InvariantSpectrum,
     spectral_scale,
     spectrum_from_eigenvalues,
 )
@@ -231,56 +231,180 @@ def test_cluster_groups_exact_repeats():
     assert clusters[0][0].kind == REAL and spectrum.pairing_residual == 0.0
 
 
-def _spectra(count: int):
-    # conjugation-free stress values: clustered and scattered, real and
-    # complex, at scales 1e-8..1e8
-    rng = np.random.default_rng(4)
-    for _ in range(count):
-        k = int(rng.integers(1, 12))
-        w = rng.standard_normal(k) + 1j * rng.standard_normal(k) * (rng.random() < 0.5)
-        if rng.random() < 0.5:
-            w = np.repeat(w[: (k + 1) // 2], 2)[:k] + 1e-7 * rng.standard_normal(k)
-        yield w * 10.0 ** rng.uniform(-8, 8)
+# --- the classification against a frozen numpy reference ---------------------
+#
+# The reported values, pairing_residual, kinds and cluster indices must stay
+# bit-identical to this earlier numpy implementation of the same policy,
+# kept here verbatim.
 
 
-def test_group_spread_equals_pairwise_loop_bit_for_bit():
-    # pairing_residual is reported, so the spread must equal the reference
-    # loop exactly, not within a tolerance
-    for w in _spectra(2000):
-        group = list(range(w.size))
-        reference = float(max(abs(a - b) for a in w for b in w))
-        assert _group_spread(w, group).hex() == reference.hex()
+def _ref_modulus(z):
+    return np.hypot(z.real, z.imag)
 
 
-def test_group_means_equal_per_group_means_bit_for_bit():
-    # the invariant values are reported, so groups reduced together as one
-    # array must give each group's own mean and spread exactly
-    rng = np.random.default_rng(5)
-    for w in _spectra(2000):
-        cuts = sorted(set(rng.integers(1, w.size, size=w.size // 2).tolist())) if w.size > 1 else []
-        order = rng.permutation(w.size).tolist()
-        groups = [order[a:b] for a, b in zip([0] + cuts, cuts + [w.size])]
-        means, worst = _group_means(w, groups)
-        for group, mean in zip(groups, means.tolist()):
-            assert mean.real.hex() == float(w[group].real.mean()).hex()
-            assert mean.imag.hex() == float(w[group].imag.mean()).hex()
-        real_means, _ = _group_means(w.real, groups)
-        reference = [float(w[g].real.mean()).hex() for g in groups]
-        assert reference == [m.hex() for m in real_means.tolist()]
-        assert worst == max(_group_spread(w, group) for group in groups)
+def _ref_linkage_groups(order, w, gap_abs):
+    vals = w[order]
+    joins = (_ref_modulus(vals[1:] - vals[:-1]) <= gap_abs).tolist()
+    idx = order.tolist()
+    groups = [[idx[0]]]
+    for i, join in zip(idx[1:], joins):
+        if join:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
 
 
-def test_linkage_groups_equal_sequential_loop():
-    for w in _spectra(2000):
-        order = np.argsort(w.real)
-        gap = 1e-6 * max(1.0, float(np.max(np.abs(w))))
-        reference = [[int(order[0])]]
-        for idx in order[1:]:
-            if abs(w[idx] - w[reference[-1][-1]]) <= gap:
-                reference[-1].append(int(idx))
-            else:
-                reference.append([int(idx)])
-        assert _linkage_groups(order, w, gap) == reference
+def _ref_group_spread(w, groups):
+    vals = w[groups]
+    return float(_ref_modulus(vals[..., :, None] - vals[..., None, :]).max())
+
+
+def _ref_group_means(w, groups):
+    by_size = {}
+    for i, group in enumerate(groups):
+        by_size.setdefault(len(group), []).append(i)
+    means = np.empty(len(groups), dtype=w.dtype)
+    worst = 0.0
+    for size, members in by_size.items():
+        stack = [groups[i] for i in members]
+        vals = w[stack]
+        if np.iscomplexobj(vals):
+            means.real[members] = np.add.reduce(vals.real, axis=1) / size
+            means.imag[members] = np.add.reduce(vals.imag, axis=1) / size
+        else:
+            means[members] = np.add.reduce(vals, axis=1) / size
+        worst = max(worst, _ref_group_spread(w, stack))
+    return means, worst
+
+
+def _ref_tie_key(cluster):
+    inv = cluster[0]
+    return (False, -inv.re) if inv.kind == REAL else (True, inv.im)
+
+
+def _reference_spectrum(w, tol):
+    n = w.shape[0] // 2
+    scale = spectral_scale(w)
+    gap_abs = tol.degeneracy_gap * scale
+    w = w.astype(complex)
+    w.imag[np.abs(w.imag) <= gap_abs] = 0.0
+    reals = np.where(w.imag == 0.0)[0]
+    ups = np.where(w.imag > 0.0)[0]
+    downs = np.where(w.imag < 0.0)[0]
+    if len(ups) != len(downs):
+        raise ClusteringAmbiguous(
+            "conjugate closure violated: unequal counts above/below the real axis"
+        )
+    clusters, worst = [], 0.0
+    runs = (
+        (REAL, reals[np.argsort(w[reals].real)], w.real),
+        (COMPLEX_PAIR, ups[np.lexsort((w[ups].imag, w[ups].real))], w),
+    )
+    for kind, order, vals in runs:
+        if not len(order):
+            continue
+        groups = _ref_linkage_groups(order, w, gap_abs)
+        for group in groups:
+            if len(group) % 2 != 0:
+                name = "real" if kind == REAL else "complex"
+                raise ClusteringAmbiguous(
+                    f"{name} eigenvalue cluster of odd size {len(group)} cannot be doubled"
+                )
+        means, spread = _ref_group_means(vals, groups)
+        worst = max(worst, spread)
+        clusters += [
+            (Invariant(a, b, kind), group)
+            for a, b, group in zip(means.real.tolist(), means.imag.tolist(), groups)
+        ]
+    if len(ups):
+        up_sorted = np.sort_complex(w[ups])
+        down_sorted = np.sort_complex(np.conj(w[downs]))
+        if np.abs(up_sorted - down_sorted).max() > gap_abs:
+            raise ClusteringAmbiguous("conjugate partners do not match within the gap")
+    clusters.sort(key=lambda c: (-c[0].re, c[0].im))
+    start = 0
+    for end in range(1, len(clusters) + 1):
+        if end == len(clusters) or clusters[end - 1][0].re - clusters[end][0].re > gap_abs:
+            if end - start > 1:
+                clusters[start:end] = sorted(clusters[start:end], key=_ref_tie_key)
+            start = end
+    values = tuple(v for v, group in clusters for _ in range(len(group) // 2))
+    spectrum = InvariantSpectrum(
+        n=n,
+        values=values,
+        pairing_residual=worst / scale,
+        has_zero=any(abs(v.as_complex()) <= gap_abs for v in values),
+    )
+    return spectrum, clusters
+
+
+def _dressed(rng, j):
+    # I (+) J between two random symplectic matrices: Sigma of it has the
+    # entries of J as invariants, each doubled
+    k = j.shape[0]
+    x = direct_sum(np.eye(k), j)
+    return random_symplectic(k, int(rng.integers(10**6))) @ x @ random_symplectic(k, int(rng.integers(10**6)))
+
+
+def _classification_inputs():
+    # Sigma(X) spectra for n = 1..12 scaled by 10^U(-6, 6): Gaussian X,
+    # singular X, and dressed forms whose 4-fold repeated real or pair
+    # invariant makes a cluster of 8 members; each spectrum also once with
+    # jitter near the gap, so that the refusals are compared too
+    rng = np.random.default_rng(12)
+    pair = np.array([[1.0, 0.5], [-0.5, 1.0]])
+    for n in range(1, 13):
+        for _ in range(40):
+            yield rng.standard_normal((2 * n, 2 * n))
+        for _ in range(4):
+            x = rng.standard_normal((2 * n, 2 * n))
+            x[:, : n // 2 + 1] = 0.0
+            yield x
+    for _ in range(60):
+        rest = rng.standard_normal(int(rng.integers(0, 4)))
+        yield _dressed(rng, direct_sum(np.diag([1.5] * 4), np.diag(rest)))
+        blocks = direct_sum(direct_sum(pair, pair), direct_sum(pair, pair))
+        yield _dressed(rng, direct_sum(blocks, np.diag(rest)))
+        yield _dressed(rng, direct_sum(blocks, np.diag([-0.7] * 4)))
+
+
+def _classification_spectra():
+    rng = np.random.default_rng(13)
+    for x in _classification_inputs():
+        w = np.linalg.eigvals(sigma_matrix(x)) * 10.0 ** rng.uniform(-6, 6)
+        yield w
+        jitter = rng.uniform(-1, 1, w.size) + 2j * rng.uniform(-1, 1, w.size)
+        yield w * (1.0 + 1e-6 * jitter)
+
+
+def _classified(w):
+    try:
+        spectrum, clusters = spectrum_from_eigenvalues(w.copy(), Tolerances())
+    except ClusteringAmbiguous as exc:
+        return str(exc)
+    values = [(v.re.hex(), v.im.hex(), v.kind) for v in spectrum.values]
+    groups = [(c[0].re.hex(), c[0].im.hex(), c[0].kind, c[1]) for c in clusters]
+    return spectrum.pairing_residual.hex(), spectrum.has_zero, spectrum.n, values, groups
+
+
+def test_classification_equals_numpy_reference_bit_for_bit():
+    refusals = repeats = 0
+    for w in _classification_spectra():
+        got = _classified(w)
+        try:
+            spectrum, clusters = _reference_spectrum(w.copy(), Tolerances())
+        except ClusteringAmbiguous as exc:
+            assert got == str(exc)
+            refusals += 1
+            continue
+        values = [(v.re.hex(), v.im.hex(), v.kind) for v in spectrum.values]
+        groups = [(c[0].re.hex(), c[0].im.hex(), c[0].kind, c[1]) for c in clusters]
+        want = spectrum.pairing_residual.hex(), spectrum.has_zero, spectrum.n, values, groups
+        assert got == want
+        repeats += any(len(c[1]) >= 8 for c in clusters)
+    # the inputs reach both the refusals and the pairwise-summed clusters
+    assert refusals > 100 and repeats > 100
 
 
 def test_loose_gap_merges_near_degenerate_invariants():
