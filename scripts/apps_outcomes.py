@@ -3,14 +3,15 @@
 Usage: python scripts/apps_outcomes.py --parent TREE --change TREE --seeds A-B
 
 TREE is a source tree (its ``src`` directory holds ``sympeq``) or the
-``src`` directory itself. Each tree runs in its own child process with that
-tree's ``src`` on PYTHONPATH. For every seed, the child generates the
-apps-small inputs with the benchmark's own generator
-(``perfbench/workloads.py`` of this checkout, read and not modified), so the
-references of the scaled inputs come from that tree, as in a benchmark run
-of it. It calls every operation once and checks the result with the
-benchmark's checker. It also runs the eight CLI subcommands in-process on
-that seed's CLI input files.
+``src`` directory itself. Both trees are loaded in this process
+(``trees.py``), and each is evaluated in turn with its package mapped to the
+name ``sympeq``, which the benchmark's CLI input generator imports. For
+every seed, each tree generates the apps-small inputs with the benchmark's
+own generator (``perfbench/workloads.py`` of this checkout, read and not
+modified), so the references of the scaled inputs come from that tree, as
+in a benchmark run of it. It calls every operation once and checks the
+result with the benchmark's checker. It also runs the eight CLI subcommands
+in-process on that seed's CLI input files.
 
 Each operation's outcome is one of:
 
@@ -41,7 +42,6 @@ import io
 import json
 import os
 import re
-import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -49,12 +49,14 @@ from pathlib import Path
 
 import numpy as np
 
+import trees
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 _CLI_ERROR = re.compile(r"error\[(\w+)\]")
 
 
 # ---------------------------------------------------------------------------
-# evaluation (one child per tree)
+# evaluation (once per tree)
 # ---------------------------------------------------------------------------
 
 
@@ -136,13 +138,8 @@ def _input_differences(a: dict, b: dict) -> list[str]:
     return lines
 
 
-def evaluate(seeds: list[int]) -> None:
-    sys.path.insert(0, str(PERFBENCH))
-    import workloads
-
-    import sympeq as sp
-    import sympeq.cli  # noqa: F401 - run through sp.cli
-
+def evaluate(sp, workloads, seeds: list[int]) -> dict:
+    """Per seed: the inputs' digests, the labels and the outcomes."""
     out = {}
     for seed in seeds:
         with tempfile.TemporaryDirectory() as tmp:
@@ -160,20 +157,12 @@ def evaluate(seeds: list[int]) -> None:
         labels = [f"{op['kind']} n={op['n']}" for op in inputs["ops"]]
         labels += [f"cli {op['args'][0][0]}" for op in inputs["cli_ops"]]
         out[seed] = {"digest": digest, "parts": parts, "labels": labels, "outcomes": ops + cli}
-    json.dump(out, sys.stdout)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# comparison (in the calling process)
+# comparison
 # ---------------------------------------------------------------------------
-
-
-def _src(tree: str) -> Path:
-    path = Path(tree).resolve()
-    for cand in (path / "src", path):
-        if (cand / "sympeq" / "__init__.py").is_file():
-            return cand
-    raise SystemExit(f"no sympeq package under {tree}")
 
 
 def _seeds(text: str) -> list[int]:
@@ -185,34 +174,25 @@ def _seeds(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _child(src: Path, seeds: list[int]) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    args = [sys.executable, __file__, "--worker", f"{seeds[0]}-{seeds[-1]}"]
-    proc = subprocess.run(args, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"child on {src} failed:\n{proc.stderr}")
-    return {int(seed): rec for seed, rec in json.loads(proc.stdout).items()}
-
-
 def _bad(outcome: str) -> bool:
     return outcome == "ContractViolation" or outcome.startswith("untyped:")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--parent", help="source tree of the reference")
-    parser.add_argument("--change", help="source tree compared against it")
-    parser.add_argument("--seeds", type=_seeds, help="apps-small seeds, A-B inclusive or one seed")
-    parser.add_argument("--worker", type=_seeds, help=argparse.SUPPRESS)
+    parser.add_argument("--parent", required=True, help="source tree of the reference")
+    parser.add_argument("--change", required=True, help="source tree compared against it")
+    parser.add_argument("--seeds", type=_seeds, required=True, help="apps-small seeds, A-B inclusive or one seed")
     args = parser.parse_args(argv)
-    if args.worker:
-        evaluate(args.worker)
-        return 0
-    if not (args.parent and args.change and args.seeds):
-        parser.error("--parent, --change and --seeds are required")
 
-    old = _child(_src(args.parent), args.seeds)
-    new = _child(_src(args.change), args.seeds)
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    parent, change = trees.load(args.parent, "sympeq_parent"), trees.load(args.change, "sympeq_change")
+    with trees.as_sympeq(parent):
+        old = evaluate(parent, workloads, args.seeds)
+    with trees.as_sympeq(change):
+        new = evaluate(change, workloads, args.seeds)
 
     status = 0
     differ = 0

@@ -3,9 +3,9 @@
 Usage: python scripts/stress_compare.py --parent TREE --change TREE
 
 TREE is a source tree (its ``src`` directory holds ``sympeq``) or the
-``src`` directory itself. The inputs are generated once, in a child process
-running the parent tree; then each tree evaluates them in its own child
-process with that tree's ``src`` on PYTHONPATH:
+``src`` directory itself. Both trees are loaded in this process
+(``trees.py``). The inputs are generated once, with the parent tree; then
+each tree evaluates them:
 
 * 1200 random X at n = 1..8, a third scaled by 10^U(-4, 4);
 * 400 ``random_valid_channel`` inputs, squeezing on every other one;
@@ -28,25 +28,24 @@ totals of success -> failure and failure -> success. The exit status is 1
 on any different outcome.
 
 Per family and tree, the report also counts the ``decompose`` calls that
-re-based, i.e. ran ``numpy.linalg.eig`` more than once (the child wraps that
-function, so the count needs nothing from the tree), and how many of those
-returned a decomposition.
+re-based, i.e. ran ``numpy.linalg.eig`` more than once (the evaluation wraps
+that function, so the count needs nothing from the tree), and how many of
+those returned a decomposition.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import json
-import os
-import pickle
 import re
-import subprocess
 import sys
-import tempfile
 from collections import Counter
-from pathlib import Path
+from unittest import mock
 
 import numpy as np
+
+import trees
 
 FAMILIES = ("repeated", "split_reals", "near_real_pair", "tied_real_parts", "near_pairs")
 # fields whose values are contractual; other numbers (factors, residuals)
@@ -55,7 +54,7 @@ CONTRACTUAL = ("values", "gap")
 CONTRACT_RTOL = 1e-9
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 _EIG = np.linalg.eig
-_EIG_CALLS = [0]  # numpy.linalg.eig calls made so far in an evaluating child
+_EIG_CALLS = [0]  # numpy.linalg.eig calls made so far while evaluating
 
 
 def _counting_eig(*args, **kwargs):
@@ -64,7 +63,7 @@ def _counting_eig(*args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# inputs (generated in a child running the parent tree)
+# inputs (generated with the parent tree)
 # ---------------------------------------------------------------------------
 
 
@@ -98,9 +97,7 @@ def _dressed_form(sp, family: str, rng: np.random.Generator, seed: int):
     return sp.random_symplectic(n, seed) @ form @ sp.random_symplectic(n, seed + 1)
 
 
-def generate(path: Path) -> None:
-    import sympeq as sp
-
+def generate(sp) -> list[dict]:
     inputs = []
     for i in range(1200):
         rng = np.random.default_rng(1_000_000 + i)
@@ -120,11 +117,11 @@ def generate(path: Path) -> None:
         if i % 7 == 0:
             x = x * 10.0 ** rng.uniform(-4, 4)
         inputs.append({"family": family, "x": x})
-    path.write_bytes(pickle.dumps(inputs))
+    return inputs
 
 
 # ---------------------------------------------------------------------------
-# evaluation (one child per tree)
+# evaluation (once per tree)
 # ---------------------------------------------------------------------------
 
 
@@ -179,12 +176,11 @@ def _normalize(sp, item) -> dict:
     }
 
 
-def evaluate(path: Path) -> None:
-    import sympeq as sp
-
-    np.linalg.eig = _counting_eig
+def evaluate(sp, inputs: list[dict]) -> list[dict]:
+    """Each input's records, through one JSON round trip, as the
+    comparison reads them."""
     out = []
-    for item in pickle.loads(path.read_bytes()):
+    for item in inputs:
         x = item["x"]
         eigs: list = []
         rec = {
@@ -197,11 +193,11 @@ def evaluate(path: Path) -> None:
                 sp, lambda: {"gap": sp.williamson_invariant_gap(x @ x.T + np.eye(x.shape[0]))}
             )
         out.append({"family": item["family"], "ops": rec, "rebased": eigs[0] > 1})
-    json.dump(out, sys.stdout)
+    return json.loads(json.dumps(out))
 
 
 # ---------------------------------------------------------------------------
-# comparison (in the calling process)
+# comparison
 # ---------------------------------------------------------------------------
 
 
@@ -267,44 +263,18 @@ def _outcome(rec: dict) -> str:
     return f"({kinds})" + (" has_zero" if rec.get("has_zero") else "")
 
 
-def _src(tree: str) -> Path:
-    path = Path(tree).resolve()
-    for cand in (path / "src", path):
-        if (cand / "sympeq" / "__init__.py").is_file():
-            return cand
-    raise SystemExit(f"no sympeq package under {tree}")
-
-
-def _child(src: Path, *args: str) -> str:
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, __file__, *args], env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"child on {src} failed:\n{proc.stderr}")
-    return proc.stdout
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--parent", help="source tree of the reference")
-    parser.add_argument("--change", help="source tree compared against it")
-    parser.add_argument("--worker", choices=("generate", "evaluate"), help=argparse.SUPPRESS)
-    parser.add_argument("--inputs", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--parent", required=True, help="source tree of the reference")
+    parser.add_argument("--change", required=True, help="source tree compared against it")
     args = parser.parse_args(argv)
-    if args.worker == "generate":
-        generate(args.inputs)
-        return 0
-    if args.worker == "evaluate":
-        evaluate(args.inputs)
-        return 0
-    if not (args.parent and args.change):
-        parser.error("--parent and --change are required")
 
-    parent, change = _src(args.parent), _src(args.change)
-    with tempfile.TemporaryDirectory() as tmp:
-        inputs = Path(tmp) / "inputs.pkl"
-        _child(parent, "--worker", "generate", "--inputs", str(inputs))
-        old = json.loads(_child(parent, "--worker", "evaluate", "--inputs", str(inputs)))
-        new = json.loads(_child(change, "--worker", "evaluate", "--inputs", str(inputs)))
+    parent, change = trees.load(args.parent, "sympeq_parent"), trees.load(args.change, "sympeq_change")
+    inputs = generate(parent)
+    # each tree gets its own copy of the inputs, so neither sees what the
+    # other may have written into them
+    with mock.patch.object(np.linalg, "eig", _counting_eig):
+        old, new = (evaluate(sp, copy.deepcopy(inputs)) for sp in (parent, change))
 
     counts: Counter = Counter()
     by_family: dict[str, Counter] = {}

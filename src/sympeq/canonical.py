@@ -229,8 +229,6 @@ def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
     ws = np.empty_like(us)
     cols = basis.transpose(0, 2, 1)  # one basis vector per row
     for step in range(d):
-        if cols.shape[1] == 1:
-            raise IsotropicEigenspace("odd leftover vector in symplectic pairing")
         u, rest = cols[:, 0], cols[:, 1:]
         form = (rest @ (u @ sig)[:, :, None])[:, :, 0]  # u^T sig v for every v
         if rest.shape[1] == 1:  # the only candidate; basic indexing is cheaper
@@ -363,17 +361,6 @@ def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters, tol: Toleranc
 # ---------------------------------------------------------------------------
 
 
-def _sym_basis(n: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(n):
-        for j in range(i, n):
-            e = np.zeros((n, n))
-            e[i, j] = 1.0
-            e[j, i] = 1.0
-            basis.append(e)
-    return basis
-
-
 def factor_two_symmetric(m, seed: int = 0, max_draws: int = 64) -> TwoSymmetricFactors:
     """Write M = A B with A = A^T nonsingular and B = B^T.
 
@@ -391,24 +378,32 @@ def factor_two_symmetric(m, seed: int = 0, max_draws: int = 64) -> TwoSymmetricF
         raise DimensionError(f"M must be square, got {m.shape[0]}x{m.shape[1]}")
     n = m.shape[0]
 
-    basis = _sym_basis(n)
-    op = np.column_stack([(m.T @ e - e @ m).reshape(-1) for e in basis])
+    # M^T T - T M on the symmetric T = sum t_ij (E_ij + E_ji), i <= j, as a
+    # linear map of the coefficients: the row-major vec of M^T E - E M is
+    # (M^T (x) I - I (x) M^T) vec(E)
+    rows, cols = np.triu_indices(n)
+    k = np.kron(m.T, np.eye(n)) - np.kron(np.eye(n), m.T)
+    op = k[:, rows * n + cols]
+    off = rows != cols
+    op[:, off] += k[:, (cols * n + rows)[off]]
     u, s, vt = np.linalg.svd(op)
+    dim = rows.size
     if s.size:
         cutoff = s[0] * max(op.shape) * np.finfo(float).eps
-        null_dim = int(np.sum(s <= cutoff)) + (len(basis) - s.size)
+        null_dim = int(np.sum(s <= cutoff)) + (dim - s.size)
     else:
-        null_dim = len(basis)
+        null_dim = dim
     if null_dim == 0:
         raise NoNonsingularFactor("intertwining equation has no symmetric solution")
-    null_vecs = vt[len(basis) - null_dim :, :]
+    null_vecs = vt[dim - null_dim :, :]
 
     rng = np.random.default_rng(seed)
     best = None
     best_rc = -1.0
     for _ in range(max_draws):
         coeffs = rng.standard_normal(null_dim)
-        t = sum(c * e for c, e in zip(coeffs @ null_vecs, basis))
+        t = np.zeros((n, n))
+        t[rows, cols] = t[cols, rows] = coeffs @ null_vecs
         nt = frobenius(t)
         if nt == 0.0:
             continue
@@ -538,6 +533,12 @@ def _real_jordan_basis(k: np.ndarray, clusters):
 # ---------------------------------------------------------------------------
 
 
+def _recon_residual(x: np.ndarray, s1: np.ndarray, s2: np.ndarray, blocks) -> float:
+    """||S1 X S2 - I (+) J|| / (||S1|| ||X|| ||S2||)."""
+    recon = frobenius(s1 @ x @ s2 - blocks.assembled)
+    return recon / max(frobenius(s1) * frobenius(x) * frobenius(s2), 1e-300)
+
+
 def _finish(x: np.ndarray, s: np.ndarray, b: np.ndarray, e: np.ndarray, blocks) -> Decomposition:
     """S1 and S2 from a stage-1 similarity S whose reduced block Mb has e Mb = B.
 
@@ -556,13 +557,11 @@ def _finish(x: np.ndarray, s: np.ndarray, b: np.ndarray, e: np.ndarray, blocks) 
 
     s1 = np.concatenate([e, e])[:, None] * s  # gl_embed(diag(e)) @ S
     s2 = s_prime @ readonly_form(n)
-    recon = frobenius(s1 @ x @ s2 - blocks.assembled)
-    recon /= max(frobenius(s1) * frobenius(x) * frobenius(s2), 1e-300)
     return Decomposition(
         s1=s1,
         s2=s2,
         blocks=blocks,
-        recon_residual=recon,
+        recon_residual=_recon_residual(x, s1, s2, blocks),
         s1_residual=symplectic_residual(s1),
         s2_residual=symplectic_residual(s2),
     )
@@ -655,8 +654,7 @@ def verify_decomposition(x, d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> 
     x = as_even_square(x, "X")
     if d.s1.shape != x.shape or d.s2.shape != x.shape:
         raise DimensionError("decomposition factors do not match the input dimension")
-    recon = frobenius(d.s1 @ x @ d.s2 - d.blocks.assembled)
-    recon /= max(frobenius(d.s1) * frobenius(x) * frobenius(d.s2), 1e-300)
+    recon = _recon_residual(x, d.s1, d.s2, d.blocks)
     s1_res = is_symplectic(d.s1, tol).residual
     s2_res = is_symplectic(d.s2, tol).residual
 

@@ -117,6 +117,8 @@ class BipartiteCovariance:
 class GaussianChannel:
     """Covariance map Gamma -> X^T Gamma X + Y with symmetric noise Y.
 
+    X and Y must be finite, 2n x 2n and of equal shape, and Y symmetric to
+    within 1e-10 of its norm; Y is stored as its symmetric part.
     ``validity_residual`` is the amount by which the complete-positivity
     constraint is violated (0.0 for a valid channel).
     """
@@ -126,14 +128,19 @@ class GaussianChannel:
     y: np.ndarray
     validity_residual: float = 0.0
 
+    def __post_init__(self) -> None:
+        self.x = as_even_square(self.x, "X")
+        y = as_even_square(self.y, "Y")
+        if self.x.shape != y.shape:
+            raise DimensionError("X and Y must have equal shape")
+        if self.x.shape[0] != 2 * self.n:
+            raise DimensionError(f"X and Y must be {2 * self.n}x{2 * self.n} for n={self.n}")
+        self.y = symmetric_part(y, "channel noise block Y must be symmetric")
+
     @classmethod
     def from_xy(cls, x, y, tol: Tolerances = DEFAULT_TOL) -> "GaussianChannel":
-        x = as_even_square(x, "X")
-        y = as_even_square(y, "Y")
-        if x.shape != y.shape:
-            raise DimensionError("X and Y must have equal shape")
-        y = symmetric_part(y, "channel noise block Y must be symmetric")
-        ch = cls(n=x.shape[0] // 2, x=x, y=y)
+        # n from the rows of X; __post_init__ checks X and Y themselves
+        ch = cls(n=np.shape(x)[0] // 2 if np.ndim(x) else 0, x=x, y=y)
         report = channel_validity(ch, tol)
         ch.validity_residual = max(0.0, -report.min_eig)
         return ch
@@ -281,12 +288,10 @@ def apply_channel(gamma, ch: GaussianChannel) -> np.ndarray:
 
 def channel_validity(ch: GaussianChannel, tol: Tolerances = DEFAULT_TOL) -> ValidityReport:
     """Complete-positivity check: Y + i (X^T sigma X - sigma) >= 0."""
-    y = as_even_square(ch.y, "Y")
-    ys = symmetric_part(y, "channel noise block Y must be symmetric")
     sig = symplectic_form(ch.n)
     skew = ch.x.T @ sig @ ch.x - sig
-    min_eig = hermitian_min_eig(ys, skew)
-    scale = max(1.0, float(np.hypot(frobenius(y), frobenius(skew))))
+    min_eig = hermitian_min_eig(ch.y, skew)
+    scale = max(1.0, float(np.hypot(frobenius(ch.y), frobenius(skew))))
     return ValidityReport(min_eig=min_eig, valid=min_eig >= -tol.psd_tol * scale)
 
 

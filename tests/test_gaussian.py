@@ -13,7 +13,9 @@ from sympeq import (
     BipartiteCovariance,
     DimensionError,
     GaussianChannel,
+    InvalidInput,
     NotPure,
+    NotSymmetric,
     SingularInput,
     Tolerances,
     apply_channel,
@@ -213,6 +215,20 @@ def test_channel_validity_noiseless_amplifier():
     rep = channel_validity(ch)
     assert not rep.valid
     assert rep.min_eig == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, x, y, error",
+    [
+        (2, np.eye(3), np.eye(4), DimensionError),  # odd X
+        (1, np.eye(4), np.eye(4), DimensionError),  # X and Y disagree with n
+        (1, np.eye(2), np.array([[1.0, np.inf], [0.0, 1.0]]), InvalidInput),
+        (1, np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]), NotSymmetric),
+    ],
+)
+def test_malformed_channel_is_refused_at_construction(n, x, y, error):
+    with pytest.raises(error):
+        GaussianChannel(n=n, x=x, y=y)
 
 
 def test_normalize_identity_channel():
