@@ -1,4 +1,5 @@
-"""Time ``decompose``, ``invariants`` and two kernels of two sympeq trees per n.
+"""Time ``decompose``, ``invariants``, ``williamson`` and two kernels of two
+sympeq trees per n.
 
 Usage: python scripts/decompose_timing.py --parent TREE --change TREE
        [--rounds 10] [--inputs 8] [--repeat 5]
@@ -16,7 +17,8 @@ goes first. The operations are:
 * ``spectrum_from_eigenvalues`` on the eigenvalues of Sigma(X), which
   classifies them;
 * ``hermitian_min_eig`` of (X X^T + I, the antisymmetric part of X), the
-  kernel of the validity checks.
+  kernel of the validity checks;
+* ``williamson`` of the positive definite X X^T + I.
 
 A call that raises a typed error is timed like any other.
 
@@ -39,7 +41,7 @@ import numpy as np
 import trees
 
 NS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32)
-OPS = ("decompose", "invariants", "spectrum_from_eigenvalues", "hermitian_min_eig")
+OPS = ("decompose", "invariants", "spectrum_from_eigenvalues", "hermitian_min_eig", "williamson")
 
 
 def _calls(sp, x) -> dict:
@@ -53,6 +55,7 @@ def _calls(sp, x) -> dict:
         "invariants": lambda: sp.invariants(x),
         "spectrum_from_eigenvalues": lambda: inv.spectrum_from_eigenvalues(w, sp.DEFAULT_TOL),
         "hermitian_min_eig": lambda: sp.hermitian_min_eig(r, a),
+        "williamson": lambda: sp.williamson(r),
     }
 
 

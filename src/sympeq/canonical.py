@@ -32,8 +32,9 @@ The general factorization of a real matrix into two real symmetric factors
 
 The classical normal-mode decomposition of a positive definite matrix
 (``williamson``) is included; its frequencies nu_k relate to the invariants
-by lambda_k = nu_k**2. It is the only user of scipy (``scipy.linalg.schur``),
-which it imports on first use, so importing this module loads no scipy.
+by lambda_k = nu_k**2. It runs one Hermitian eigensolve
+(``scipy.linalg.eigh``), the package's only use of scipy, imported on first
+use, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -687,11 +688,17 @@ def williamson(x, tol: Tolerances = DEFAULT_TOL) -> WilliamsonResult:
     frequencies nu are returned in descending order together with the mode
     occupations (nu - 1) / 2.
 
+    With Y = X^{-1/2} sigma X^{-1/2}, one Hermitian eigensolve of i Y gives
+    the pairs +-kappa_k = +-1/nu_k. An eigenvector u of +kappa and its
+    conjugate belong to distinct eigenvalues, so u^T u = 0 and sqrt(2) Re u,
+    sqrt(2) Im u are orthonormal for every basis of a repeated frequency.
+
     scipy is imported here, on first use, and nowhere else in the package.
     """
     # Imported at call time so that ``import sympeq`` and every CLI command
-    # but this one skip the cost of loading scipy.linalg.
-    from scipy.linalg import schur
+    # but this one skip the cost of loading scipy.linalg. scipy's eigh rather
+    # than numpy's keeps scipy.linalg loaded for the tracer of perfbench/spans.py.
+    from scipy.linalg import eigh
 
     x = as_even_square(x, "X")
     xs = symmetric_part(x, "X must be symmetric for the normal-mode decomposition")
@@ -706,28 +713,15 @@ def williamson(x, tol: Tolerances = DEFAULT_TOL) -> WilliamsonResult:
     y = inv_sqrt @ sig @ inv_sqrt
     y = (y - y.T) / 2
     try:
-        t, z = schur(y, output="real")
+        kappa, u = eigh(1j * y, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        raise EigenFailure(f"real Schur decomposition failed: {exc}") from exc
+        raise EigenFailure(f"Hermitian eigensolve failed: {exc}") from exc
+    kappa, u = kappa[n:], u[:, n:]
+    if kappa[0] <= tol.psd_tol:
+        raise NotPositiveDefinite("degenerate frequency pair; X is not definite")
 
-    p_cols, q_cols, kappa = [], [], []
-    for i in range(n):
-        r0, r1 = 2 * i, 2 * i + 1
-        tt = (t[r0, r1] - t[r1, r0]) / 2
-        if abs(tt) <= tol.psd_tol:
-            raise NotPositiveDefinite("degenerate antisymmetric block; X is not definite")
-        if tt < 0:
-            p_cols.append(z[:, r0])
-            q_cols.append(z[:, r1])
-        else:
-            p_cols.append(z[:, r1])
-            q_cols.append(z[:, r0])
-        kappa.append(abs(tt))
-
-    nu = 1.0 / np.asarray(kappa)
-    order = np.argsort(-nu)
-    nu = nu[order]
-    q = np.column_stack([p_cols[i] for i in order] + [q_cols[i] for i in order])
+    nu = 1.0 / kappa
+    q = np.sqrt(2.0) * np.concatenate([u.real, u.imag], axis=1)
     d_sqrt = np.sqrt(np.concatenate([nu, nu]))
     s = (d_sqrt[:, None] * q.T) @ inv_sqrt
     return WilliamsonResult(s=s, nu=nu, occupations=(nu - 1.0) / 2.0)

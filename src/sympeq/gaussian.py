@@ -257,7 +257,12 @@ def schmidt_relation_check(g: BipartiteCovariance, tol: Tolerances = DEFAULT_TOL
     real and non-positive. Both sides are computed independently, sorted
     descending, and the worst relative error is reported.
     """
-    nu_global = williamson(g.assembled(), tol).nu
+    # The assembled state is party-major (P_A, Q_A, P_B, Q_B) with the form
+    # sigma (+) sigma; williamson reads the single-collection order, so rows
+    # and columns go to (P_A, P_B, Q_A, Q_B) first.
+    n = g.n
+    order = np.r_[0:n, 2 * n : 3 * n, n : 2 * n, 3 * n : 4 * n]
+    nu_global = williamson(g.assembled()[np.ix_(order, order)], tol).nu
     if float(np.max(np.abs(nu_global - 1.0))) > tol.degeneracy_gap:
         raise NotPure("global normal-mode frequencies differ from 1")
     if reciprocal_condition(g.x) < 1e-12:

@@ -415,15 +415,43 @@ def test_williamson_rejects_asymmetric():
         williamson(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-def test_williamson_schur_failure_is_typed(monkeypatch):
+def test_williamson_eigensolve_failure_is_typed(monkeypatch):
     import scipy.linalg
 
     def failing(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+        raise scipy.linalg.LinAlgError("The algorithm failed to converge.")
 
-    monkeypatch.setattr(scipy.linalg, "schur", failing)
-    with pytest.raises(EigenFailure, match="Schur"):
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
+    with pytest.raises(EigenFailure, match="eigensolve"):
         williamson(np.diag([2.0, 2.0]))
+
+
+def test_williamson_dressed_tmss_with_all_frequencies_one():
+    # A dressed two-mode squeezed state: i Y has a fourfold +-1, on which
+    # LAPACK's real Schur form of Y does not converge.
+    x = np.array([
+        [0.57183959375093496, -0.31629377870669784, 0.46004549994980537, -0.39563118826770893],
+        [-0.31629377870669784, 0.48833092166011166, -0.23896613306990699, 0.63883069952139082],
+        [0.46004549994980537, -0.23896613306990699, 3.0958547885961489, 1.4674586054595284],
+        [-0.39563118826770893, 0.63883069952139082, 1.4674586054595284, 4.0275867408997739],
+    ])
+    res = williamson(x)
+    assert np.allclose(res.nu, [1.0, 1.0], rtol=0.0, atol=1e-9)
+    assert is_symplectic(res.s).verdict
+
+
+@pytest.mark.parametrize("nu", [(3.0, 3.0, 3.0, 1.5), (1.0, 1.0, 1.0, 1.0), (2.0, 2.0), (1.0, 1.0, 1.0)])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_williamson_repeated_frequencies(nu, seed):
+    n = len(nu)
+    s0 = random_symplectic(n, seed=seed)
+    x = s0 @ np.diag(np.concatenate([nu, nu])) @ s0.T
+    res = williamson(x)
+    d = np.diag(np.concatenate([res.nu, res.nu]))
+    assert is_symplectic(res.s).verdict
+    assert np.linalg.norm(res.s @ x @ res.s.T - d) <= 1e-10 * np.linalg.norm(d)
+    assert np.allclose(res.nu, sorted(nu, reverse=True), rtol=1e-10, atol=0.0)
+    assert np.all(np.diff(res.nu) <= 0.0)  # descending
 
 
 def test_williamson_rejects_indefinite():

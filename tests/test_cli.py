@@ -119,13 +119,13 @@ def test_exit_code_2_on_not_positive_definite(tmp_path, capsys):
     assert "NotPositiveDefinite" in capsys.readouterr().err
 
 
-def test_exit_code_2_on_schur_failure(tmp_path, capsys, monkeypatch):
+def test_exit_code_2_on_eigensolve_failure(tmp_path, capsys, monkeypatch):
     import scipy.linalg
 
     def failing(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+        raise scipy.linalg.LinAlgError("The algorithm failed to converge.")
 
-    monkeypatch.setattr(scipy.linalg, "schur", failing)
+    monkeypatch.setattr(scipy.linalg, "eigh", failing)
     path = tmp_path / "thermal.json"
     io.save_document(io.matrix_to_doc(np.diag([2.0, 2.0])), str(path))
     rc = run(["williamson", "--input", str(path)])

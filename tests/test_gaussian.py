@@ -142,6 +142,30 @@ def test_schmidt_relation_tensor_product():
     assert np.allclose(rep.nu_local, want_nu, rtol=1e-9)
 
 
+@pytest.mark.parametrize("pairs", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_schmidt_relation_dressed_pure_state(pairs, seed):
+    rng = np.random.default_rng(seed)
+    rs = rng.uniform(0.1, 1.0, size=pairs)
+    g = two_mode_squeezed(float(rs[0]))
+    for r in rs[1:]:
+        g = bipartite_mode_sum(g, two_mode_squeezed(float(r)))
+    dressed = transform_bipartite(
+        g, random_symplectic(pairs, seed=2 * seed), random_symplectic(pairs, seed=2 * seed + 1)
+    )
+    rep = schmidt_relation_check(dressed)
+    assert rep.max_relative_error <= 1e-8
+    assert np.allclose(rep.nu_local, np.sort(np.cosh(2 * rs))[::-1], rtol=1e-9)
+
+
+def test_schmidt_rejects_dressed_mixed_state():
+    g = two_mode_squeezed(0.5)
+    mixed = BipartiteCovariance(n=1, gamma_a=g.gamma_a + 0.3 * np.eye(2), gamma_b=g.gamma_b, x=g.x)
+    dressed = transform_bipartite(mixed, random_symplectic(1, seed=3), random_symplectic(1, seed=4))
+    with pytest.raises(NotPure):
+        schmidt_relation_check(dressed)
+
+
 def test_schmidt_rejects_mixed_state():
     g = two_mode_squeezed(0.5)
     mixed = BipartiteCovariance(n=1, gamma_a=1.5 * g.gamma_a, gamma_b=1.5 * g.gamma_b, x=1.5 * g.x)

@@ -32,7 +32,7 @@ def test_decompose_timing_prints_a_row_per_operation_and_n():
     )
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
-    ops = ("decompose", "invariants", "spectrum_from_eigenvalues", "hermitian_min_eig")
+    ops = ("decompose", "invariants", "spectrum_from_eigenvalues", "hermitian_min_eig", "williamson")
     ns = ("1", "2", "3", "4", "5", "6", "7", "8", "16", "24", "32")
     assert [tuple(row[:2]) for row in rows] == [(op, n) for op in ops for n in ns]
     assert all(len(row) == 6 and row[5] in ("0/1", "1/1") for row in rows)
