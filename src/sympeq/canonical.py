@@ -9,9 +9,9 @@ eigenvectors). The construction has two stages:
 
 1. symplectic block-diagonalization of Sigma(X) to -(M (+) M^T), exposed as
    ``block_diagonalize_skew_hamiltonian``. The invariant clusters are
-   grouped by kind and size; each group is one stack, with one batched SVD,
-   one phase gauge and one symplectic Gram-Schmidt run on all its members
-   at once, so a generic input costs two such passes whatever its size.
+   grouped by kind and size; each group is one stack, with one batched SVD
+   and one symplectic Gram-Schmidt run on all its members at once, so a
+   generic input costs two such passes whatever its size.
    Its columns follow the canonical order of the invariants, so M equals
    -J to rounding;
 2. the symmetric factors of M in closed form, with no search and no random
@@ -182,20 +182,8 @@ def canonical_from_invariants(spectrum: InvariantSpectrum) -> CanonicalBlocks:
 # ---------------------------------------------------------------------------
 
 
-def _fix_phase(cols: np.ndarray) -> np.ndarray:
-    # gauge per column: the largest-magnitude entry is made real and positive
-    pivot = cols[np.abs(cols).argmax(axis=0), np.arange(cols.shape[1])]
-    if not np.iscomplexobj(cols):
-        return np.where(pivot < 0, -cols, cols)
-    mag = np.hypot(pivot.real, pivot.imag)  # abs() of each pivot, bit for bit
-    mag[mag == 0] = 1.0  # a zero column stays zero
-    # scaling the rows of the transpose multiplies each column by a broadcast
-    # scalar, which rounds exactly as col * phase does column by column
-    return (cols.T * (pivot.conj() / mag)[:, None]).T
-
-
 def _orthonormal_spans(stack: np.ndarray, dim: int) -> np.ndarray:
-    """Gauged orthonormal bases of the column spans of a (k, rows, cols) stack.
+    """Orthonormal bases of the column spans of a (k, rows, cols) stack.
 
     One batched SVD serves all k members; raises if any rank falls short.
     """
@@ -204,10 +192,7 @@ def _orthonormal_spans(stack: np.ndarray, dim: int) -> np.ndarray:
         raise DegenerateSpectrum(
             "invariant subspace is rank deficient (defective or near-defective input)"
         )
-    # the gauge acts column by column, so the k bases are gauged side by side
-    k, rows, _ = u.shape
-    side_by_side = _fix_phase(u[:, :, :dim].transpose(1, 0, 2).reshape(rows, k * dim))
-    return side_by_side.reshape(rows, k, dim).transpose(1, 0, 2)
+    return u[:, :, :dim]
 
 
 def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
@@ -491,11 +476,10 @@ def _real_jordan_basis(k: np.ndarray, clusters):
 
     r = np.empty((n, n))
     e = np.ones(n)
-    if real_cols:
-        vecs = _fix_phase(v[:, real_cols].real)
-        r[:, real_pos] = vecs / np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
+    if real_cols:  # eig returns unit eigenvectors, real for a real eigenvalue
+        r[:, real_pos] = v[:, real_cols].real
     if pair_cols:
-        vecs = _fix_phase(v[:, pair_cols])
+        vecs = v[:, pair_cols]
         pos = np.array(pair_pos)
         r[:, pos] = vecs.real
         r[:, pos + 1] = vecs.imag
@@ -514,9 +498,7 @@ def _real_jordan_basis(k: np.ndarray, clusters):
             continue
         run = r[:, first : first + width]  # a view
         basis = run[:, ::2] + 1j * run[:, 1::2] if cplx else run
-        u, s, _ = np.linalg.svd(basis, full_matrices=False)
-        if s[-1] < _JORDAN_RCOND_MIN * s[0]:
-            raise DegenerateSpectrum("eigenvector basis is near-singular (defective input)")
+        u = _orthonormal_spans(basis[None], basis.shape[1])[0]
         if cplx:  # pairs keep the (Re v, Im v) layout and the signs (+1, -1)
             run[:, ::2] = u.real
             run[:, 1::2] = u.imag
@@ -686,7 +668,8 @@ def williamson(x, tol: Tolerances = DEFAULT_TOL) -> WilliamsonResult:
 
     X must be symmetric positive definite; S is symplectic and the
     frequencies nu are returned in descending order together with the mode
-    occupations (nu - 1) / 2.
+    occupations (nu - 1) / 2. Definiteness is judged relative to the scale of
+    X (least eigenvalue above psd_tol ||X||), so nu(cX) = c nu(X) for c > 0.
 
     With Y = X^{-1/2} sigma X^{-1/2}, one Hermitian eigensolve of i Y gives
     the pairs +-kappa_k = +-1/nu_k. An eigenvector u of +kappa and its
@@ -703,13 +686,13 @@ def williamson(x, tol: Tolerances = DEFAULT_TOL) -> WilliamsonResult:
     x = as_even_square(x, "X")
     xs = symmetric_part(x, "X must be symmetric for the normal-mode decomposition")
     n = xs.shape[0] // 2
+    sig = readonly_form(n)
 
     evals, evecs = np.linalg.eigh(xs)
-    if evals[0] <= tol.psd_tol * max(1.0, frobenius(x)):
+    if evals[0] <= tol.psd_tol * frobenius(x):
         raise NotPositiveDefinite(f"minimal eigenvalue {evals[0]:.3e} is not positive")
     inv_sqrt = (evecs * (evals**-0.5)) @ evecs.T
 
-    sig = readonly_form(n)
     y = inv_sqrt @ sig @ inv_sqrt
     y = (y - y.T) / 2
     try:
@@ -717,8 +700,6 @@ def williamson(x, tol: Tolerances = DEFAULT_TOL) -> WilliamsonResult:
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"Hermitian eigensolve failed: {exc}") from exc
     kappa, u = kappa[n:], u[:, n:]
-    if kappa[0] <= tol.psd_tol:
-        raise NotPositiveDefinite("degenerate frequency pair; X is not definite")
 
     nu = 1.0 / kappa
     q = np.sqrt(2.0) * np.concatenate([u.real, u.imag], axis=1)

@@ -263,8 +263,8 @@ def hermitian_min_eig(sym_part, skew_part) -> float:
     """
     r = as_matrix(sym_part, "R")
     a = as_matrix(skew_part, "A")
-    if r.shape != a.shape or r.shape[0] != r.shape[1]:
-        raise DimensionError("R and A must be square matrices of equal shape")
+    if r.shape != a.shape or r.shape[0] != r.shape[1] or r.size == 0:
+        raise DimensionError("R and A must be nonempty square matrices of equal shape")
     r = (r + r.T) / 2
     a = (a - a.T) / 2
     return float(np.linalg.eigvalsh(r + 1j * a)[0])

@@ -198,7 +198,7 @@ def bipartite_from_doc(doc: dict) -> BipartiteCovariance:
         if key not in doc:
             raise FormatError(f"bipartite state document missing field {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError("field 'n' must be a positive integer")
     return BipartiteCovariance(
         n=n,
@@ -222,7 +222,7 @@ def channel_from_doc(doc: dict) -> GaussianChannel:
         if key not in doc:
             raise FormatError(f"channel document missing field {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError("field 'n' must be a positive integer")
     x = matrix_from_doc(doc["x"], "x")
     y = matrix_from_doc(doc["y"], "y")

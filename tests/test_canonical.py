@@ -13,6 +13,7 @@ from sympeq import (
     ClusteringAmbiguous,
     DegenerateSpectrum,
     Decomposition,
+    DimensionError,
     EigenFailure,
     Invariant,
     InvariantSpectrum,
@@ -54,31 +55,6 @@ def spectrum_of(*entries) -> InvariantSpectrum:
             slots += 1
     values.sort(key=lambda v: (-v.re, v.im))
     return InvariantSpectrum(n=slots, values=tuple(values), pairing_residual=0.0, has_zero=False)
-
-
-# --- stage-1 helpers against their per-column references --------------------
-
-
-def _fix_phase_column(col):
-    k = int(np.argmax(np.abs(col)))
-    pivot = col[k]
-    if pivot == 0:
-        return col
-    if np.iscomplexobj(col):
-        return col * (np.conj(pivot) / abs(pivot))
-    return col if pivot > 0 else -col
-
-
-def test_fix_phase_equals_per_column_reference_bit_for_bit():
-    rng = np.random.default_rng(11)
-    for trial in range(2000):
-        rows, k = int(rng.integers(1, 17)), int(rng.integers(1, 9))
-        cols = rng.standard_normal((rows, k)) * 10.0 ** rng.uniform(-8, 8)
-        if trial % 2:
-            cols = cols + 1j * rng.standard_normal((rows, k))
-        cols = np.asarray(cols, order="CF"[trial % 4 // 2])
-        reference = np.column_stack([_fix_phase_column(cols[:, j]) for j in range(k)])
-        assert canonical._fix_phase(cols).tobytes() == reference.tobytes()
 
 
 # --- stage 1 against the per-cluster Gram-Schmidt -----------------------------
@@ -457,6 +433,30 @@ def test_williamson_repeated_frequencies(nu, seed):
 def test_williamson_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         williamson(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("x", [np.zeros((2, 2)), np.diag([1.0, 1e-12, 1.0, 1.0])])
+def test_williamson_rejects_singular(x):
+    with pytest.raises(NotPositiveDefinite):
+        williamson(x)
+
+
+@given(seeds, st.integers(min_value=1, max_value=4), st.sampled_from([1e-12, 1e-6, 1e6, 1e12]))
+@settings(max_examples=30, deadline=None)
+def test_williamson_frequencies_scale_with_x(seed, n, c):
+    # definiteness is judged relative to ||X||, so nu(cX) = c nu(X)
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((2 * n, 2 * n))
+    x = r @ r.T + np.eye(2 * n)
+    nu = williamson(x).nu
+    res = williamson(c * x)
+    assert np.allclose(res.nu, c * nu, rtol=1e-12, atol=0.0)
+    assert is_symplectic(res.s).verdict
+
+
+def test_williamson_rejects_an_empty_matrix():
+    with pytest.raises(DimensionError):
+        williamson(np.zeros((0, 0)))
 
 
 @given(seeds, st.integers(min_value=1, max_value=5))

@@ -139,6 +139,20 @@ def test_exit_code_1_on_parse_error(tmp_path):
     assert run(["decompose", "--input", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "kind, args, command",
+    [("tmss", ["--r", "0.5"], "condense"), ("attenuator", ["--eta", "0.36"], "channel-normalize")],
+)
+def test_exit_code_1_on_boolean_mode_count(tmp_path, kind, args, command):
+    path = gen(tmp_path, "in.json", "--kind", kind, *args)
+    doc = load(path)
+    doc["n"] = True
+    path.write_text(json.dumps(doc))
+    rc, out = analyze(tmp_path, command, path, "out.json")
+    assert rc == 1
+    assert not out.exists()
+
+
 def test_exit_code_1_on_missing_file(tmp_path):
     assert run(["decompose", "--input", str(tmp_path / "absent.json")]) == 1
 

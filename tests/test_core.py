@@ -201,6 +201,11 @@ def test_hermitian_min_eig_matches_real_doubling(n):
         assert abs(hermitian_min_eig(r, a) - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def test_hermitian_min_eig_rejects_empty_matrices():
+    with pytest.raises(DimensionError):
+        hermitian_min_eig(np.zeros((0, 0)), np.zeros((0, 0)))
+
+
 def test_tolerances_must_be_positive():
     with pytest.raises(ValueError):
         Tolerances(residual_tol=0.0)

@@ -50,3 +50,14 @@ def test_loader_refuses_a_tree_that_imports_sympeq_by_absolute_name(tmp_path):
     assert proc.returncode == 1
     assert "by absolute name" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_stress_compare_reads_the_williamson_gap_against_its_bound(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import stress_compare
+
+    def gap(value):
+        return {"williamson_invariant_gap": {"gap": value, "gap_ok": value <= 1e-6}}
+
+    assert stress_compare.compare(gap(1.6e-15), gap(2.8e-15))[0] == "digits"
+    assert stress_compare.compare(gap(1e-15), gap(1e-3))[0] == "different"
