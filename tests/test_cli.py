@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -177,6 +178,88 @@ def test_machine_output_byte_stable(tmp_path):
         rc2, o2 = analyze(tmp_path, command, p1, f"{kind}-r2.json", "--seed", "1")
         assert rc1 == 0 and rc2 == 0
         assert o1.read_bytes() == o2.read_bytes()
+
+
+def test_machine_output_byte_stable_for_williamson_and_validation(tmp_path):
+    s = random_symplectic(2, seed=9)
+    g = s @ np.diag([3.0, 1.5, 3.0, 1.5]) @ s.T
+    thermal = [tmp_path / f"thermal-{i}.json" for i in (1, 2)]
+    for path in thermal:
+        io.save_document(io.matrix_to_doc((g + g.T) / 2), str(path))
+    passive = [gen(tmp_path, f"passive-{i}.json", "--kind", "passive", "--n", "2", "--seed", "11")
+               for i in (1, 2)]
+    tmss = [gen(tmp_path, f"tmss-{i}.json", "--kind", "tmss", "--r", "0.5") for i in (1, 2)]
+    for command, (p1, p2) in [
+        ("williamson", thermal),
+        ("validate-channel", passive),
+        ("validate-state", tmss),
+    ]:
+        assert p1.read_bytes() == p2.read_bytes()
+        rc1, o1 = analyze(tmp_path, command, p1, f"{command}-r1.json", "--seed", "1")
+        rc2, o2 = analyze(tmp_path, command, p1, f"{command}-r2.json", "--seed", "1")
+        assert rc1 == 0 and rc2 == 0
+        assert o1.read_bytes() == o2.read_bytes()
+
+
+RESIDUAL = r"\d\.\d{3}e[+-]\d\d"
+
+HUMAN_CASES = [
+    ("invariants", "complex", "n = 2, pairing residual = {res}\n  lambda = 1 +/- 2i (pair)\n"),
+    ("invariants", "scalar", "n = 1, pairing residual = {res}\n  lambda = 9\n"),
+    (
+        "decompose",
+        "scalar",
+        "canonical matrix:\n[[1. 0.]\n [0. 9.]]\nrecon residual {res}, s1 {res}, s2 {res}\n",
+    ),
+    ("williamson", "thermal", "nu = [2]\noccupations = [0.5]\nresidual = {res}\n"),
+    (
+        "condense",
+        "tmss",
+        "condensed correlation block:\n[[ 1.          0.        ]\n [ 0.         -1.38109785]]\n",
+    ),
+    (
+        "channel-normalize",
+        "attenuator",
+        "normalized interaction block:\n[[1.   0.  ]\n [0.   0.36]]\n",
+    ),
+    ("validate-channel", "attenuator", "min Hermitian eigenvalue: 0\nverdict: valid\n"),
+    ("validate-state", "thermal", "min Hermitian eigenvalue: 1\nverdict: valid\n"),
+    ("validate-state", "subvacuum", "min Hermitian eigenvalue: -0.5\nverdict: INVALID\n"),
+    ("witness", "complex", "verdict: squeezing_witnessed\n"),
+    ("witness", "tmss", "verdict: inconclusive\n"),
+]
+
+
+def human_input(tmp_path, name):
+    if name == "tmss":
+        return gen(tmp_path, "tmss.json", "--kind", "tmss", "--r", "0.5")
+    if name == "attenuator":
+        return gen(tmp_path, "att.json", "--kind", "attenuator", "--eta", "0.36")
+    x = np.zeros((4, 4))
+    x[:2, :2] = np.eye(2)
+    x[2:, 2:] = [[1.0, 2.0], [-2.0, 1.0]]
+    matrices = {
+        "complex": x,
+        "scalar": 3 * np.eye(2),
+        "thermal": np.diag([2.0, 2.0]),
+        "subvacuum": np.diag([0.5, 0.5]),
+    }
+    path = tmp_path / f"{name}.json"
+    io.save_document(io.matrix_to_doc(matrices[name]), str(path))
+    return path
+
+
+@pytest.mark.parametrize("command, name, text", HUMAN_CASES)
+def test_human_text_of_each_subcommand(tmp_path, capsys, command, name, text):
+    inp = human_input(tmp_path, name)
+    capsys.readouterr()
+    rc = run([command, "--input", str(inp), "--format", "human"])
+    assert rc == 0
+    pattern = re.escape(text).replace(re.escape("{res}"), RESIDUAL)
+    assert re.fullmatch(pattern, capsys.readouterr().out)
+    out = tmp_path / "human.txt"
+    assert run([command, "--input", str(inp), "--format", "human", "--output", str(out)]) == 0
+    assert re.fullmatch(pattern, out.read_text())
 
 
 def test_human_format(tmp_path, capsys):
