@@ -207,18 +207,9 @@ def mode_direct_sum(a, b) -> np.ndarray:
     a = as_even_square(a, "A")
     b = as_even_square(b, "B")
     na, nb = a.shape[0] // 2, b.shape[0] // 2
-    n = na + nb
-    out = np.zeros((2 * n, 2 * n))
-    # quadrants: (row sector, col sector) with sector 0 = P, 1 = Q
-    for rs in (0, 1):
-        for cs in (0, 1):
-            out[rs * n : rs * n + na, cs * n : cs * n + na] = a[
-                rs * na : (rs + 1) * na, cs * na : (cs + 1) * na
-            ]
-            out[rs * n + na : (rs + 1) * n, cs * n + na : (cs + 1) * n] = b[
-                rs * nb : (rs + 1) * nb, cs * nb : (cs + 1) * nb
-            ]
-    return out
+    # diag(A, B) is (P_a, Q_a, P_b, Q_b)-ordered; move P_b ahead of Q_a
+    order = np.r_[0:na, 2 * na : 2 * na + nb, na : 2 * na, 2 * na + nb : 2 * (na + nb)]
+    return block_diag(a, b)[np.ix_(order, order)]
 
 
 def _random_invertible(rng: np.random.Generator, n: int) -> np.ndarray:

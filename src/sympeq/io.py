@@ -2,8 +2,11 @@
 
 A matrix is stored as a JSON document with fields ``rows``, ``cols`` and
 ``data`` (row-major flat list of decimal floats). Readers reject dimension
-mismatches and non-finite values. Aggregate objects (bipartite states,
-channels, spectra, decompositions) are documents with named matrix fields.
+mismatches and entries that are not finite numbers (booleans, strings and
+integers too large for a float included). Aggregate objects (bipartite
+states, channels, spectra, decompositions) are documents with named matrix
+fields; a state or channel document also carries its mode count ``n``, and
+every matrix in it must be 2n x 2n.
 
 Machine output is emitted by a small deterministic JSON writer that prints
 every float with 17 significant digits, so identical inputs give
@@ -137,10 +140,13 @@ def matrix_from_doc(doc: dict, name: str = "matrix") -> np.ndarray:
             f"{name}: data length {len(data) if isinstance(data, list) else '?'} "
             f"does not match rows*cols = {rows * cols}"
         )
+    for v in data:
+        if type(v) not in (int, float):
+            raise FormatError(f"{name}: data entries must be numbers, not {type(v).__name__}")
     try:
         arr = np.asarray([float(v) for v in data], dtype=float).reshape(rows, cols)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{name}: data entries must be numbers: {exc}") from exc
+    except OverflowError as exc:
+        raise FormatError(f"{name}: data entries must fit a float: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise FormatError(f"{name}: non-finite entries rejected")
     return arr
@@ -193,19 +199,24 @@ def bipartite_to_doc(g: BipartiteCovariance) -> dict:
     }
 
 
-def bipartite_from_doc(doc: dict) -> BipartiteCovariance:
-    for key in ("n", "gamma_a", "gamma_b", "x"):
+def _mode_fields(doc: dict, kind: str, fields: tuple[str, ...]) -> tuple[int, list[np.ndarray]]:
+    """``n`` and the named matrix fields of a mode document, each 2n x 2n."""
+    for key in ("n", *fields):
         if key not in doc:
-            raise FormatError(f"bipartite state document missing field {key!r}")
+            raise FormatError(f"{kind} document missing field {key!r}")
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError("field 'n' must be a positive integer")
-    return BipartiteCovariance(
-        n=n,
-        gamma_a=matrix_from_doc(doc["gamma_a"], "gamma_a"),
-        gamma_b=matrix_from_doc(doc["gamma_b"], "gamma_b"),
-        x=matrix_from_doc(doc["x"], "x"),
-    )
+    mats = [matrix_from_doc(doc[key], key) for key in fields]
+    for key, m in zip(fields, mats):
+        if m.shape != (2 * n, 2 * n):
+            raise FormatError(f"{key} must be {2 * n}x{2 * n} for n={n}")
+    return n, mats
+
+
+def bipartite_from_doc(doc: dict) -> BipartiteCovariance:
+    n, (gamma_a, gamma_b, x) = _mode_fields(doc, "bipartite state", ("gamma_a", "gamma_b", "x"))
+    return BipartiteCovariance(n=n, gamma_a=gamma_a, gamma_b=gamma_b, x=x)
 
 
 def channel_to_doc(ch: GaussianChannel) -> dict:
@@ -218,14 +229,5 @@ def channel_to_doc(ch: GaussianChannel) -> dict:
 
 
 def channel_from_doc(doc: dict) -> GaussianChannel:
-    for key in ("n", "x", "y"):
-        if key not in doc:
-            raise FormatError(f"channel document missing field {key!r}")
-    n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise FormatError("field 'n' must be a positive integer")
-    x = matrix_from_doc(doc["x"], "x")
-    y = matrix_from_doc(doc["y"], "y")
-    if x.shape != (2 * n, 2 * n):
-        raise FormatError(f"x must be {2 * n}x{2 * n} for n={n}")
+    _, (x, y) = _mode_fields(doc, "channel", ("x", "y"))
     return GaussianChannel.from_xy(x, y)

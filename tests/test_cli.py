@@ -154,6 +154,51 @@ def test_exit_code_1_on_boolean_mode_count(tmp_path, kind, args, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "data",
+    ['[true, false, false, true]', '[true, 0, 0, "1e0"]', "[1, 0, 0, " + "9" * 401 + "]"],
+    ids=["booleans", "boolean and string", "integer too large for a float"],
+)
+def test_exit_code_1_on_entries_that_are_not_float_numbers(tmp_path, data):
+    path = tmp_path / "entries.json"
+    path.write_text('{"rows": 2, "cols": 2, "data": ' + data + "}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympeq", "decompose", "--input", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error[FormatError]: matrix: data entries must")
+
+
+@pytest.mark.parametrize(
+    "kind, args, command, field",
+    [
+        ("tmss", ["--r", "0.5"], "condense", "gamma_a"),
+        ("tmss", ["--r", "0.5"], "validate-state", "gamma_b"),
+        ("tmss", ["--r", "0.5"], "condense", "x"),
+        ("attenuator", ["--eta", "0.36"], "channel-normalize", "x"),
+        ("attenuator", ["--eta", "0.36"], "validate-channel", "y"),
+    ],
+)
+def test_exit_code_1_on_a_matrix_that_does_not_fit_n(tmp_path, capsys, kind, args, command, field):
+    path = gen(tmp_path, "in.json", "--kind", kind, *args)
+    doc = load(path)
+    doc[field] = io.matrix_to_doc(np.eye(4))
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc, out = analyze(tmp_path, command, path, "out.json")
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error[FormatError]: {field} must be 2x2 for n=1\n"
+
+
+def test_gen_refuses_format(capsys):
+    assert run(["gen", "--kind", "identity", "--format", "machine"]) == 2
+    assert "unrecognized arguments: --format machine" in capsys.readouterr().err
+
+
 def test_exit_code_1_on_missing_file(tmp_path):
     assert run(["decompose", "--input", str(tmp_path / "absent.json")]) == 1
 

@@ -146,6 +146,29 @@ def test_mode_direct_sum_layout():
     assert out[3, 1] == 30.0 and out[3, 3] == 40.0
 
 
+def _mode_direct_sum_by_quadrants(a, b):
+    na, nb = a.shape[0] // 2, b.shape[0] // 2
+    n = na + nb
+    out = np.zeros((2 * n, 2 * n))
+    # copy each (row sector, column sector) quadrant, sector 0 = P and 1 = Q
+    for rs in (0, 1):
+        for cs in (0, 1):
+            ra, ca = slice(rs * na, (rs + 1) * na), slice(cs * na, (cs + 1) * na)
+            rb, cb = slice(rs * nb, (rs + 1) * nb), slice(cs * nb, (cs + 1) * nb)
+            out[rs * n : rs * n + na, cs * n : cs * n + na] = a[ra, ca]
+            out[rs * n + na : (rs + 1) * n, cs * n + na : (cs + 1) * n] = b[rb, cb]
+    return out
+
+
+@pytest.mark.parametrize("na", [1, 2, 3, 4])
+@pytest.mark.parametrize("nb", [1, 2, 3, 4])
+def test_mode_direct_sum_equals_quadrant_reference(na, nb):
+    rng = np.random.default_rng(10 * na + nb)
+    a = rng.standard_normal((2 * na, 2 * na))
+    b = rng.standard_normal((2 * nb, 2 * nb))
+    assert np.array_equal(mode_direct_sum(a, b), _mode_direct_sum_by_quadrants(a, b))
+
+
 def test_mode_direct_sum_preserves_symplectic_form():
     assert np.array_equal(
         mode_direct_sum(symplectic_form(1), symplectic_form(2)), symplectic_form(3)

@@ -98,3 +98,40 @@ def test_channel_doc_rejects_dimension_mismatch():
     }
     with pytest.raises(FormatError):
         channel_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [True, False, False, True],
+        [1.0, 0.0, 0.0, "1e0"],
+        [True, 0, 0, "1e0"],
+        [1.0, 0.0, 0.0, int("9" * 401)],
+    ],
+    ids=["booleans", "numeric string", "boolean and string", "integer too large for a float"],
+)
+def test_matrix_doc_rejects_entries_that_are_not_float_numbers(data):
+    with pytest.raises(FormatError, match="data entries must"):
+        matrix_from_doc({"rows": 2, "cols": 2, "data": data})
+
+
+def test_matrix_doc_reads_integer_entries_as_floats():
+    back = matrix_from_doc({"rows": 2, "cols": 2, "data": [1, 0, 0, 2**53 + 1]})
+    assert back.dtype == float
+    assert np.array_equal(back, np.diag([1.0, float(2**53 + 1)]))
+
+
+@pytest.mark.parametrize("field", ["gamma_a", "gamma_b", "x"])
+def test_bipartite_doc_rejects_a_matrix_that_does_not_fit_n(field):
+    doc = bipartite_to_doc(two_mode_squeezed(0.5))
+    doc[field] = matrix_to_doc(np.eye(4))
+    with pytest.raises(FormatError, match=f"{field} must be 2x2 for n=1"):
+        bipartite_from_doc(doc)
+
+
+@pytest.mark.parametrize("field", ["x", "y"])
+def test_channel_doc_rejects_a_matrix_that_does_not_fit_n(field):
+    doc = channel_to_doc(attenuator(0.36))
+    doc[field] = matrix_to_doc(np.eye(4))
+    with pytest.raises(FormatError, match=f"{field} must be 2x2 for n=1"):
+        channel_from_doc(doc)

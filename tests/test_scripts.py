@@ -1,10 +1,13 @@
-"""The tree-comparison scripts, each run as a child process on this tree."""
+"""The scripts under scripts/, each run as a child process on this tree."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -61,3 +64,22 @@ def test_stress_compare_reads_the_williamson_gap_against_its_bound(monkeypatch):
 
     assert stress_compare.compare(gap(1.6e-15), gap(2.8e-15))[0] == "digits"
     assert stress_compare.compare(gap(1e-15), gap(1e-3))[0] == "different"
+
+
+def test_roundtrip_sweep_prints_a_summary_per_dimension():
+    proc = script("roundtrip_sweep.py", "--trials", "2", "--dims", "1,2", PYTHONPATH=str(ROOT / "src"))
+    assert proc.returncode == 0, proc.stderr
+    summaries = re.findall(r"^n=(\d+): (\d+) ok, (\d+) rejected \| worst recon ", proc.stdout, re.M)
+    assert [n for n, _, _ in summaries] == ["1", "2"]
+    assert all(int(ok) + int(rejected) == 2 for _, ok, rejected in summaries)
+    assert proc.stdout.splitlines()[-1].startswith("total time ")
+
+
+def test_tmss_pipeline_matches_the_analytic_invariant_and_frequency():
+    proc = script("tmss_pipeline.py", "--r", "0.5", PYTHONPATH=str(ROOT / "src"))
+    assert proc.returncode == 0, proc.stderr
+    assert "admissible: True" in proc.stdout
+    for name in ("invariant lambda", "local frequency nu"):
+        got, want = re.search(rf"^{name} = (\S+)  \(analytic .* = (\S+)\)$", proc.stdout, re.M).groups()
+        assert float(got) == pytest.approx(float(want), rel=1e-10)
+    assert re.search(r"^nu = sqrt\(1 - lambda\) relative error: \S+$", proc.stdout, re.M)
