@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from typing import Any
 
 import numpy as np
@@ -140,11 +141,12 @@ def matrix_from_doc(doc: dict, name: str = "matrix") -> np.ndarray:
             f"{name}: data length {len(data) if isinstance(data, list) else '?'} "
             f"does not match rows*cols = {rows * cols}"
         )
-    for v in data:
-        if type(v) not in (int, float):
-            raise FormatError(f"{name}: data entries must be numbers, not {type(v).__name__}")
+    odd = [t for t in set(map(type, data)) if t is bool or not issubclass(t, numbers.Real)]
+    if odd:
+        first = next(type(v).__name__ for v in data if type(v) in odd)
+        raise FormatError(f"{name}: data entries must be numbers, not {first}")
     try:
-        arr = np.asarray([float(v) for v in data], dtype=float).reshape(rows, cols)
+        arr = np.asarray(data, dtype=float).reshape(rows, cols)
     except OverflowError as exc:
         raise FormatError(f"{name}: data entries must fit a float: {exc}") from exc
     if not np.all(np.isfinite(arr)):
