@@ -28,9 +28,11 @@ and (parent, change) outcome, with the totals of success -> failure and
 failure -> success. The exit status is 1 on any different outcome.
 
 Per family and tree, the report also counts the ``decompose`` calls that
-re-based, i.e. ran ``numpy.linalg.eig`` more than once (the evaluation wraps
-that function, so the count needs nothing from the tree), and how many of
-those returned a decomposition.
+re-based, i.e. ran ``numpy.linalg.eig`` more than once, and how many of
+those returned a decomposition; and the ``decompose`` calls that ran a
+full-size singular-value decomposition, i.e. called ``numpy.linalg.svd`` on
+a 2-D array (stage 1's batched SVDs take 3-D stacks), as an rcond does. The
+evaluation wraps both functions, so the counts need nothing from the tree.
 """
 
 from __future__ import annotations
@@ -54,13 +56,7 @@ FAMILIES = ("repeated", "split_reals", "near_real_pair", "tied_real_parts", "nea
 CONTRACTUAL = ("values",)
 CONTRACT_RTOL = 1e-9
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
-_EIG = np.linalg.eig
-_EIG_CALLS = [0]  # numpy.linalg.eig calls made so far while evaluating
-
-
-def _counting_eig(*args, **kwargs):
-    _EIG_CALLS[0] += 1
-    return _EIG(*args, **kwargs)
+_EIG, _SVD = np.linalg.eig, np.linalg.svd
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +137,19 @@ def _run(sp, fn) -> dict:
         return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def _decompose(sp, x, eigs: list) -> dict:
-    # eigs receives the number of eig calls decompose made, also when it raises
-    start = _EIG_CALLS[0]
-    try:
+def _decompose(sp, x, calls: Counter) -> dict:
+    # calls counts the eig calls and the 2-D svd calls of decompose, also
+    # when it raises
+    def eig(*args, **kwargs):
+        calls["eig"] += 1
+        return _EIG(*args, **kwargs)
+
+    def svd(a, *args, **kwargs):
+        calls["svd"] += np.ndim(a) == 2
+        return _SVD(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eig", eig), mock.patch.object(np.linalg, "svd", svd):
         d = sp.decompose(x)
-    finally:
-        eigs.append(_EIG_CALLS[0] - start)
     rep = sp.verify_decomposition(x, d)
     return {
         **_values(d.blocks.blocks),
@@ -190,15 +192,20 @@ def evaluate(sp, inputs: list[dict]) -> list[dict]:
     out = []
     for item in inputs:
         x = item["x"]
-        eigs: list = []
+        calls: Counter = Counter()
         rec = {
             "invariants": _run(sp, lambda: _invariants(sp, x)),
-            "decompose": _run(sp, lambda: _decompose(sp, x, eigs)),
+            "decompose": _run(sp, lambda: _decompose(sp, x, calls)),
         }
         if item["family"] == "channel":
             rec["normalize_channel"] = _run(sp, lambda: _normalize(sp, item))
             rec["williamson_invariant_gap"] = _run(sp, lambda: _gap(sp, x @ x.T + np.eye(x.shape[0])))
-        out.append({"family": item["family"], "ops": rec, "rebased": eigs[0] > 1})
+        out.append({
+            "family": item["family"],
+            "ops": rec,
+            "rebased": calls["eig"] > 1,
+            "full_svd": calls["svd"] > 0,
+        })
     return json.loads(json.dumps(out))
 
 
@@ -279,8 +286,7 @@ def main(argv=None) -> int:
     inputs = generate(parent)
     # each tree gets its own copy of the inputs, so neither sees what the
     # other may have written into them
-    with mock.patch.object(np.linalg, "eig", _counting_eig):
-        old, new = (evaluate(sp, copy.deepcopy(inputs)) for sp in (parent, change))
+    old, new = (evaluate(sp, copy.deepcopy(inputs)) for sp in (parent, change))
 
     counts: Counter = Counter()
     by_family: dict[str, Counter] = {}
@@ -297,6 +303,7 @@ def main(argv=None) -> int:
             if rec["rebased"]:
                 family[f"{side} rebased"] += 1
                 family[f"{side} returned"] += "error" not in rec["ops"]["decompose"]
+            family[f"{side} full_svd"] += rec["full_svd"]
         for op, rec in b["ops"].items():
             if "error" in rec:
                 errors[(op, rec["error"])] += 1
@@ -324,6 +331,9 @@ def main(argv=None) -> int:
     for family, c in by_family.items():
         print(f"  {family:16s} {c['parent rebased']:5d} ({c['parent returned']}) "
               f"-> {c['change rebased']:5d} ({c['change returned']})")
+    print("  decompose calls that ran a full-size SVD, parent -> change:")
+    for family, c in by_family.items():
+        print(f"  {family:16s} {c['parent full_svd']:5d} -> {c['change full_svd']:5d}")
     for (op, name), k in sorted(errors.items()):
         print(f"  change: {op} raised {name} on {k} inputs")
     if transitions:

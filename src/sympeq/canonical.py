@@ -27,6 +27,15 @@ eigenvectors). The construction has two stages:
    by an orthonormal one. A generic input thus costs one eigendecomposition
    in all.
 
+X and the stage-1 basis T must be invertible, judged by a 2-norm rcond
+floor each. Both gates read ``core.gated_inverse``: the bound
+rcond_2 >= 1 / (||A||_F ||A^{-1}||_F) from the inverse decides wherever it
+clears the floor tenfold, and a singular-value decomposition only where it
+does not, so a well-conditioned input runs no full-size SVD. T's inverse is
+stage 1's S. The exact rcond(T) also scales stage 1's residual threshold,
+and is computed only for a residual that the unscaled threshold would
+refuse.
+
 The general factorization of a real matrix into two real symmetric factors
 (``factor_two_symmetric``) remains a standalone operation.
 
@@ -51,6 +60,7 @@ from .core import (
     block_diag,
     direct_sum,
     frobenius,
+    gated_inverse,
     is_symplectic,
     readonly_form,
     reciprocal_condition,
@@ -293,7 +303,12 @@ def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters, tol: Toleranc
     """Stage 1 from one eigendecomposition of the skew-Hamiltonian sig_h.
 
     ``v`` holds its eigenvectors and ``clusters`` the classification of its
-    eigenvalues by ``spectrum_from_eigenvalues``.
+    eigenvalues by ``spectrum_from_eigenvalues``. The basis T is refused
+    below rcond 1e-10 and S = T^{-1}, both from ``gated_inverse``. The
+    block residual may reach residual_tol * max(1, 1/rcond(T)) *
+    max(1, ||Sigma||); the exact rcond(T) is computed only where the residual
+    exceeds that threshold with the factor 1, since only then can the factor
+    change the verdict.
     """
     n = sig_h.shape[0] // 2
     sig = readonly_form(n)
@@ -327,15 +342,19 @@ def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters, tol: Toleranc
     rows = np.empty((2 * n, 2 * n))  # the columns of T
     rows[order] = np.concatenate(pieces)
     t = rows.T
-    rc = reciprocal_condition(t)
-    if rc < _JORDAN_RCOND_MIN:
+    s = gated_inverse(t, _JORDAN_RCOND_MIN)[0]
+    if s is None:
         raise DegenerateSpectrum("symplectic eigenbasis is numerically singular")
-    s = np.linalg.inv(t)
     similar = s @ sig_h @ t
     m = -(similar[:n, :n] + similar[n:, n:].T) / 2
     # m is computed and can overflow; direct_sum keeps its finiteness check here
     residual = frobenius(similar + direct_sum(m, m.T))
-    if residual > tol.residual_tol * max(1.0, 1.0 / rc) * max(1.0, frobenius(sig_h)):
+    # the factor max(1, 1/rcond(T)) can only raise the threshold, so a
+    # residual within it at factor 1 passes without the exact rcond
+    scale = max(1.0, frobenius(sig_h))
+    if residual > tol.residual_tol * scale and residual > (
+        tol.residual_tol * max(1.0, 1.0 / reciprocal_condition(t)) * scale
+    ):
         raise DegenerateSpectrum(
             f"block-diagonalization residual {residual:.3e} exceeds tolerance"
         )
@@ -588,12 +607,17 @@ def decompose(
     choice; only the canonical matrix, the residuals, and symplecticity are
     contractual.
 
+    X is refused as singular where rcond_2(X) < 1e-12. The gate reads the
+    bound 1 / (||X||_F ||X^{-1}||_F) and computes the singular values of X
+    only where that bound does not clear the floor tenfold; the verdict is
+    the one the singular values give.
+
     Raises SingularInput for singular X, DegenerateSpectrum (or subclasses)
     when the spectrum is too degenerate or ill-conditioned for a trustworthy
     result, never returning a silently bad decomposition.
     """
     x = as_even_square(x, "X")
-    if reciprocal_condition(x) < _X_RCOND_MIN:
+    if gated_inverse(x, _X_RCOND_MIN)[0] is None:
         raise SingularInput("X is singular within tolerance (rcond < 1e-12)")
 
     # one eigendecomposition of Sigma(X) serves the invariants and stage 1

@@ -55,8 +55,11 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("residual_tol", "degeneracy_gap", "psd_tol"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not value > 0:
                 raise ValueError(f"{name} must be strictly positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
 
     def as_dict(self) -> dict:
         return {
@@ -120,11 +123,50 @@ def symmetric_part(a: np.ndarray, message: str) -> np.ndarray:
 
 
 def reciprocal_condition(a) -> float:
-    """1/cond_2(a) from singular values; 0.0 for the zero matrix."""
+    """1/cond_2(a) from singular values; 0.0 for the zero matrix.
+
+    A gate that also needs the inverse reads it through ``gated_inverse``,
+    which calls this only where a cheaper bound cannot decide.
+    """
     s = np.linalg.svd(np.asarray(a), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0.0
     return float(s[-1] / s[0])
+
+
+# The computed inverse Z of a has a Z = I + E with ||E|| of order
+# n eps ||a|| ||Z||, so the true ||a^{-1}|| is at most ||Z|| / (1 - ||E||).
+# Where the bound read from Z clears a floor of 1e-12 or more tenfold,
+# ||a|| ||Z|| <= 1e11 and ||E|| is of order n * 1e-5, far below 0.9, so the
+# exact bound, and rcond_2 above it, still clear the floor: the verdict is
+# the one the singular values would give.
+_BOUND_MARGIN = 10.0
+
+
+def gated_inverse(a: np.ndarray, floor: float) -> tuple[np.ndarray | None, float]:
+    """inv(a), or None where rcond_2(a) < floor, and the rcond value decided on.
+
+    rcond_2(a) >= 1 / (||a||_F ||a^{-1}||_F), so a square a whose computed
+    inverse clears the floor by ``_BOUND_MARGIN`` under this bound passes
+    without a singular-value decomposition, and the bound is returned. Where
+    it does not, where the inverse or a norm is not finite, or where ``inv``
+    raises LinAlgError, the verdict and the value are those of
+    ``reciprocal_condition``; a LinAlgError is raised again only if that
+    rcond clears the floor, as ``inv`` after the gate would have raised it.
+    """
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        rc = reciprocal_condition(a)
+        if rc < floor:
+            return None, rc
+        raise
+    # false for a nan or inf product, and for a norm that underflowed to 0
+    norms = frobenius(a) * frobenius(inv)
+    if 0.0 < norms <= 1.0 / (_BOUND_MARGIN * floor):
+        return inv, 1.0 / norms
+    rc = reciprocal_condition(a)
+    return (inv if rc >= floor else None), rc
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -180,9 +222,10 @@ def gl_embed(g) -> np.ndarray:
     g = as_matrix(g, "G")
     if g.shape[0] != g.shape[1]:
         raise DimensionError(f"G must be square, got {g.shape[0]}x{g.shape[1]}")
-    if reciprocal_condition(g) < _GL_RCOND_MIN:
+    g_inv = gated_inverse(g, _GL_RCOND_MIN)[0]
+    if g_inv is None:
         raise SingularInput("G is singular within tolerance (rcond < 1e-12)")
-    return direct_sum(np.linalg.inv(g), g.T)
+    return direct_sum(g_inv, g.T)
 
 
 def direct_sum(a, b) -> np.ndarray:

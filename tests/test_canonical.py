@@ -158,6 +158,59 @@ def test_stage1_svds_do_not_grow_with_n(monkeypatch, n):
     assert len(calls) <= len(groups) + 3, calls
 
 
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_decompose_of_a_well_conditioned_x_runs_no_full_size_svd(monkeypatch, n):
+    # the rcond gates of X and of the stage-1 basis T are settled by the
+    # bound from their inverses; only stage 1's batched (3-D) SVDs remain
+    x = np.random.default_rng(n).standard_normal((2 * n, 2 * n))
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        shapes.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    d = decompose(x)
+    assert verify_decomposition(x, d).verdict
+    assert shapes and all(len(shape) == 3 for shape in shapes), shapes
+
+
+_X_GATE = "X is singular within tolerance (rcond < 1e-12)"
+
+
+def _with_singular_values(sv: np.ndarray, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q1 = np.linalg.qr(rng.standard_normal((sv.size, sv.size)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((sv.size, sv.size)))[0]
+    return (q1 * sv) @ q2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("smin, refused", [(5e-13, True), (2e-12, False)])
+def test_x_gate_reads_the_2_norm_rcond(smin, refused, n, scale):
+    # rcond(X) = smin sits within a factor 2.5 of the 1e-12 floor, where the
+    # bound from X^{-1} cannot decide; inputs past the gate are refused by a
+    # later stage here, never with the gate's message or a LinAlgError
+    rng = np.random.default_rng(n)
+    x = scale * _with_singular_values(np.r_[1.0, rng.uniform(0.1, 1.0, 2 * n - 2), smin], n)
+    try:
+        decompose(x)
+        message = None
+    except SympeqError as exc:
+        message = str(exc)
+    assert (message == _X_GATE) == refused, message
+
+
+def test_x_with_a_zero_column_is_singular_input():
+    x = np.random.default_rng(3).standard_normal((4, 4))
+    x[:, 2] = 0.0
+    with pytest.raises(SingularInput) as err:
+        decompose(x)
+    assert str(err.value) == _X_GATE
+
+
 def test_real_jordan_basis_orthonormalises_an_ill_conditioned_repeat(monkeypatch):
     # a fourfold invariant: -M has a fourfold eigenvalue 2.0, and eig may
     # return any basis of its eigenspace, here one with rcond about 1e-7.

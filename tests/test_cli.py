@@ -203,6 +203,15 @@ def test_exit_code_1_on_missing_file(tmp_path):
     assert run(["decompose", "--input", str(tmp_path / "absent.json")]) == 1
 
 
+def test_exit_code_1_on_an_infinite_tolerance(tmp_path, capsys):
+    inp = gen(tmp_path, "p.json", "--kind", "passive", "--n", "2", "--seed", "5")
+    capsys.readouterr()
+    rc, out = analyze(tmp_path, "witness", inp, "w.json", "--gap", "inf")
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "error[ValueError]: degeneracy_gap must be finite\n")
+
+
 def test_unknown_flag_rejected():
     assert run(["decompose", "--frobnicate", "x"]) != 0
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from sympeq import (
     random_symplectic,
     symplectic_form,
 )
-from sympeq.core import readonly_form
+from sympeq.core import gated_inverse, readonly_form, reciprocal_condition
 
 seeds = st.integers(min_value=0, max_value=10**6)
 small_n = st.integers(min_value=1, max_value=4)
@@ -232,3 +234,46 @@ def test_hermitian_min_eig_rejects_empty_matrices():
 def test_tolerances_must_be_positive():
     with pytest.raises(ValueError):
         Tolerances(residual_tol=0.0)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Tolerances(residual_tol=value)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=8),
+    log_rcond=st.floats(min_value=-14.0, max_value=0.0),
+    log_scale=st.floats(min_value=-100.0, max_value=100.0),
+    seed=seeds,
+    floor=st.sampled_from([1e-12, 1e-10]),
+)
+@settings(max_examples=200, deadline=None)
+def test_gated_inverse_decides_as_the_singular_values_do(n, log_rcond, log_scale, seed, floor):
+    # singular values 1 >= ... >= 10^log_rcond, dressed by random orthogonal
+    # factors and scaled
+    rng = np.random.default_rng(seed)
+    sv = np.r_[1.0, 10.0 ** rng.uniform(log_rcond, 0.0, n - 2), 10.0**log_rcond]
+    q1 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a = (q1 * sv) @ q2 * 10.0**log_scale
+    rc = reciprocal_condition(a)
+    inv, value = gated_inverse(a, floor)
+    assert (inv is None) == (rc < floor)
+    if inv is not None:
+        assert np.array_equal(inv, np.linalg.inv(a))
+    # the bound never exceeds rcond_2; both computed values round by about
+    # eps, since the least singular value is accurate to eps of the largest
+    assert value <= rc + 4 * n * np.finfo(float).eps
+
+
+def test_gated_inverse_reads_the_singular_values_where_inv_fails(monkeypatch):
+    a = np.eye(3)
+    a[:, 1] = 0.0
+    assert gated_inverse(a, 1e-12) == (None, 0.0)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    # a LinAlgError is raised again only where rcond clears the floor
+    monkeypatch.setattr(np.linalg, "inv", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        gated_inverse(np.eye(3), 1e-12)

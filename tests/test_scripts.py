@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,6 +65,21 @@ def test_stress_compare_reads_the_williamson_gap_against_its_bound(monkeypatch):
 
     assert stress_compare.compare(gap(1.6e-15), gap(2.8e-15))[0] == "digits"
     assert stress_compare.compare(gap(1e-15), gap(1e-3))[0] == "different"
+
+
+def test_stress_compare_counts_the_decompose_calls_that_ran_a_full_size_svd(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import stress_compare
+
+    import sympeq
+
+    x = np.random.default_rng(4).standard_normal((8, 8))
+    singular = x.copy()
+    singular[:, 0] = singular[:, 1]
+    records = stress_compare.evaluate(sympeq, [{"family": "random", "x": a} for a in (x, singular)])
+    assert records[1]["ops"]["decompose"]["error"] == "SingularInput"
+    assert [rec["full_svd"] for rec in records] == [False, True]
+    assert [rec["rebased"] for rec in records] == [False, False]
 
 
 def test_roundtrip_sweep_prints_a_summary_per_dimension():
