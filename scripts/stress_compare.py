@@ -28,11 +28,10 @@ and (parent, change) outcome, with the totals of success -> failure and
 failure -> success. The exit status is 1 on any different outcome.
 
 Per family and tree, the report also counts the ``decompose`` calls that
-re-based, i.e. ran ``numpy.linalg.eig`` more than once, and how many of
-those returned a decomposition; and the ``decompose`` calls that ran a
-full-size singular-value decomposition, i.e. called ``numpy.linalg.svd`` on
-a 2-D array (stage 1's batched SVDs take 3-D stacks), as an rcond does. The
-evaluation wraps both functions, so the counts need nothing from the tree.
+ran a full-size singular-value decomposition, i.e. called
+``numpy.linalg.svd`` on a 2-D array (stage 1's batched SVDs take 3-D
+stacks), as an rcond does. The evaluation wraps that function, so the count
+needs nothing from the tree.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ FAMILIES = ("repeated", "split_reals", "near_real_pair", "tied_real_parts", "nea
 CONTRACTUAL = ("values",)
 CONTRACT_RTOL = 1e-9
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
-_EIG, _SVD = np.linalg.eig, np.linalg.svd
+_SVD = np.linalg.svd
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +137,12 @@ def _run(sp, fn) -> dict:
 
 
 def _decompose(sp, x, calls: Counter) -> dict:
-    # calls counts the eig calls and the 2-D svd calls of decompose, also
-    # when it raises
-    def eig(*args, **kwargs):
-        calls["eig"] += 1
-        return _EIG(*args, **kwargs)
-
+    # calls counts the 2-D svd calls of decompose, also when it raises
     def svd(a, *args, **kwargs):
         calls["svd"] += np.ndim(a) == 2
         return _SVD(a, *args, **kwargs)
 
-    with mock.patch.object(np.linalg, "eig", eig), mock.patch.object(np.linalg, "svd", svd):
+    with mock.patch.object(np.linalg, "svd", svd):
         d = sp.decompose(x)
     rep = sp.verify_decomposition(x, d)
     return {
@@ -203,7 +197,6 @@ def evaluate(sp, inputs: list[dict]) -> list[dict]:
         out.append({
             "family": item["family"],
             "ops": rec,
-            "rebased": calls["eig"] > 1,
             "full_svd": calls["svd"] > 0,
         })
     return json.loads(json.dumps(out))
@@ -300,9 +293,6 @@ def main(argv=None) -> int:
         family = by_family.setdefault(a["family"], Counter())
         family[verdict] += 1
         for side, rec in (("parent", a), ("change", b)):
-            if rec["rebased"]:
-                family[f"{side} rebased"] += 1
-                family[f"{side} returned"] += "error" not in rec["ops"]["decompose"]
             family[f"{side} full_svd"] += rec["full_svd"]
         for op, rec in b["ops"].items():
             if "error" in rec:
@@ -327,10 +317,6 @@ def main(argv=None) -> int:
         print(f"  {family:16s} {c['identical']:5d} identical {c['digits']:5d} digits {c['different']:5d} different")
     if counts["digits"]:
         print(f"  largest number difference: {worst[0]:.2e} relative, in {worst[1]} of input {worst[2]}")
-    print("  decompose calls that re-based (of which returned), parent -> change:")
-    for family, c in by_family.items():
-        print(f"  {family:16s} {c['parent rebased']:5d} ({c['parent returned']}) "
-              f"-> {c['change rebased']:5d} ({c['change returned']})")
     print("  decompose calls that ran a full-size SVD, parent -> change:")
     for family, c in by_family.items():
         print(f"  {family:16s} {c['parent full_svd']:5d} -> {c['change full_svd']:5d}")

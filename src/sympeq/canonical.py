@@ -15,17 +15,12 @@ eigenvectors). The construction has two stages:
    Its columns follow the canonical order of the invariants, so M equals
    -J to rounding;
 2. the symmetric factors of M in closed form, with no search and no random
-   draw, read off M as stage 1 leaves it. Only when that result misses the
-   residual contract (off-block mass in M, as near a real/complex or a
-   clustering threshold or where stage 1 is ill-conditioned) is stage 1
-   re-based by the GL embedding of a real eigenbasis R of -M, which brings
-   R^{-1} M R to real block form, and the factors read again. R comes from
-   one eigendecomposition of -M: each eigenvector goes to the cluster whose
-   run of M's columns holds most of its mass, and takes its kind and
-   position from that run, so the spectrum is classified once, on
-   Sigma(X). An ill-conditioned basis of a repeated eigenvalue is replaced
-   by an orthonormal one. A generic input thus costs one eigendecomposition
-   in all.
+   draw, read off M as stage 1 leaves it. Where off-block mass in M (near a
+   real/complex or a clustering threshold, or where stage 1 is
+   ill-conditioned) carries S2 off the symplectic group by more than the
+   residual contract allows, one first-order step in closed form moves S2
+   back onto it. The decomposition thus costs one eigendecomposition in
+   all.
 
 X and the stage-1 basis T must be invertible, judged by a 2-norm rcond
 floor each. Both gates read ``core.gated_inverse``: the bound
@@ -48,7 +43,7 @@ use, so importing this module loads no scipy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,7 +105,6 @@ _X_RCOND_MIN = 1e-12
 _FACTOR_RCOND_MIN = 1e-10
 _FACTOR_RCOND_GOOD = 1e-3  # stop drawing once a factor this well-conditioned appears
 _JORDAN_RCOND_MIN = 1e-10
-_REPEAT_SPREAD = 1e-11  # eigenvalues of -M this close (relative) are one repeated eigenvalue
 _PAIRING_MIN = 1e-10
 # signs e of the closed-form factor A = diag(e), per slot of each invariant kind
 _SIGNS = {REAL: (1.0,), COMPLEX_PAIR: (1.0, -1.0)}
@@ -433,104 +427,6 @@ def factor_two_symmetric(m, seed: int = 0, max_draws: int = 64) -> TwoSymmetricF
 
 
 # ---------------------------------------------------------------------------
-# re-basing stage 1 on a real eigenbasis of -M, where M is not in block form
-# ---------------------------------------------------------------------------
-
-
-def _real_jordan_basis(k: np.ndarray, clusters):
-    """Real basis R and column signs e with R^{-1} K R in real block form.
-
-    Diagonalizable K = -M only. Stage 1 built M's columns cluster by cluster
-    in canonical order, so each of ``clusters`` owns a run of columns: one
-    per real slot, two per complex pair. Each eigenvector of K goes to the
-    run holding most of its mass (conjugates share one, as |conj(v)| = |v|)
-    and takes its kind and position from it; nothing is classified here.
-    Within a run, unit real eigenvectors come first with the sign +1, then
-    per pair the raw (Re v, Im v) of its b > 0 member with the signs
-    (+1, -1), which makes diag(e) R^{-1} K R symmetric; a snapped near-real
-    pair keeps those columns in a real run. A run must receive as many
-    columns as it is wide, a pair run no real eigenvalue. Where a run of
-    several eigenvalues agrees to rounding (1e-11 of the spectral scale),
-    ``eig`` may return any, possibly ill-conditioned, basis of one
-    eigenspace, and the run takes an orthonormal basis of its span instead
-    (a real run then takes the signs +1, a pair run keeps (+1, -1)).
-    """
-    try:
-        w, v = np.linalg.eig(k)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigenFailure(f"eigensolver failed: {exc}") from exc
-    n = k.shape[0]
-
-    # the runs of M's columns, one per cluster in canonical order
-    starts, widths, pair_runs = [], [], []
-    col = 0
-    for inv, idx in clusters:
-        starts.append(col)
-        pair_runs.append(inv.kind == COMPLEX_PAIR)
-        widths.append(len(idx) if pair_runs[-1] else len(idx) // 2)
-        col += widths[-1]
-    owners = np.add.reduceat(np.abs(v) ** 2, starts, axis=0).argmax(axis=0).tolist()
-
-    # the bookkeeping runs over plain Python numbers, which cost a fraction
-    # of numpy scalars; a pair is represented by its b > 0 member
-    vals = w.tolist()
-    reals = [[] for _ in starts]
-    pairs = [[] for _ in starts]
-    for j, lam in enumerate(vals):
-        if lam.imag == 0:
-            reals[owners[j]].append(j)
-        elif lam.imag > 0:
-            pairs[owners[j]].append(j)
-
-    real_cols, real_pos, pair_cols, pair_pos = [], [], [], []
-    for first, width, cplx, rs, ps in zip(starts, widths, pair_runs, reals, pairs):
-        if len(rs) + 2 * len(ps) != width or (cplx and rs):
-            raise DegenerateSpectrum(
-                "invariant classification differs between Sigma(X) and the reduced block"
-            )
-        real_cols += rs
-        real_pos += range(first, first + len(rs))
-        pair_cols += ps
-        pair_pos += range(first + len(rs), first + width, 2)
-
-    r = np.empty((n, n))
-    e = np.ones(n)
-    if real_cols:  # eig returns unit eigenvectors, real for a real eigenvalue
-        r[:, real_pos] = v[:, real_cols].real
-    if pair_cols:
-        vecs = v[:, pair_cols]
-        pos = np.array(pair_pos)
-        r[:, pos] = vecs.real
-        r[:, pos + 1] = vecs.imag
-        e[pos + 1] = -1.0
-
-    # eig may return any basis of the eigenspace of a repeated eigenvalue,
-    # however ill-conditioned; take an orthonormal basis of its span. A run
-    # whose eigenvalues differ by more than rounding keeps its eigenvectors,
-    # which diagonalize K within the run.
-    scale = spectral_scale(w)
-    for first, width, cplx, rs, ps in zip(starts, widths, pair_runs, reals, pairs):
-        lams = [vals[j] for j in rs + ps]
-        if len(lams) == 1:
-            continue
-        if max(abs(a - b) for a in lams for b in lams) > _REPEAT_SPREAD * scale:
-            continue
-        run = r[:, first : first + width]  # a view
-        basis = run[:, ::2] + 1j * run[:, 1::2] if cplx else run
-        u = _orthonormal_spans(basis[None], basis.shape[1])[0]
-        if cplx:  # pairs keep the (Re v, Im v) layout and the signs (+1, -1)
-            run[:, ::2] = u.real
-            run[:, 1::2] = u.imag
-        else:
-            run[:] = u
-            e[first : first + width] = 1.0
-
-    if reciprocal_condition(r) < _JORDAN_RCOND_MIN:
-        raise DegenerateSpectrum("eigenvector basis is near-singular (defective input)")
-    return r, e
-
-
-# ---------------------------------------------------------------------------
 # the full decomposition
 # ---------------------------------------------------------------------------
 
@@ -541,14 +437,15 @@ def _recon_residual(x: np.ndarray, s1: np.ndarray, s2: np.ndarray, blocks) -> fl
     return recon / max(frobenius(s1) * frobenius(x) * frobenius(s2), 1e-300)
 
 
-def _finish(x: np.ndarray, s: np.ndarray, b: np.ndarray, e: np.ndarray, blocks) -> Decomposition:
-    """S1 and S2 from a stage-1 similarity S whose reduced block Mb has e Mb = B.
+def _finish(x: np.ndarray, s: np.ndarray, m: np.ndarray, e: np.ndarray, blocks) -> Decomposition:
+    """S1 and S2 from stage 1's similarity S and reduced block M.
 
-    W = [[0, diag(e)], [sym(B), 0]], S2 = (S X)^{-1} W sigma and
-    S1 = (e (+) e) S; the residuals are those ``verify_decomposition``
+    With B = e M, W = [[0, diag(e)], [sym(B), 0]], S2 = (S X)^{-1} W sigma
+    and S1 = (e (+) e) S; the residuals are those ``verify_decomposition``
     recomputes.
     """
     n = e.shape[0]
+    b = e[:, None] * m
     w_mat = np.zeros((2 * n, 2 * n))
     w_mat[:n, n:] = np.diag(e)
     w_mat[n:, :n] = (b + b.T) / 2
@@ -567,6 +464,17 @@ def _finish(x: np.ndarray, s: np.ndarray, b: np.ndarray, e: np.ndarray, blocks) 
         s1_residual=symplectic_residual(s1),
         s2_residual=symplectic_residual(s2),
     )
+
+
+def _symplectic_step(s: np.ndarray) -> np.ndarray:
+    """One first-order step of S back onto the symplectic group.
+
+    With E = S sigma S^T - sigma, returns (I + F) S for F = E sigma / 2.
+    Since F sigma + sigma F^T = -E, its residual is O(||E||^2).
+    """
+    sig = readonly_form(s.shape[0] // 2)
+    e = s @ sig @ s.T - sig
+    return s + (e @ sig / 2) @ s
 
 
 def _meets_contract(d: Decomposition, tol: Tolerances) -> bool:
@@ -590,18 +498,16 @@ def decompose(
     stage 1. Its eigenvalues give the invariant spectrum, the blocks of J,
     equal to ``invariants(x).values``; its eigenvectors block-diagonalize
     Sigma(X) symplectically to -(M (+) M^T), with M = -J to rounding in the
-    canonical block order. Writing Mb for M, or for its re-based form below,
-    Mb = A B in closed form with A = diag(e) and B = e Mb (e = +1 per real
-    slot, (+1, -1) per complex pair); then W = [[0, A], [B, 0]],
-    S2 = (S X)^{-1} W sigma and S1 = (A (+) A) S.
+    canonical block order. M = A B in closed form with A = diag(e) and
+    B = e M (e = +1 per real slot, (+1, -1) per complex pair); then
+    W = [[0, A], [B, 0]], S2 = (S X)^{-1} W sigma and S1 = (A (+) A) S.
 
-    The first attempt takes Mb = M as stage 1 leaves it. Only if that result
-    misses the residual contract (stage 1 ill-conditioned, or a near-real
-    or near-coincident spectrum, leaving off-block mass in M) is stage 1
-    re-based by the GL embedding of a real eigenbasis R of -M, so that
-    Mb = R^{-1} M R is in real block form, and the contract checked again;
-    each eigenvector of -M takes its slot from the cluster run of stage 1
-    that holds most of its mass.
+    Off-block mass in M (stage 1 ill-conditioned, or a near-real or
+    near-coincident spectrum) carries S2 off the symplectic group. Only
+    where its residual E = S2 sigma S2^T - sigma exceeds the contract, S2 is
+    replaced by (I + E sigma / 2) S2, which is symplectic to O(||E||^2), and
+    the reconstruction and S2 residuals are computed again; S1 is unchanged.
+    Then the residual contract is checked once.
     The construction is deterministic: ``seed`` and ``debug`` are accepted
     for compatibility and ignored. The returned factors are one valid
     choice; only the canonical matrix, the residuals, and symplecticity are
@@ -634,15 +540,15 @@ def decompose(
     blocks = canonical_from_invariants(spectrum)
     # stage 1 orders M's blocks as the spectrum orders J's: read M as it is
     e = np.array([sign for val in spectrum.values for sign in _SIGNS[val.kind]])
-    d = _finish(x, s, e[:, None] * m, e, blocks)
-    if _meets_contract(d, tol):
-        return d
-
-    r, e = _real_jordan_basis(-m, clusters)
-    # S Sigma S^{-1} = -(Mb (+) Mb^T) after re-basing, even where M has off-block
-    # mass; R^{-1} (+) R^T is the GL embedding of R, whose rcond is checked above
-    s = block_diag(np.linalg.inv(r), r.T) @ s
-    d = _finish(x, s, e[:, None] * np.linalg.solve(r, m @ r), e, blocks)
+    d = _finish(x, s, m, e, blocks)
+    if d.s2_residual > tol.residual_tol:
+        s2 = _symplectic_step(d.s2)
+        d = replace(
+            d,
+            s2=s2,
+            recon_residual=_recon_residual(x, d.s1, s2, blocks),
+            s2_residual=symplectic_residual(s2),
+        )
     if not _meets_contract(d, tol):
         raise DegenerateSpectrum(
             "decomposition failed its own residual contract "

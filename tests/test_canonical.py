@@ -211,49 +211,6 @@ def test_x_with_a_zero_column_is_singular_input():
     assert str(err.value) == _X_GATE
 
 
-def test_real_jordan_basis_orthonormalises_an_ill_conditioned_repeat(monkeypatch):
-    # a fourfold invariant: -M has a fourfold eigenvalue 2.0, and eig may
-    # return any basis of its eigenspace, here one with rcond about 1e-7.
-    # decompose finishes this input on its first attempt, so that attempt is
-    # rejected here to drive the re-basing
-    j = np.diag([2.0, 2.0, 2.0, 2.0, -1.0])
-    x = random_symplectic(5, 70) @ direct_sum(np.eye(5), j) @ random_symplectic(5, 71)
-    eig = np.linalg.eig
-    skewed = []
-
-    def skewing(a):
-        w, v = eig(a)
-        if a.shape[0] != 5:
-            return w, v
-        rep = np.flatnonzero(np.abs(w - 2.0) < 1e-6)
-        assert rep.size == 4 and not np.iscomplexobj(v)
-        mix = np.eye(4)
-        mix[0, 1:] = 1.0
-        mix[1:, 1:] *= 1e-6
-        v = v.copy()
-        v[:, rep] = v[:, rep] @ mix
-        v[:, rep] /= np.linalg.norm(v[:, rep], axis=0)
-        skewed.append(np.linalg.cond(v[:, rep]))
-        return w, v
-
-    jordan = canonical._real_jordan_basis
-    bases = []
-
-    def recording(*args):
-        out = jordan(*args)
-        bases.append(out[0])
-        return out
-
-    monkeypatch.setattr(np.linalg, "eig", skewing)
-    monkeypatch.setattr(canonical, "_real_jordan_basis", recording)
-    attempts = _reject_first_attempt(monkeypatch)
-    d = decompose(x)
-    assert len(attempts) == 2 and len(bases) == 1
-    assert skewed and skewed[0] > 1e6
-    assert verify_decomposition(x, d).verdict
-    assert canonical.reciprocal_condition(bases[0]) >= 1e-3
-
-
 @pytest.mark.parametrize("p", [86, 90, 120])
 def test_decompose_survives_an_overflowing_residual_norm(p):
     # the rounding residue of S1 X S2 - I (+) J is about |X|^2 1e-16, whose
@@ -579,9 +536,8 @@ def test_decompose_debug_mode_runs():
 
 def test_decompose_ill_conditioned_stage1_channel():
     # stage 1 is ill-conditioned here (rcond of its basis about 6e-5) and
-    # leaves off-block mass in M; the first attempt, which reads M as block
-    # diagonal, still meets the contract (s2 6.1e-9, against 2.6e-9 after
-    # re-basing on an eigenbasis of -M)
+    # leaves off-block mass in M; the closed form, which reads M as block
+    # diagonal, still meets the contract (s2 8.7e-9), so no step runs
     ch = random_valid_channel(8, 4, squeezing=True, seed=2)
     normalize_channel(ch)
     d = decompose(ch.x)
@@ -669,9 +625,9 @@ def _near_real_pair(t):
 
 def _mass_between_clusters():
     # every cluster is a singleton, but stage 1's basis has rcond 2.7e-4 and
-    # leaves 7.3e-12 of mass between clusters in M; the first attempt misses
-    # the contract (s2 2.47e-8), and only an eigensolve of all of -M, not one
-    # per cluster block, removes that mass
+    # leaves 7.3e-12 of mass between clusters in M; the closed form's S2
+    # misses the contract (s2 2.47e-8), and the step back onto the group
+    # brings it within (1.6e-13)
     return random_valid_channel(7, 6, squeezing=True, seed=519043367)
 
 
@@ -699,81 +655,101 @@ def test_decompose_blocks_equal_invariants_exactly(x):
     assert decompose(x).blocks.blocks == spectrum.values
 
 
-def _reject_first_attempt(monkeypatch):
-    """Make decompose's contract gate refuse its first attempt; returns the
-    list of decompositions the gate has seen."""
-    meets = canonical._meets_contract
-    attempts = []
-
-    def rejecting(d, tol):
-        attempts.append(d)
-        return len(attempts) > 1 and meets(d, tol)
-
-    monkeypatch.setattr(canonical, "_meets_contract", rejecting)
-    return attempts
-
-
-def _counting_rebases(monkeypatch):
-    jordan = canonical._real_jordan_basis
+def _counting_steps(monkeypatch):
+    step = canonical._symplectic_step
     calls = []
 
-    def counting(*args):
-        calls.append(args[0].shape[0])
-        return jordan(*args)
+    def counting(s):
+        calls.append(s.shape[0])
+        return step(s)
 
-    monkeypatch.setattr(canonical, "_real_jordan_basis", counting)
+    monkeypatch.setattr(canonical, "_symplectic_step", counting)
     return calls
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_decompose_finishes_gaussian_input_without_rebasing(monkeypatch, n):
-    calls = _counting_rebases(monkeypatch)
+    # a generic input meets the contract as the closed form leaves it: its
+    # S2 is returned untouched
+    finish = canonical._finish
+    first = []
+
+    def recording(*args):
+        first.append(finish(*args))
+        return first[-1]
+
+    monkeypatch.setattr(canonical, "_finish", recording)
     x = np.random.default_rng(n).standard_normal((2 * n, 2 * n))
     d = decompose(x)
-    assert calls == []
+    assert len(first) == 1 and d.s2 is first[0].s2
     assert verify_decomposition(x, d).verdict
 
 
 @pytest.mark.parametrize("t", [2, 21])
 def test_decompose_rebases_a_near_real_pair_that_misses_the_contract(monkeypatch, t):
     # the snapped pair 1 +- 1e-9 i leaves e M asymmetric by about 2.5e-9; on
-    # these dressings that puts the first attempt's S2 off the contract
-    # (s2 1.1e-8 and 2.6e-8), and the re-based one on it (1.3e-9 and 2.6e-9)
-    calls = _counting_rebases(monkeypatch)
+    # these dressings that puts the closed form's S2 off the contract
+    # (s2 1.1e-8 and 2.6e-8), and the step back onto the group within it
+    # (3.7e-16 and 1.9e-15)
+    steps = _counting_steps(monkeypatch)
     x = _near_real_pair(t)
     d = decompose(x)
-    assert calls == [3]
+    assert steps == [6]
     assert verify_decomposition(x, d).verdict
 
 
 def test_rebasing_rescues_mass_between_clusters(monkeypatch):
-    calls = _counting_rebases(monkeypatch)
+    steps = _counting_steps(monkeypatch)
     ch = _mass_between_clusters()
     d = decompose(ch.x)
-    assert calls == [7]
+    assert steps == [14]
     assert verify_decomposition(ch.x, d).verdict
     res = normalize_channel(ch)
-    assert calls == [7, 7]
+    assert steps == [14, 14]
     assert verify_decomposition(ch.x, Decomposition(res.s1, res.s2, res.blocks, 0.0, 0.0, 0.0)).verdict
     assert channel_validity(res.ch_out).valid
 
 
-@pytest.mark.parametrize(
-    "x",
-    [_scaled_gaussian(s, 1 + s % 6, p) for s in range(6) for p in (0, 3)]
-    + [_tied_real_parts(t) for t in range(4)]
-    + [_repeated_clusters(t) for t in range(4)]
-    + [_near_real_pair(t) for t in range(4)]
-    + [_tied_real_parts(t) for t in range(4, 16)]
-    + [_mass_between_clusters().x],
-)
-def test_rebasing_alone_verifies(monkeypatch, x):
-    # the fallback path must stand on its own, although generic inputs
-    # almost never reach it
-    attempts = _reject_first_attempt(monkeypatch)
-    d = decompose(x)
-    assert len(attempts) == 2 and d is attempts[1]
-    assert verify_decomposition(x, d).verdict
+def _stress_form(i, family):
+    # dressed form i of the near-degenerate families of
+    # scripts/stress_compare.py (its input 1600 + i), drawn the same way
+    rng = np.random.default_rng(3_000_000 + i)
+    if family == "split_reals":
+        r = rng.uniform(0.5, 3.0)
+        delta = r * 10.0 ** rng.uniform(-8, -4)
+        j = np.diag([r, r + delta, rng.uniform(-3.0, -0.5)])
+    else:  # near_pairs
+        a, b = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0)
+        delta = 10.0 ** rng.uniform(-8, -4)
+        pairs = direct_sum(np.array([[a, b], [-b, a]]), np.array([[a + delta, b + delta], [-b - delta, a + delta]]))
+        j = direct_sum(pairs, np.array([[rng.uniform(0.5, 3.0)]]))
+    n, seed = j.shape[0], 3_000_000 + 2 * i
+    return random_symplectic(n, seed) @ direct_sum(np.eye(n), j) @ random_symplectic(n, seed + 1)
+
+
+@pytest.mark.parametrize("i, family", [(451, "split_reals"), (444, "near_pairs")])
+def test_decompose_steps_s2_back_onto_the_group(i, family):
+    # the closed form's S2 misses the contract here (s2 1.5e-8 and 3.7e-8,
+    # with recon and s1 within it); the step brings it back
+    x = _stress_form(i, family)
+    assert verify_decomposition(x, decompose(x)).verdict
+
+
+@pytest.mark.parametrize("n, seed", [(2, 1), (4, 3), (6, 5)])
+def test_symplectic_step_squares_the_residual(n, seed):
+    s = random_symplectic(n, seed)
+    norm = np.linalg.norm(s)
+    floor = 16 * np.finfo(float).eps * norm**2  # rounding of S sigma S^T
+    # on the group to rounding, S moves by at most ||E|| ||S|| / 2
+    res = is_symplectic(s).residual
+    assert np.linalg.norm(canonical._symplectic_step(s) - s) <= res * norm
+    for delta in (1e-6, 1e-8, 1e-10):
+        perturbed = s + delta * np.random.default_rng(seed).standard_normal(s.shape)
+        before = is_symplectic(perturbed).residual
+        after = is_symplectic(canonical._symplectic_step(perturbed)).residual
+        # what remains is F E + E F^T + F sigma F^T + F E F^T with
+        # ||F|| = ||E|| / 2: at most 1.25 ||E||^2 (1 + ||E||)
+        assert after <= 1.25 * before**2 * (1 + before) + floor
 
 
 def test_decompose_is_deterministic_and_draws_nothing(monkeypatch):

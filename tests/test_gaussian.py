@@ -11,6 +11,7 @@ from sympeq import (
     REAL,
     SQUEEZING_WITNESSED,
     BipartiteCovariance,
+    Decomposition,
     DimensionError,
     GaussianChannel,
     InvalidInput,
@@ -36,6 +37,7 @@ from sympeq import (
     transform_bipartite,
     two_mode_squeezed,
     vacuum,
+    verify_decomposition,
 )
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -105,6 +107,23 @@ def test_condense_fixed_point():
     res = condense_correlations(g, seed=2)
     assert res.blocks.blocks[0].re == pytest.approx(0.5, abs=1e-9)
     assert res.blocks.blocks[0].im == pytest.approx(1.5, abs=1e-9)
+
+
+def test_condense_a_state_whose_first_s2_misses_the_contract():
+    # input 551 of seed 32 of the benchmark's apps-small workload: party A of
+    # a two-mode squeezed state sent through a channel. decompose's closed
+    # form leaves S2 = S_B^T off the symplectic group by more than the
+    # contract allows, until its step back onto the group
+    ch = random_valid_channel(3, 2, squeezing=True, seed=730953859)
+    r = 0.7394087385241515
+    c, s = math.cosh(2 * r), math.sinh(2 * r)
+    gamma_a = ch.x.T @ (c * np.eye(6)) @ ch.x + ch.y
+    z = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    g = BipartiteCovariance(n=3, gamma_a=(gamma_a + gamma_a.T) / 2, gamma_b=c * np.eye(6), x=ch.x.T @ (s * z))
+    res = condense_correlations(g)
+    d = Decomposition(res.s_a, res.s_b.T, res.blocks, 0.0, 0.0, 0.0)
+    assert verify_decomposition(g.x, d).verdict
+    assert state_validity(res.g_out).valid
 
 
 def test_condense_rejects_product_state():
@@ -266,6 +285,15 @@ def test_normalize_attenuator():
     assert np.allclose(res.ch_out.x, np.diag([1.0, 0.36]), atol=1e-10)
     assert res.blocks.blocks[0].re == pytest.approx(0.36, abs=1e-10)
     assert is_symp_ok(res.s1) and is_symp_ok(res.s2)
+
+
+def test_normalize_a_channel_whose_first_s2_misses_the_contract():
+    # input 743 of seed 31 of the benchmark's apps-small workload
+    ch = random_valid_channel(7, 2, squeezing=True, seed=642963945)
+    res = normalize_channel(ch)
+    d = Decomposition(res.s1, res.s2, res.blocks, 0.0, 0.0, 0.0)
+    assert verify_decomposition(ch.x, d).verdict
+    assert channel_validity(res.ch_out).valid
 
 
 def is_symp_ok(s):
