@@ -31,7 +31,10 @@ Per family and tree, the report also counts the ``decompose`` calls that
 ran a full-size singular-value decomposition, i.e. called
 ``numpy.linalg.svd`` on a 2-D array (stage 1's batched SVDs take 3-D
 stacks), as an rcond does. The evaluation wraps that function, so the count
-needs nothing from the tree.
+needs nothing from the tree. Beside it stands the count of ``decompose``
+results that ``verify_decomposition`` accepts with a reconstruction residual
+above 1e-9, a tenth of the contract's bound, so that a change moving results
+toward that bound shows.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ FAMILIES = ("repeated", "split_reals", "near_real_pair", "tied_real_parts", "nea
 # outcome
 CONTRACTUAL = ("values",)
 CONTRACT_RTOL = 1e-9
+RECON_TAIL = 1e-9  # verified results above this reconstruction residual are counted
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 _SVD = np.linalg.svd
 
@@ -194,10 +198,12 @@ def evaluate(sp, inputs: list[dict]) -> list[dict]:
         if item["family"] == "channel":
             rec["normalize_channel"] = _run(sp, lambda: _normalize(sp, item))
             rec["williamson_invariant_gap"] = _run(sp, lambda: _gap(sp, x @ x.T + np.eye(x.shape[0])))
+        dec = rec["decompose"]
         out.append({
             "family": item["family"],
             "ops": rec,
             "full_svd": calls["svd"] > 0,
+            "recon_tail": dec.get("verdict", False) and dec["verify"][0] > RECON_TAIL,
         })
     return json.loads(json.dumps(out))
 
@@ -294,6 +300,7 @@ def main(argv=None) -> int:
         family[verdict] += 1
         for side, rec in (("parent", a), ("change", b)):
             family[f"{side} full_svd"] += rec["full_svd"]
+            family[f"{side} recon_tail"] += rec["recon_tail"]
         for op, rec in b["ops"].items():
             if "error" in rec:
                 errors[(op, rec["error"])] += 1
@@ -317,9 +324,11 @@ def main(argv=None) -> int:
         print(f"  {family:16s} {c['identical']:5d} identical {c['digits']:5d} digits {c['different']:5d} different")
     if counts["digits"]:
         print(f"  largest number difference: {worst[0]:.2e} relative, in {worst[1]} of input {worst[2]}")
-    print("  decompose calls that ran a full-size SVD, parent -> change:")
+    print("  decompose calls that ran a full-size SVD | verified decompose results with "
+          f"recon above {RECON_TAIL:g}, parent -> change:")
     for family, c in by_family.items():
-        print(f"  {family:16s} {c['parent full_svd']:5d} -> {c['change full_svd']:5d}")
+        print(f"  {family:16s} {c['parent full_svd']:5d} -> {c['change full_svd']:5d}"
+              f" | {c['parent recon_tail']:5d} -> {c['change recon_tail']:5d}")
     for (op, name), k in sorted(errors.items()):
         print(f"  change: {op} raised {name} on {k} inputs")
     if transitions:

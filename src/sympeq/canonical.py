@@ -26,10 +26,9 @@ X and the stage-1 basis T must be invertible, judged by a 2-norm rcond
 floor each. Both gates read ``core.gated_inverse``: the bound
 rcond_2 >= 1 / (||A||_F ||A^{-1}||_F) from the inverse decides wherever it
 clears the floor tenfold, and a singular-value decomposition only where it
-does not, so a well-conditioned input runs no full-size SVD. T's inverse is
-stage 1's S. The exact rcond(T) also scales stage 1's residual threshold,
-and is computed only for a residual that the unscaled threshold would
-refuse.
+does not, so an input that clears both bounds runs no full-size SVD. T's
+inverse is stage 1's S. Within ``decompose`` one numerical verdict judges
+the construction: the residual contract on S1, S2 and the reconstruction.
 
 The general factorization of a real matrix into two real symmetric factors
 (``factor_two_symmetric``) remains a standalone operation.
@@ -274,6 +273,12 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
     columns of S^{-1} and w-vectors the second half. Complex conjugate
     clusters are handled through the real and imaginary parts of a
     bilinearly paired basis.
+
+    The block residual ||S Sigma S^{-1} + (M (+) M^T)|| may reach
+    residual_tol * max(1, 1/rcond(T)) * max(1, ||Sigma||), with T = S^{-1};
+    beyond it DegenerateSpectrum is raised. The exact rcond(T) is computed
+    only where the residual exceeds that threshold with the factor 1, since
+    only then can the factor change the verdict.
     """
     sig_h = as_even_square(sigma_mat, "Sigma")
     sig = readonly_form(sig_h.shape[0] // 2)
@@ -290,19 +295,29 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
         clusters = spectrum_from_eigenvalues(w, tol)[1]
     except ClusteringAmbiguous as exc:
         raise DegenerateSpectrum(str(exc)) from exc
-    return _block_diagonalize(sig_h, v, clusters, tol)
+    s, m, t = _block_diagonalize(sig_h, v, clusters)
+    # m is computed and can overflow; direct_sum keeps its finiteness check here
+    residual = frobenius(s @ sig_h @ t + direct_sum(m, m.T))
+    # the factor max(1, 1/rcond(T)) can only raise the threshold, so a
+    # residual within it at factor 1 passes without the exact rcond
+    scale = max(1.0, frobenius(sig_h))
+    if residual > tol.residual_tol * scale and residual > (
+        tol.residual_tol * max(1.0, 1.0 / reciprocal_condition(t)) * scale
+    ):
+        raise DegenerateSpectrum(
+            f"block-diagonalization residual {residual:.3e} exceeds tolerance"
+        )
+    return s, m
 
 
-def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters, tol: Tolerances):
+def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters):
     """Stage 1 from one eigendecomposition of the skew-Hamiltonian sig_h.
 
     ``v`` holds its eigenvectors and ``clusters`` the classification of its
-    eigenvalues by ``spectrum_from_eigenvalues``. The basis T is refused
-    below rcond 1e-10 and S = T^{-1}, both from ``gated_inverse``. The
-    block residual may reach residual_tol * max(1, 1/rcond(T)) *
-    max(1, ||Sigma||); the exact rcond(T) is computed only where the residual
-    exceeds that threshold with the factor 1, since only then can the factor
-    change the verdict.
+    eigenvalues by ``spectrum_from_eigenvalues``. Returns S, M off the
+    diagonal blocks of S sig_h T, and the basis T, which ``gated_inverse``
+    refuses below rcond 1e-10 while it computes S = T^{-1}. Off-block mass
+    is left to the caller to judge.
     """
     n = sig_h.shape[0] // 2
     sig = readonly_form(n)
@@ -340,19 +355,7 @@ def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters, tol: Toleranc
     if s is None:
         raise DegenerateSpectrum("symplectic eigenbasis is numerically singular")
     similar = s @ sig_h @ t
-    m = -(similar[:n, :n] + similar[n:, n:].T) / 2
-    # m is computed and can overflow; direct_sum keeps its finiteness check here
-    residual = frobenius(similar + direct_sum(m, m.T))
-    # the factor max(1, 1/rcond(T)) can only raise the threshold, so a
-    # residual within it at factor 1 passes without the exact rcond
-    scale = max(1.0, frobenius(sig_h))
-    if residual > tol.residual_tol * scale and residual > (
-        tol.residual_tol * max(1.0, 1.0 / reciprocal_condition(t)) * scale
-    ):
-        raise DegenerateSpectrum(
-            f"block-diagonalization residual {residual:.3e} exceeds tolerance"
-        )
-    return s, m
+    return s, -(similar[:n, :n] + similar[n:, n:].T) / 2, t
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +480,12 @@ def _symplectic_step(s: np.ndarray) -> np.ndarray:
     return s + (e @ sig / 2) @ s
 
 
-def _meets_contract(d: Decomposition, tol: Tolerances) -> bool:
-    """The residual contract: recon, s1 and s2 each within residual_tol."""
-    return not (
-        d.recon_residual > tol.residual_tol
-        or d.s1_residual > tol.residual_tol
-        or d.s2_residual > tol.residual_tol
-    )
+def _meets_contract(recon: float, s1: float, s2: float, tol: Tolerances) -> bool:
+    """The residual contract: recon, s1 and s2 each within residual_tol.
+
+    A nan residual (from a non-finite factor) fails it.
+    """
+    return recon <= tol.residual_tol and s1 <= tol.residual_tol and s2 <= tol.residual_tol
 
 
 def decompose(
@@ -507,7 +509,8 @@ def decompose(
     where its residual E = S2 sigma S2^T - sigma exceeds the contract, S2 is
     replaced by (I + E sigma / 2) S2, which is symplectic to O(||E||^2), and
     the reconstruction and S2 residuals are computed again; S1 is unchanged.
-    Then the residual contract is checked once.
+    Then the residual contract is checked once: it is the one numerical
+    verdict on the construction, since stage 1 judges no residual of its own.
     The construction is deterministic: ``seed`` and ``debug`` are accepted
     for compatibility and ignored. The returned factors are one valid
     choice; only the canonical matrix, the residuals, and symplecticity are
@@ -536,7 +539,7 @@ def decompose(
     if spectrum.has_zero:
         raise SingularInput("zero invariant detected; canonical form requires nonsingular X")
 
-    s, m = _block_diagonalize(sig_x, v, clusters, tol)
+    s, m, _ = _block_diagonalize(sig_x, v, clusters)
     blocks = canonical_from_invariants(spectrum)
     # stage 1 orders M's blocks as the spectrum orders J's: read M as it is
     e = np.array([sign for val in spectrum.values for sign in _SIGNS[val.kind]])
@@ -549,7 +552,7 @@ def decompose(
             recon_residual=_recon_residual(x, d.s1, s2, blocks),
             s2_residual=symplectic_residual(s2),
         )
-    if not _meets_contract(d, tol):
+    if not _meets_contract(d.recon_residual, d.s1_residual, d.s2_residual, tol):
         raise DegenerateSpectrum(
             "decomposition failed its own residual contract "
             f"(recon {d.recon_residual:.3e}, s1 {d.s1_residual:.3e}, s2 {d.s2_residual:.3e})"
@@ -579,12 +582,7 @@ def verify_decomposition(x, d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> 
     else:
         match = float(np.max(np.abs(block_vals - spectrum_vals))) / spectral_scale(spectrum_vals)
 
-    verdict = (
-        recon <= tol.residual_tol
-        and s1_res <= tol.residual_tol
-        and s2_res <= tol.residual_tol
-        and match <= tol.degeneracy_gap
-    )
+    verdict = _meets_contract(recon, s1_res, s2_res, tol) and match <= tol.degeneracy_gap
     return VerificationReport(recon=recon, s1=s1_res, s2=s2_res, spectrum_match=match, verdict=verdict)
 
 

@@ -76,9 +76,14 @@ def test_stress_compare_counts_the_decompose_calls_that_ran_a_full_size_svd(monk
     x = np.random.default_rng(4).standard_normal((8, 8))
     singular = x.copy()
     singular[:, 0] = singular[:, 1]
-    records = stress_compare.evaluate(sympeq, [{"family": "random", "x": a} for a in (x, singular)])
+    # stress input 2021 (split_reals), verified with recon 3.8e-9
+    i = 421
+    near = stress_compare._dressed_form(sympeq, "split_reals", np.random.default_rng(3_000_000 + i), 3_000_000 + 2 * i)
+    records = stress_compare.evaluate(sympeq, [{"family": "random", "x": a} for a in (x, singular, near)])
     assert records[1]["ops"]["decompose"]["error"] == "SingularInput"
-    assert [rec["full_svd"] for rec in records] == [False, True]
+    assert [rec["full_svd"] for rec in records] == [False, True, False]
+    assert records[2]["ops"]["decompose"]["verdict"]
+    assert [rec["recon_tail"] for rec in records] == [False, False, True]
 
 
 def test_roundtrip_sweep_prints_a_summary_per_dimension():
