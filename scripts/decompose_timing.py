@@ -1,7 +1,9 @@
 """Time ``decompose``, ``invariants``, ``williamson`` and two kernels of two
-sympeq trees per n.
+sympeq trees per n, or the stages of ``decompose`` in one tree.
 
 Usage: python scripts/decompose_timing.py --parent TREE --change TREE
+       [--rounds 10] [--inputs 8] [--repeat 5]
+       python scripts/decompose_timing.py --stages TREE
        [--rounds 10] [--inputs 8] [--repeat 5]
 
 TREE is a source tree (its ``src`` directory holds ``sympeq``) or the
@@ -26,6 +28,22 @@ The table gives, per n and operation, the median over rounds of each
 round's median time per call for each tree and the change/parent ratio; a
 ratio above 1 means the change is slower. The count of rounds in which the
 change was faster is printed beside it.
+
+With ``--stages``, one tree's ``decompose`` is timed on the same inputs,
+``--repeat`` calls per input and round after one warm-up, split into six
+stages by marks taken on entry to functions of its ``canonical`` module:
+
+* ``gate``: from the call to ``sigma_of_checked``, i.e. the X gate;
+* ``sigma_eig``: Sigma(X) with its eig, up to ``spectrum_from_eigenvalues``;
+* ``classify``: the classification, up to ``_block_diagonalize``;
+* ``stage1``: stage 1, up to ``canonical_from_invariants``;
+* ``blocks``: the canonical blocks and signs, up to ``_finish``;
+* ``finish``: the finish with its residuals (and the S2 step where it
+  runs), up to the return.
+
+The table gives, per n, the median over rounds of each round's median time
+of every stage in ms with its percentage of their sum, and that sum. Calls
+that raise before the last mark are left out.
 """
 
 from __future__ import annotations
@@ -42,6 +60,15 @@ import trees
 
 NS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32)
 OPS = ("decompose", "invariants", "spectrum_from_eigenvalues", "hermitian_min_eig", "williamson")
+# each stage after the first starts on entry to this function of canonical
+STAGES = {
+    "gate": None,
+    "sigma_eig": "sigma_of_checked",
+    "classify": "spectrum_from_eigenvalues",
+    "stage1": "_block_diagonalize",
+    "blocks": "canonical_from_invariants",
+    "finish": "_finish",
+}
 
 
 def _calls(sp, x) -> dict:
@@ -72,7 +99,7 @@ def measure(pkgs: dict, rounds: int, inputs: int, repeat: int) -> dict:
     """Per tree, operation and n: one median time per call in ms per round."""
     out = {side: {op: {n: [] for n in NS} for op in OPS} for side in pkgs}
     for n in NS:
-        xs = [np.random.default_rng(1000 * n + i).standard_normal((2 * n, 2 * n)) for i in range(inputs)]
+        xs = _gaussians(n, inputs)
         calls = {side: [_calls(sp, x) for x in xs] for side, sp in pkgs.items()}
         for r in range(rounds):
             order = list(pkgs) if r % 2 == 0 else list(pkgs)[::-1]
@@ -89,17 +116,83 @@ def measure(pkgs: dict, rounds: int, inputs: int, repeat: int) -> dict:
     return out
 
 
+def _gaussians(n: int, inputs: int) -> list:
+    return [np.random.default_rng(1000 * n + i).standard_normal((2 * n, 2 * n)) for i in range(inputs)]
+
+
+def _marked(sp) -> list:
+    """Make each stage's function in the tree's ``canonical`` record the
+    time of its entry; returns the list the marks go to."""
+    canonical = importlib.import_module(f"{sp.__name__}.canonical")
+    marks = []
+    for name in list(STAGES.values())[1:]:
+        def entry(*args, _fn=getattr(canonical, name), **kwargs):
+            marks.append(time.perf_counter())
+            return _fn(*args, **kwargs)
+
+        setattr(canonical, name, entry)
+    return marks
+
+
+def measure_stages(sp, rounds: int, inputs: int, repeat: int) -> dict:
+    """Per n and stage of ``decompose``: one median time in ms per round."""
+    marks = _marked(sp)
+    out = {n: {stage: [] for stage in STAGES} for n in NS}
+    for n in NS:
+        xs = _gaussians(n, inputs)
+        for _ in range(rounds):
+            times: dict = {stage: [] for stage in STAGES}
+            for x in xs:
+                for timed in range(repeat + 1):
+                    marks.clear()
+                    start = time.perf_counter()
+                    try:
+                        sp.decompose(x)
+                    except sp.SympeqError:
+                        pass
+                    stop = time.perf_counter()
+                    if timed and len(marks) == len(STAGES) - 1:
+                        bounds = [start, *marks, stop]
+                        for stage, a, b in zip(STAGES, bounds, bounds[1:]):
+                            times[stage].append(b - a)
+            for stage in STAGES:
+                if times[stage]:
+                    out[n][stage].append(1e3 * statistics.median(times[stage]))
+    return out
+
+
+def report_stages(runs: dict, rounds: int, inputs: int, repeat: int) -> None:
+    print(f"decompose by stage, {rounds} rounds, {inputs} inputs x {repeat} calls per n; "
+          "median ms per call and % of their sum")
+    print(f"{'n':>3s} " + " ".join(f"{stage:>15s}" for stage in STAGES) + f" {'sum':>9s}")
+    for n in NS:
+        med = {stage: statistics.median(runs[n][stage]) for stage in STAGES if runs[n][stage]}
+        if len(med) < len(STAGES):
+            print(f"{n:>3d} every call raised before its last stage")
+            continue
+        total = sum(med.values())
+        cells = " ".join(f"{med[stage]:9.4f} {100 * med[stage] / total:5.1f}" for stage in STAGES)
+        print(f"{n:>3d} {cells} {total:9.4f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument("--parent", required=True, help="source tree of the reference")
-    parser.add_argument("--change", required=True, help="source tree compared against it")
+    parser.add_argument("--parent", help="source tree of the reference")
+    parser.add_argument("--change", help="source tree compared against it")
+    parser.add_argument("--stages", metavar="TREE", help="time the stages of decompose in this tree alone")
     parser.add_argument("--rounds", type=int, default=10, help="passes, alternating which tree goes first")
     parser.add_argument("--inputs", type=int, default=8, help="seeded Gaussian X per n")
     parser.add_argument("--repeat", type=int, default=5, help="timed calls per input and tree")
     args = parser.parse_args(argv)
 
+    if args.stages:
+        runs = measure_stages(trees.load(args.stages, "sympeq_stages"), args.rounds, args.inputs, args.repeat)
+        report_stages(runs, args.rounds, args.inputs, args.repeat)
+        return 0
+    if not (args.parent and args.change):
+        parser.error("--parent and --change are required without --stages")
     pkgs = {"parent": trees.load(args.parent, "sympeq_parent"), "change": trees.load(args.change, "sympeq_change")}
     runs = measure(pkgs, args.rounds, args.inputs, args.repeat)
 

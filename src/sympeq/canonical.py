@@ -27,8 +27,10 @@ floor each. Both gates read ``core.gated_inverse``: the bound
 rcond_2 >= 1 / (||A||_F ||A^{-1}||_F) from the inverse decides wherever it
 clears the floor tenfold, and a singular-value decomposition only where it
 does not, so an input that clears both bounds runs no full-size SVD. T's
-inverse is stage 1's S. Within ``decompose`` one numerical verdict judges
-the construction: the residual contract on S1, S2 and the reconstruction.
+inverse is stage 1's S, and X's inverse finishes S2 = X^{-1} T W sigma
+(W from the closed-form factors), so X and T are factored once each.
+Within ``decompose`` one numerical verdict judges the construction: the
+residual contract on S1, S2 and the reconstruction.
 
 The general factorization of a real matrix into two real symmetric factors
 (``factor_two_symmetric``) remains a standalone operation.
@@ -274,16 +276,21 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
     clusters are handled through the real and imaginary parts of a
     bilinearly paired basis.
 
-    The block residual ||S Sigma S^{-1} + (M (+) M^T)|| may reach
-    residual_tol * max(1, 1/rcond(T)) * max(1, ||Sigma||), with T = S^{-1};
-    beyond it DegenerateSpectrum is raised. The exact rcond(T) is computed
-    only where the residual exceeds that threshold with the factor 1, since
-    only then can the factor change the verdict.
+    Sigma is refused as not skew-Hamiltonian where ||(Sigma sigma)^T +
+    Sigma sigma|| exceeds 1e-10 ||Sigma||. The block residual
+    ||S Sigma S^{-1} + (M (+) M^T)|| may reach
+    residual_tol * max(1, 1/rcond(T)) * ||Sigma||, with T = S^{-1}; beyond
+    it DegenerateSpectrum is raised. Both thresholds are relative to
+    ||Sigma||, so the verdict does not change with Sigma -> c Sigma. The
+    exact rcond(T) is computed only where the residual exceeds that
+    threshold with the factor 1, since only then can the factor change the
+    verdict.
     """
     sig_h = as_even_square(sigma_mat, "Sigma")
     sig = readonly_form(sig_h.shape[0] // 2)
     skew = sig_h @ sig
-    if frobenius(skew.T + skew) > 1e-10 * max(1.0, frobenius(sig_h)):
+    scale = frobenius(sig_h)
+    if frobenius(skew.T + skew) > 1e-10 * scale:
         raise NotSkewHamiltonian("(Sigma sigma)^T != -(Sigma sigma) within tolerance")
 
     try:
@@ -300,7 +307,6 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
     residual = frobenius(s @ sig_h @ t + direct_sum(m, m.T))
     # the factor max(1, 1/rcond(T)) can only raise the threshold, so a
     # residual within it at factor 1 passes without the exact rcond
-    scale = max(1.0, frobenius(sig_h))
     if residual > tol.residual_tol * scale and residual > (
         tol.residual_tol * max(1.0, 1.0 / reciprocal_condition(t)) * scale
     ):
@@ -440,25 +446,25 @@ def _recon_residual(x: np.ndarray, s1: np.ndarray, s2: np.ndarray, blocks) -> fl
     return recon / max(frobenius(s1) * frobenius(x) * frobenius(s2), 1e-300)
 
 
-def _finish(x: np.ndarray, s: np.ndarray, m: np.ndarray, e: np.ndarray, blocks) -> Decomposition:
-    """S1 and S2 from stage 1's similarity S and reduced block M.
+def _finish(
+    x: np.ndarray, x_inv: np.ndarray, s: np.ndarray, t: np.ndarray, m: np.ndarray, e: np.ndarray, blocks
+) -> Decomposition:
+    """S1 and S2 from X^{-1}, stage 1's similarity S = T^{-1} and reduced block M.
 
-    With B = e M, W = [[0, diag(e)], [sym(B), 0]], S2 = (S X)^{-1} W sigma
-    and S1 = (e (+) e) S; the residuals are those ``verify_decomposition``
-    recomputes.
+    With B = e M and W = [[0, diag(e)], [sym(B), 0]], S2 = (S X)^{-1} W sigma
+    = X^{-1} T W sigma, and S1 = (e (+) e) S. X^{-1} is the inverse the X
+    gate computed, so X is factored once. W sigma = diag(e) (+) -sym(B), so
+    T W sigma takes one n-column product; the residuals are those
+    ``verify_decomposition`` recomputes.
     """
     n = e.shape[0]
     b = e[:, None] * m
-    w_mat = np.zeros((2 * n, 2 * n))
-    w_mat[:n, n:] = np.diag(e)
-    w_mat[n:, :n] = (b + b.T) / 2
-    try:
-        s_prime = np.linalg.solve(s @ x, w_mat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInput(f"S X is singular: {exc}") from exc
+    t_w = np.empty_like(t)  # T W sigma
+    t_w[:, :n] = t[:, :n] * e
+    t_w[:, n:] = t[:, n:] @ (-(b + b.T) / 2)
 
     s1 = np.concatenate([e, e])[:, None] * s  # gl_embed(diag(e)) @ S
-    s2 = s_prime @ readonly_form(n)
+    s2 = x_inv @ t_w
     return Decomposition(
         s1=s1,
         s2=s2,
@@ -502,7 +508,9 @@ def decompose(
     Sigma(X) symplectically to -(M (+) M^T), with M = -J to rounding in the
     canonical block order. M = A B in closed form with A = diag(e) and
     B = e M (e = +1 per real slot, (+1, -1) per complex pair); then
-    W = [[0, A], [B, 0]], S2 = (S X)^{-1} W sigma and S1 = (A (+) A) S.
+    W = [[0, A], [B, 0]], S2 = (S X)^{-1} W sigma = X^{-1} T W sigma with
+    T = S^{-1} stage 1's basis, and S1 = (A (+) A) S. X^{-1} is the inverse
+    the X gate computes, so no system in S X is solved.
 
     Off-block mass in M (stage 1 ill-conditioned, or a near-real or
     near-coincident spectrum) carries S2 off the symplectic group. Only
@@ -526,7 +534,8 @@ def decompose(
     result, never returning a silently bad decomposition.
     """
     x = as_even_square(x, "X")
-    if gated_inverse(x, _X_RCOND_MIN)[0] is None:
+    x_inv = gated_inverse(x, _X_RCOND_MIN)[0]
+    if x_inv is None:
         raise SingularInput("X is singular within tolerance (rcond < 1e-12)")
 
     # one eigendecomposition of Sigma(X) serves the invariants and stage 1
@@ -539,11 +548,11 @@ def decompose(
     if spectrum.has_zero:
         raise SingularInput("zero invariant detected; canonical form requires nonsingular X")
 
-    s, m, _ = _block_diagonalize(sig_x, v, clusters)
+    s, m, t = _block_diagonalize(sig_x, v, clusters)
     blocks = canonical_from_invariants(spectrum)
     # stage 1 orders M's blocks as the spectrum orders J's: read M as it is
     e = np.array([sign for val in spectrum.values for sign in _SIGNS[val.kind]])
-    d = _finish(x, s, m, e, blocks)
+    d = _finish(x, x_inv, s, t, m, e, blocks)
     if d.s2_residual > tol.residual_tol:
         s2 = _symplectic_step(d.s2)
         d = replace(

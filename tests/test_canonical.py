@@ -205,6 +205,27 @@ def test_x_gate_reads_the_2_norm_rcond(smin, refused, n, scale):
     assert (message == _X_GATE) == refused, message
 
 
+@given(
+    seeds,
+    st.integers(min_value=1, max_value=6),
+    st.floats(min_value=-11.0, max_value=0.0),
+    st.floats(min_value=-50.0, max_value=50.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_decompose_of_an_ill_conditioned_x_verifies_or_is_refused(seed, n, log_rcond, log_scale):
+    # X = Q1 diag(s) Q2 with rcond(X) = 10^log_rcond, past the X gate: S2 is
+    # finished from the gate's X^{-1}, so an ill-conditioned X must still
+    # give a typed refusal or a result verify_decomposition accepts
+    rng = np.random.default_rng(seed)
+    sv = 10.0 ** np.r_[0.0, rng.uniform(log_rcond, 0.0, 2 * n - 2), log_rcond]
+    x = 10.0**log_scale * _with_singular_values(sv, seed)
+    try:
+        d = decompose(x)
+    except SympeqError:
+        return
+    assert verify_decomposition(x, d).verdict
+
+
 def test_x_with_a_zero_column_is_singular_input():
     x = np.random.default_rng(3).standard_normal((4, 4))
     x[:, 2] = 0.0
@@ -609,6 +630,27 @@ def test_decompose_eigensolves_sigma_once(monkeypatch):
     assert calls == {"eig": 1, "eigvals": 0, "invariants": 0}
 
 
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_decompose_factors_x_once(monkeypatch, n):
+    # the X gate's inverse finishes S2 = X^{-1} T W sigma: the only
+    # factorizations are the inverses of X and of the stage-1 basis T
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    x = np.random.default_rng(n).standard_normal((2 * n, 2 * n))
+    d = decompose(x)
+    assert calls == ["inv", "inv"]
+    assert verify_decomposition(x, d).verdict
+
+
 def _tied_real_parts(t):
     j = direct_sum(direct_sum([[2.0]], [[2.0, 1e-3], [-1e-3, 2.0]]), [[1.0]])
     return random_symplectic(4, 30 + t) @ direct_sum(np.eye(4), j) @ random_symplectic(4, 40 + t)
@@ -628,8 +670,8 @@ def _near_real_pair(t):
 def _mass_between_clusters():
     # every cluster is a singleton, but stage 1's basis has rcond 2.7e-4 and
     # leaves 7.3e-12 of mass between clusters in M; the closed form's S2
-    # misses the contract (s2 2.47e-8), and the step back onto the group
-    # brings it within (1.6e-13)
+    # misses the contract (s2 1.52e-8), and the step back onto the group
+    # brings it within (1.9e-13)
     return random_valid_channel(7, 6, squeezing=True, seed=519043367)
 
 
@@ -692,7 +734,7 @@ def test_decompose_steps_the_s2_of_a_snapped_near_real_pair_onto_the_group(monke
     # the snapped pair 1 +- 1e-9 i leaves e M asymmetric by about 2.5e-9; on
     # these dressings that puts the closed form's S2 off the contract
     # (s2 1.1e-8 and 2.6e-8), and the step back onto the group within it
-    # (3.7e-16 and 1.9e-15)
+    # (4.0e-16 and 1.1e-15)
     steps = _counting_steps(monkeypatch)
     x = _near_real_pair(t)
     d = decompose(x)
@@ -735,7 +777,7 @@ def _stress_form(i, family):
 
 @pytest.mark.parametrize("i, family", [(451, "split_reals"), (444, "near_pairs")])
 def test_decompose_steps_s2_back_onto_the_group(i, family):
-    # the closed form's S2 misses the contract here (s2 1.5e-8 and 3.7e-8,
+    # the closed form's S2 misses the contract here (s2 1.6e-8 and 3.6e-8,
     # with recon and s1 within it); the step brings it back
     x = _stress_form(i, family)
     assert verify_decomposition(x, decompose(x)).verdict
@@ -748,6 +790,17 @@ def test_decompose_judges_a_near_degenerate_input_by_its_contract_alone(i, famil
     # 3.8e-9 and 2.2e-9): decompose returns them
     x = _stress_form(i, family)
     assert verify_decomposition(x, decompose(x)).verdict
+    with pytest.raises(DegenerateSpectrum, match="block-diagonalization residual"):
+        block_diagonalize_skew_hamiltonian(sigma_matrix(x))
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+def test_block_diagonalize_verdict_does_not_change_with_scale(c):
+    # stress input 1601 (split_reals): both thresholds of the public stage-1
+    # op are relative to ||Sigma||, so X -> cX leaves its refusal standing;
+    # at c = 1e-3 the block residual 1.9e-12 exceeds residual_tol ||Sigma||
+    # = 9.9e-14, where a threshold floored at residual_tol passed it
+    x = c * _stress_form(1, "split_reals")
     with pytest.raises(DegenerateSpectrum, match="block-diagonalization residual"):
         block_diagonalize_skew_hamiltonian(sigma_matrix(x))
 

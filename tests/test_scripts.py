@@ -42,6 +42,20 @@ def test_decompose_timing_prints_a_row_per_operation_and_n():
     assert all(len(row) == 6 and row[5] in ("0/1", "1/1") for row in rows)
 
 
+def test_decompose_timing_prints_the_stages_of_one_tree_per_n():
+    proc = script("decompose_timing.py", "--stages", str(ROOT), "--rounds", "1", "--inputs", "1", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()[1:]
+    assert header.split() == ["n", "gate", "sigma_eig", "classify", "stage1", "blocks", "finish", "sum"]
+    rows = [[float(cell) for cell in line.split()] for line in rows]
+    assert [row[0] for row in rows] == [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32]
+    for row in rows:
+        ms, shares = row[1:13:2], row[2:13:2]
+        assert len(row) == 14 and min(ms) > 0
+        assert sum(ms) == pytest.approx(row[13], rel=1e-3, abs=1e-4)
+        assert sum(shares) == pytest.approx(100, abs=0.5)
+
+
 def test_loader_refuses_a_tree_that_imports_sympeq_by_absolute_name(tmp_path):
     package = tmp_path / "src" / "sympeq"
     shutil.copytree(ROOT / "src" / "sympeq", package, ignore=shutil.ignore_patterns("__pycache__"))
