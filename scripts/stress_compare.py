@@ -29,12 +29,14 @@ failure -> success. The exit status is 1 on any different outcome.
 
 Per family and tree, the report also counts the ``decompose`` calls that
 ran a full-size singular-value decomposition, i.e. called
-``numpy.linalg.svd`` on a 2-D array (stage 1's batched SVDs take 3-D
-stacks), as an rcond does. The evaluation wraps that function, so the count
-needs nothing from the tree. Beside it stands the count of ``decompose``
-results that ``verify_decomposition`` accepts with a reconstruction residual
-above 1e-9, a tenth of the contract's bound, so that a change moving results
-toward that bound shows.
+``numpy.linalg.svd`` on a 2-D array, as an rcond does, and those that ran a
+stage-1 SVD, i.e. called it on a 3-D stack, as the general path for
+clusters of four or more eigenvalues does (2-planes are paired in closed
+form). The evaluation wraps that function, so the counts need nothing from
+the tree. Beside them stands the count of ``decompose`` results that
+``verify_decomposition`` accepts with a reconstruction residual above 1e-9,
+a tenth of the contract's bound, so that a change moving results toward
+that bound shows.
 """
 
 from __future__ import annotations
@@ -141,9 +143,10 @@ def _run(sp, fn) -> dict:
 
 
 def _decompose(sp, x, calls: Counter) -> dict:
-    # calls counts the 2-D svd calls of decompose, also when it raises
+    # calls counts the 2-D and 3-D svd calls of decompose, also when it raises
     def svd(a, *args, **kwargs):
         calls["svd"] += np.ndim(a) == 2
+        calls["stack_svd"] += np.ndim(a) == 3
         return _SVD(a, *args, **kwargs)
 
     with mock.patch.object(np.linalg, "svd", svd):
@@ -203,6 +206,7 @@ def evaluate(sp, inputs: list[dict]) -> list[dict]:
             "family": item["family"],
             "ops": rec,
             "full_svd": calls["svd"] > 0,
+            "stage1_svd": calls["stack_svd"] > 0,
             "recon_tail": dec.get("verdict", False) and dec["verify"][0] > RECON_TAIL,
         })
     return json.loads(json.dumps(out))
@@ -300,6 +304,7 @@ def main(argv=None) -> int:
         family[verdict] += 1
         for side, rec in (("parent", a), ("change", b)):
             family[f"{side} full_svd"] += rec["full_svd"]
+            family[f"{side} stage1_svd"] += rec["stage1_svd"]
             family[f"{side} recon_tail"] += rec["recon_tail"]
         for op, rec in b["ops"].items():
             if "error" in rec:
@@ -324,10 +329,11 @@ def main(argv=None) -> int:
         print(f"  {family:16s} {c['identical']:5d} identical {c['digits']:5d} digits {c['different']:5d} different")
     if counts["digits"]:
         print(f"  largest number difference: {worst[0]:.2e} relative, in {worst[1]} of input {worst[2]}")
-    print("  decompose calls that ran a full-size SVD | verified decompose results with "
-          f"recon above {RECON_TAIL:g}, parent -> change:")
+    print("  decompose calls that ran a full-size SVD | a stage-1 (3-D) SVD | verified decompose "
+          f"results with recon above {RECON_TAIL:g}, parent -> change:")
     for family, c in by_family.items():
         print(f"  {family:16s} {c['parent full_svd']:5d} -> {c['change full_svd']:5d}"
+              f" | {c['parent stage1_svd']:5d} -> {c['change stage1_svd']:5d}"
               f" | {c['parent recon_tail']:5d} -> {c['change recon_tail']:5d}")
     for (op, name), k in sorted(errors.items()):
         print(f"  change: {op} raised {name} on {k} inputs")

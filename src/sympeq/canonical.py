@@ -9,9 +9,12 @@ eigenvectors). The construction has two stages:
 
 1. symplectic block-diagonalization of Sigma(X) to -(M (+) M^T), exposed as
    ``block_diagonalize_skew_hamiltonian``. The invariant clusters are
-   grouped by kind and size; each group is one stack, with one batched SVD
-   and one symplectic Gram-Schmidt run on all its members at once, so a
-   generic input costs two such passes whatever its size.
+   grouped by kind and size, and each group is one stack. Every invariant
+   is doubled, so a simple invariant's cluster is a 2-plane, on which the
+   symplectic form is nondegenerate; such planes, all of a generic
+   input's, are orthonormalised and paired in closed form, with no SVD.
+   Larger clusters (repeated invariants) take one batched SVD and one
+   symplectic Gram-Schmidt run on all members of their stack at once.
    Its columns follow the canonical order of the invariants, so M equals
    -J to rounding;
 2. the symmetric factors of M in closed form, with no search and no random
@@ -254,10 +257,49 @@ def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
     return us, ws
 
 
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # conj(x_i) . y_i for every row i of two (k, m) stacks
+    return np.add.reduce(x.conj() * y, axis=1)
+
+
+def _pair_planes(a: np.ndarray, b: np.ndarray, sig: np.ndarray):
+    """Closed form of ``_symplectic_pairs(_orthonormal_spans(raw, 2), sig)``
+    for k 2-planes, plane i spanned by row i of a and row i of b, two
+    (k, 2n) stacks.
+
+    Gram-Schmidt under the Hermitian product replaces b by b - proj_a b, so
+    that a/|a|, b/|b| are orthonormal. The rank rule s2 <= 1e-8 s1 of
+    ``_orthonormal_spans`` reads the singular values of the original (a, b)
+    off its 2x2 Gram matrix: s1^2 s2^2 = |a|^2 |b - proj_a b|^2 and
+    s1^2 + s2^2 = |a|^2 + |b|^2. With q = (s2 / s1)^2 <= 1 their quotient
+    s1^2 s2^2 / (s1^2 + s2^2)^2 = q / (1 + q)^2 grows with q, so the rule
+    refuses where it is at most 1e-16 / (1 + 1e-16)^2, which rounds to
+    1e-16. One pairing step of ``_symplectic_pairs`` on the unit vectors
+    follows, with its isotropy check and balance. Returns the u- and
+    w-vectors as (k, 2n) stacks.
+    """
+    c = 2.0 if a.dtype.kind == "c" else 1.0
+    aa = _row_dots(a, a).real
+    bb = _row_dots(b, b).real
+    b = b - (_row_dots(a, b) / aa)[:, None] * a
+    det = aa * _row_dots(b, b).real
+    if not (det > 1e-16 * (aa + bb) ** 2).all():  # nan refuses too
+        raise DegenerateSpectrum(
+            "invariant subspace is rank deficient (defective or near-defective input)"
+        )
+    f = np.add.reduce(a @ sig * b, axis=1)  # a^T sig b
+    score = np.abs(f)  # |a| |b| times the score of the unit vectors
+    if (score < _PAIRING_MIN * np.sqrt(det)).any():
+        raise IsotropicEigenspace("symplectic form degenerates on an invariant subspace")
+    # with the balance sqrt(c |a| |b| / |f|) and r = balance / |a|, the pair
+    # of the unit vectors is u = r a, w = -c / (f r) b
+    r = np.sqrt(c * np.sqrt(det) / score) / np.sqrt(aa)
+    return a * r[:, None], b * (-c / (f * r))[:, None]
+
+
 def _split_parts(z: np.ndarray) -> np.ndarray:
-    # (k, p, m) complex vectors -> (k, p, 2, m): the rows Re z_i, Im z_i
-    k, p, m = z.shape
-    return np.ascontiguousarray(z).view(float).reshape(k, p, m, 2).transpose(0, 1, 3, 2)
+    # (..., m) complex vectors -> (..., 2, m): the rows Re z_i, Im z_i
+    return np.ascontiguousarray(z).view(float).reshape(*z.shape, 2).swapaxes(-1, -2)
 
 
 def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL):
@@ -269,12 +311,15 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
     The clusters, and the canonical order of their columns, come from
     ``spectrum_from_eigenvalues``; an ambiguous clustering raises
     DegenerateSpectrum. Clusters of one kind and size are processed together
-    as one stack: one batched SVD gives orthonormal bases of their
-    eigenspaces, and a symplectic Gram-Schmidt run on all of them at once
-    produces vectors u, w with u^T sig w = -1; u-vectors fill the first-half
-    columns of S^{-1} and w-vectors the second half. Complex conjugate
-    clusters are handled through the real and imaginary parts of a
-    bilinearly paired basis.
+    as one stack, which yields vectors u, w with u^T sig w = -1; u-vectors
+    fill the first-half columns of S^{-1} and w-vectors the second half. A
+    cluster of size 2, one simple invariant and so every cluster of a
+    generic input, spans a 2-plane: Gram-Schmidt on its two eigenvectors
+    and one pairing step give u, w in closed form. Larger clusters take one
+    batched SVD for orthonormal bases of their eigenspaces and a symplectic
+    Gram-Schmidt run on all of them at once. Complex conjugate clusters are
+    handled through the real and imaginary parts of a bilinearly paired
+    basis.
 
     Sigma is refused as not skew-Hamiltonian where ||(Sigma sigma)^T +
     Sigma sigma|| exceeds 1e-10 ||Sigma||. The block residual
@@ -324,6 +369,14 @@ def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters):
     diagonal blocks of S sig_h T, and the basis T, which ``gated_inverse``
     refuses below rcond 1e-10 while it computes S = T^{-1}. Off-block mass
     is left to the caller to judge.
+
+    Clusters of size 2 take the closed-form path ``_pair_planes``: for a
+    complex cluster its two eigenvectors, for a real one the real plane
+    they span (their real parts, or Re z + Im z and Re z - Im z of a
+    snapped pair z, z-bar), stacked in float64 for real and complex128 for
+    complex clusters. Larger clusters take the general path,
+    ``_orthonormal_spans`` and ``_symplectic_pairs``. Both paths apply the
+    same rank rule, isotropy check and balance.
     """
     n = sig_h.shape[0] // 2
     sig = readonly_form(n)
@@ -345,10 +398,18 @@ def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters):
 
     pieces, order = [], []
     for (kind, d), (members, columns) in groups.items():
-        raw = v[:, members].reshape(2 * n, -1, d).transpose(1, 0, 2)  # (k, 2n, d)
-        if kind == REAL and np.iscomplexobj(raw):
-            raw = np.concatenate((raw.real, raw.imag), axis=2)
-        u, w = _symplectic_pairs(_orthonormal_spans(raw, d), sig)
+        if d == 2:
+            planes = v[:, members].T  # the two vectors of member i in rows 2i, 2i + 1
+            if kind == REAL and np.iscomplexobj(planes):
+                # real eigenvectors have Im 0; a snapped pair z, z-bar spans
+                # its real plane with Re z + Im z and Re z - Im z
+                planes = planes.real + planes.imag
+            u, w = _pair_planes(planes[0::2], planes[1::2], sig)
+        else:
+            raw = v[:, members].reshape(2 * n, -1, d).transpose(1, 0, 2)  # (k, 2n, d)
+            if kind == REAL and np.iscomplexobj(raw):
+                raw = np.concatenate((raw.real, raw.imag), axis=2)
+            u, w = _symplectic_pairs(_orthonormal_spans(raw, d), sig)
         if kind != REAL:
             # a complex pair (z, y) gives the columns Re z, Im z and Re y, -Im y
             u, w = _split_parts(u), _split_parts(w.conj())
@@ -546,7 +607,11 @@ def decompose(
         raise EigenFailure(f"eigensolver failed on Sigma(X): {exc}") from exc
     spectrum, clusters = spectrum_from_eigenvalues(w, tol)
     if spectrum.has_zero:
-        raise SingularInput("zero invariant detected; canonical form requires nonsingular X")
+        smallest = min(abs(val.as_complex()) for val in spectrum.values) / spectral_scale(w)
+        raise SingularInput(
+            f"zero invariant detected: smallest |invariant| {smallest:.3e} of the spectral "
+            f"scale, within degeneracy_gap {tol.degeneracy_gap:g}"
+        )
 
     s, m, t = _block_diagonalize(sig_x, v, clusters)
     blocks = canonical_from_invariants(spectrum)

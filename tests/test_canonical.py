@@ -17,6 +17,7 @@ from sympeq import (
     EigenFailure,
     Invariant,
     InvariantSpectrum,
+    IsotropicEigenspace,
     NotPositiveDefinite,
     NotSymmetric,
     SingularInput,
@@ -106,9 +107,16 @@ def _projector(cols):
     return q @ q.T
 
 
-@pytest.mark.parametrize("t", range(3))
-def test_stacked_stage1_spans_the_per_cluster_eigenspaces(t):
-    # real and complex clusters of sizes 2, 4 and 6 in one call
+@pytest.mark.parametrize(
+    "t, snapped",
+    [pytest.param(t, False, id=str(t)) for t in range(3)]
+    + [pytest.param(t, True, id=f"snapped-{t}") for t in (10, 19, 30)],
+)
+def test_stacked_stage1_spans_the_per_cluster_eigenspaces(t, snapped):
+    # real and complex clusters of sizes 2, 4 and 6 in one call; on the
+    # snapped dressings eig returns the doubled real invariant 1.5 as a
+    # near-real pair z, z-bar, so its real cluster of size 2 is built from
+    # complex eigenvectors
     p = lambda a, b: np.array([[a, b], [-b, a]])
     blocks = [[[1.5]], *[[[2.5]]] * 2, *[[[3.5]]] * 3]
     blocks += [p(0.5, 1.0), *[p(-1.0, 0.7)] * 2, *[p(0.3, 2.0)] * 3]
@@ -123,6 +131,8 @@ def test_stacked_stage1_spans_the_per_cluster_eigenspaces(t):
     assert {(inv.kind, len(idx)) for inv, idx in clusters} == {
         (kind, d) for kind in (REAL, COMPLEX_PAIR) for d in (2, 4, 6)
     }
+    (plane,) = [idx for inv, idx in clusters if inv.kind == REAL and len(idx) == 2]
+    assert (np.abs(v[:, plane].imag).max() > 0) == snapped
 
     s, _, t_new = canonical._block_diagonalize(sig_h, v, clusters)
     sig = canonical.readonly_form(n)
@@ -137,11 +147,103 @@ def test_stacked_stage1_spans_the_per_cluster_eigenspaces(t):
         offset += width
 
 
+def _plane(ratio, n, seed, complex_=False):
+    # (a, b) rows spanning a 2-plane in R^2n or C^2n with s2 / s1 = ratio
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal((2 * n, 2))
+    if complex_:
+        cols = cols + 1j * rng.standard_normal((2 * n, 2))
+    q = np.linalg.qr(cols)[0]
+    mix = rng.standard_normal((2, 2))
+    rot = np.linalg.qr(mix + 1j * rng.standard_normal((2, 2)) if complex_ else mix)[0]
+    raw = (q * [2.0, 2.0 * ratio]) @ rot  # a^H b complex in the complex case
+    return raw[:, 0][None], raw[:, 1][None]
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("offset, refused", [(-1e-3, True), (1e-3, False)])
+def test_closed_form_pairing_applies_the_rank_rule_of_the_svd(offset, refused, seed, complex_):
+    # s2 / s1 = 1e-8 (1 +- 1e-3): the closed form refuses the plane exactly
+    # where _orthonormal_spans refuses it
+    n = 3
+    sig = canonical.readonly_form(n)
+    a, b = _plane(1e-8 * (1 + offset), n, seed, complex_)
+    verdicts = []
+    for pair in (
+        lambda: canonical._pair_planes(a, b, sig),
+        lambda: canonical._orthonormal_spans(np.stack((a, b), axis=2), 2),
+    ):
+        try:
+            pair()
+            verdicts.append(False)
+        except DegenerateSpectrum as exc:
+            assert "rank deficient" in str(exc)
+            verdicts.append(True)
+    assert verdicts == [refused, refused]
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_pairing_matches_the_general_path(seed, complex_):
+    # the same plane through both paths: the same span, u^T sig w = -c and
+    # the same lengths |u| = |w|, whatever basis each path picks
+    n = 3
+    sig = canonical.readonly_form(n)
+    a, b = _plane(0.3, n, seed, complex_)
+    u, w = canonical._pair_planes(a, b, sig)
+    u_ref, w_ref = canonical._symplectic_pairs(canonical._orthonormal_spans(np.stack((a, b), axis=2), 2), sig)
+    c = 2.0 if complex_ else 1.0
+    for uu, ww in ((u, w), (u_ref, w_ref)):
+        assert uu.reshape(-1) @ sig @ ww.reshape(-1) == pytest.approx(-c, rel=1e-13)
+    assert np.linalg.norm(u) == pytest.approx(np.linalg.norm(u_ref), rel=1e-13)
+    assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(w_ref), rel=1e-13)
+    span = np.linalg.svd(np.column_stack([a[0], b[0]]), full_matrices=False)[0]
+    assert u.shape == w.shape == (1, 2 * n)
+    for vec in (u[0], w[0]):
+        assert np.linalg.norm(vec - span @ (span.conj().T @ vec)) <= 1e-14 * np.linalg.norm(vec)
+
+
+def test_closed_form_pairing_refuses_an_isotropic_plane():
+    # span(e1, e2) of R^4 is isotropic: e1^T sig e2 = 0
+    sig = canonical.readonly_form(2)
+    a, b = np.eye(4)[None, 0], np.eye(4)[None, 1]
+    with pytest.raises(IsotropicEigenspace, match="symplectic form degenerates"):
+        canonical._pair_planes(a, b, sig)
+    # and so is the complex plane span(e1 + i e2, e2)
+    with pytest.raises(IsotropicEigenspace, match="symplectic form degenerates"):
+        canonical._pair_planes(a + 1j * b, b + 0j, sig)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("score, refused", [(5e-11, True), (2e-10, False)])
+def test_closed_form_pairing_reads_the_isotropy_score_of_the_unit_vectors(score, refused, scale):
+    # the plane span(e1, cos t e2 + sin t e3) of R^4 has e1^T sig v = sin t,
+    # the pairing score of its orthonormal basis, against _PAIRING_MIN = 1e-10,
+    # whatever the length of the vectors that span it
+    sig = canonical.readonly_form(2)
+    e = np.eye(4)
+    a = scale * e[None, 0]
+    b = scale * (0.5 * e[0] + math.sqrt(1 - score**2) * e[1] + score * e[2])[None]
+    verdicts = []
+    for pair in (
+        lambda: canonical._pair_planes(a, b, sig),
+        lambda: canonical._symplectic_pairs(canonical._orthonormal_spans(np.stack((a, b), axis=2), 2), sig),
+    ):
+        try:
+            pair()
+            verdicts.append(False)
+        except IsotropicEigenspace:
+            verdicts.append(True)
+    assert verdicts == [refused, refused]
+
+
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_stage1_svds_do_not_grow_with_n(monkeypatch, n):
-    # one batched stage-1 SVD per (kind, size) group of clusters; the rcond
-    # gates of X and of the stage-1 basis T are settled by the bound from
-    # their inverses, so no full-size (2-D) SVD runs
+    # at most one batched stage-1 SVD per (kind, size) group of clusters of
+    # size 4 or more (size-2 clusters are paired in closed form, with no
+    # SVD); the rcond gates of X and of the stage-1 basis T are settled by
+    # the bound from their inverses, so no full-size (2-D) SVD runs
     x = np.random.default_rng(n).standard_normal((2 * n, 2 * n))
     w = np.linalg.eigvals(sigma_matrix(x))
     clusters = spectrum_from_eigenvalues(w, canonical.DEFAULT_TOL)[1]
@@ -162,8 +264,9 @@ def test_stage1_svds_do_not_grow_with_n(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_decompose_of_a_well_conditioned_x_runs_no_full_size_svd(monkeypatch, n):
-    # the rcond gates of X and of the stage-1 basis T are settled by the
-    # bound from their inverses; only stage 1's batched (3-D) SVDs remain
+    # every cluster of a Gaussian X is a 2-plane, which stage 1 pairs in
+    # closed form, and the rcond gates of X and of the stage-1 basis T are
+    # settled by the bound from their inverses: no SVD runs at all
     x = np.random.default_rng(n).standard_normal((2 * n, 2 * n))
     shapes = []
     svd = np.linalg.svd
@@ -175,7 +278,7 @@ def test_decompose_of_a_well_conditioned_x_runs_no_full_size_svd(monkeypatch, n)
     monkeypatch.setattr(np.linalg, "svd", counting)
     d = decompose(x)
     assert verify_decomposition(x, d).verdict
-    assert shapes and all(len(shape) == 3 for shape in shapes), shapes
+    assert shapes == []
 
 
 _X_GATE = "X is singular within tolerance (rcond < 1e-12)"
@@ -232,6 +335,19 @@ def test_x_with_a_zero_column_is_singular_input():
     with pytest.raises(SingularInput) as err:
         decompose(x)
     assert str(err.value) == _X_GATE
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+def test_a_zero_invariant_is_refused_with_its_size_and_the_gap(scale):
+    # rcond(X) = 1e-7 clears the X gate, but the invariant 1e-7 of the
+    # spectral scale falls within degeneracy_gap; the message names both
+    x = scale * np.diag([1.0, 1e-7, 1.0, 1.0])
+    with pytest.raises(SingularInput) as err:
+        decompose(x)
+    assert str(err.value) == (
+        "zero invariant detected: smallest |invariant| 1.000e-07 of the spectral scale, "
+        "within degeneracy_gap 1e-06"
+    )
 
 
 @pytest.mark.parametrize("p", [86, 90, 120])
@@ -560,7 +676,7 @@ def test_decompose_debug_mode_runs():
 def test_decompose_ill_conditioned_stage1_channel():
     # stage 1 is ill-conditioned here (rcond of its basis about 6e-5) and
     # leaves off-block mass in M; the closed form, which reads M as block
-    # diagonal, still meets the contract (s2 8.7e-9), so no step runs
+    # diagonal, still meets the contract (s2 2.7e-9), so no step runs
     ch = random_valid_channel(8, 4, squeezing=True, seed=2)
     normalize_channel(ch)
     d = decompose(ch.x)
@@ -669,9 +785,9 @@ def _near_real_pair(t):
 
 def _mass_between_clusters():
     # every cluster is a singleton, but stage 1's basis has rcond 2.7e-4 and
-    # leaves 7.3e-12 of mass between clusters in M; the closed form's S2
-    # misses the contract (s2 1.52e-8), and the step back onto the group
-    # brings it within (1.9e-13)
+    # leaves 5.6e-11 of mass between clusters in M; the closed form's S2
+    # misses the contract (s2 1.2e-7), and the step back onto the group
+    # brings it within (1.5e-13)
     return random_valid_channel(7, 6, squeezing=True, seed=519043367)
 
 
@@ -734,7 +850,7 @@ def test_decompose_steps_the_s2_of_a_snapped_near_real_pair_onto_the_group(monke
     # the snapped pair 1 +- 1e-9 i leaves e M asymmetric by about 2.5e-9; on
     # these dressings that puts the closed form's S2 off the contract
     # (s2 1.1e-8 and 2.6e-8), and the step back onto the group within it
-    # (4.0e-16 and 1.1e-15)
+    # (2.8e-16 and 2.0e-15)
     steps = _counting_steps(monkeypatch)
     x = _near_real_pair(t)
     d = decompose(x)
@@ -786,8 +902,8 @@ def test_decompose_steps_s2_back_onto_the_group(i, family):
 @pytest.mark.parametrize("i, family", [(394, "near_pairs"), (421, "split_reals"), (387, "near_real_pair")])
 def test_decompose_judges_a_near_degenerate_input_by_its_contract_alone(i, family):
     # stage 1's block form misses the public op's residual threshold here,
-    # yet the factors built from it meet the residual contract (recon 1.5e-9,
-    # 3.8e-9 and 2.2e-9): decompose returns them
+    # yet the factors built from it meet the residual contract (recon 1.6e-9,
+    # 4.2e-9 and 2.3e-9): decompose returns them
     x = _stress_form(i, family)
     assert verify_decomposition(x, decompose(x)).verdict
     with pytest.raises(DegenerateSpectrum, match="block-diagonalization residual"):
