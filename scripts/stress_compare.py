@@ -31,12 +31,12 @@ Per family and tree, the report also counts the ``decompose`` calls that
 ran a full-size singular-value decomposition, i.e. called
 ``numpy.linalg.svd`` on a 2-D array, as an rcond does, and those that ran a
 stage-1 SVD, i.e. called it on a 3-D stack, as the general path for
-clusters of four or more eigenvalues does (2-planes are paired in closed
-form). The evaluation wraps that function, so the counts need nothing from
-the tree. Beside them stands the count of ``decompose`` results that
-``verify_decomposition`` accepts with a reconstruction residual above 1e-9,
-a tenth of the contract's bound, so that a change moving results toward
-that bound shows.
+clusters of four or more eigenvalues does (2-planes take their bases in
+closed form). The evaluation wraps that function, so the counts need
+nothing from the tree. Beside them stands the count of ``decompose``
+results that ``verify_decomposition`` accepts with a reconstruction
+residual above 1e-9, a tenth of the contract's bound, so that a change
+moving results toward that bound shows.
 """
 
 from __future__ import annotations

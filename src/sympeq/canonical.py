@@ -12,9 +12,9 @@ eigenvectors). The construction has two stages:
    grouped by kind and size, and each group is one stack. Every invariant
    is doubled, so a simple invariant's cluster is a 2-plane, on which the
    symplectic form is nondegenerate; such planes, all of a generic
-   input's, are orthonormalised and paired in closed form, with no SVD.
-   Larger clusters (repeated invariants) take one batched SVD and one
-   symplectic Gram-Schmidt run on all members of their stack at once.
+   input's, are orthonormalised in closed form, with no SVD. Larger
+   clusters (repeated invariants) take one batched SVD per stack. One
+   symplectic Gram-Schmidt then runs on all members of a stack at once.
    Its columns follow the canonical order of the invariants, so M equals
    -J to rounding;
 2. the symmetric factors of M in closed form, with no search and no random
@@ -203,6 +203,24 @@ def _orthonormal_spans(stack: np.ndarray, dim: int) -> np.ndarray:
     return u[:, :, :dim]
 
 
+def _pair(u: np.ndarray, v: np.ndarray, f: np.ndarray, c: float):
+    """The pairs (u, w) with u^T sig w = -c from unit vectors u, v, rows of
+    two (k, 2n) stacks, and their products f = u^T sig v.
+
+    |f| is the pairing score; below ``_PAIRING_MIN`` the symplectic form
+    degenerates on the subspace and IsotropicEigenspace is raised.
+    """
+    score = np.abs(f)
+    if score.min() < _PAIRING_MIN:
+        raise IsotropicEigenspace(
+            "symplectic form degenerates on an invariant subspace"
+        )
+    # w = v / (-f / c) has u^T sig w = -c and length c / |f|; the balance
+    # sqrt(c / |f|) scales u up and w down to equal lengths
+    balance = np.sqrt(c / score)
+    return u * balance[:, None], v * (-c / (f * balance))[:, None]
+
+
 def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
     """Split each of a (k, 2n, d) stack of invariant subspaces into pairs (u, w)
     with u^T sig w = -c.
@@ -230,16 +248,7 @@ def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
         else:
             members, j = np.arange(k), np.abs(form).argmax(axis=1)  # first maximum
             f, v = form[members, j], rest[members, j]
-        score = np.abs(f)
-        if score.min() < _PAIRING_MIN:
-            raise IsotropicEigenspace(
-                "symplectic form degenerates on an invariant subspace"
-            )
-        # w = v / (-f / c) has u^T sig w = -c and length c / |f|; the balance
-        # sqrt(c / |f|) scales u up and w down to equal lengths
-        balance = np.sqrt(c / score)
-        us[:, step] = u * balance[:, None]
-        ws[:, step] = v * (-c / (f * balance))[:, None]
+        us[:, step], ws[:, step] = _pair(u, v, f, c)
         if rest.shape[1] == 1:
             break
         keep = np.ones(form.shape, dtype=bool)
@@ -257,44 +266,33 @@ def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
     return us, ws
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # conj(x_i) . y_i for every row i of two (k, m) stacks
-    return np.add.reduce(x.conj() * y, axis=1)
+def _orthonormal_planes(planes: np.ndarray) -> np.ndarray:
+    """Closed form of ``_orthonormal_spans`` for k 2-planes, plane i spanned
+    by the rows a_i, b_i of a (k, 2, m) stack.
 
-
-def _pair_planes(a: np.ndarray, b: np.ndarray, sig: np.ndarray):
-    """Closed form of ``_symplectic_pairs(_orthonormal_spans(raw, 2), sig)``
-    for k 2-planes, plane i spanned by row i of a and row i of b, two
-    (k, 2n) stacks.
-
-    Gram-Schmidt under the Hermitian product replaces b by b - proj_a b, so
-    that a/|a|, b/|b| are orthonormal. The rank rule s2 <= 1e-8 s1 of
-    ``_orthonormal_spans`` reads the singular values of the original (a, b)
+    Gram-Schmidt under the Hermitian product replaces b by b - proj_a b. The
+    rank rule s2 <= 1e-8 s1 reads the singular values of the original (a, b)
     off its 2x2 Gram matrix: s1^2 s2^2 = |a|^2 |b - proj_a b|^2 and
     s1^2 + s2^2 = |a|^2 + |b|^2. With q = (s2 / s1)^2 <= 1 their quotient
     s1^2 s2^2 / (s1^2 + s2^2)^2 = q / (1 + q)^2 grows with q, so the rule
     refuses where it is at most 1e-16 / (1 + 1e-16)^2, which rounds to
-    1e-16. One pairing step of ``_symplectic_pairs`` on the unit vectors
-    follows, with its isotropy check and balance. Returns the u- and
-    w-vectors as (k, 2n) stacks.
+    1e-16. |b - proj_a b| is summed from the projected vector itself, since
+    |b|^2 - |a^H b|^2 / |a|^2 cancels to rounding exactly where the rule
+    decides. Returns the orthonormal rows as a (k, 2, m) stack.
     """
-    c = 2.0 if a.dtype.kind == "c" else 1.0
-    aa = _row_dots(a, a).real
-    bb = _row_dots(b, b).real
-    b = b - (_row_dots(a, b) / aa)[:, None] * a
-    det = aa * _row_dots(b, b).real
-    if not (det > 1e-16 * (aa + bb) ** 2).all():  # nan refuses too
+    a = planes[:, 0]
+    gram = planes.conj() @ planes.transpose(0, 2, 1)
+    aa, bb = gram[:, 0, 0].real, gram[:, 1, 1].real
+    b = planes[:, 1] - (gram[:, 0, 1] / aa)[:, None] * a
+    rr = np.add.reduce(b.conj() * b, axis=1).real
+    if not (aa * rr > 1e-16 * (aa + bb) ** 2).all():  # nan refuses too
         raise DegenerateSpectrum(
             "invariant subspace is rank deficient (defective or near-defective input)"
         )
-    f = np.add.reduce(a @ sig * b, axis=1)  # a^T sig b
-    score = np.abs(f)  # |a| |b| times the score of the unit vectors
-    if (score < _PAIRING_MIN * np.sqrt(det)).any():
-        raise IsotropicEigenspace("symplectic form degenerates on an invariant subspace")
-    # with the balance sqrt(c |a| |b| / |f|) and r = balance / |a|, the pair
-    # of the unit vectors is u = r a, w = -c / (f r) b
-    r = np.sqrt(c * np.sqrt(det) / score) / np.sqrt(aa)
-    return a * r[:, None], b * (-c / (f * r))[:, None]
+    basis = np.empty_like(planes)
+    np.divide(a, np.sqrt(aa)[:, None], out=basis[:, 0])
+    np.divide(b, np.sqrt(rr)[:, None], out=basis[:, 1])
+    return basis
 
 
 def _split_parts(z: np.ndarray) -> np.ndarray:
@@ -314,12 +312,12 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
     as one stack, which yields vectors u, w with u^T sig w = -1; u-vectors
     fill the first-half columns of S^{-1} and w-vectors the second half. A
     cluster of size 2, one simple invariant and so every cluster of a
-    generic input, spans a 2-plane: Gram-Schmidt on its two eigenvectors
-    and one pairing step give u, w in closed form. Larger clusters take one
-    batched SVD for orthonormal bases of their eigenspaces and a symplectic
-    Gram-Schmidt run on all of them at once. Complex conjugate clusters are
-    handled through the real and imaginary parts of a bilinearly paired
-    basis.
+    generic input, spans a 2-plane, whose orthonormal basis Gram-Schmidt on
+    its two eigenvectors gives in closed form. Larger clusters take theirs
+    from one batched SVD. A symplectic Gram-Schmidt then runs on all
+    members of a stack at once (one pairing step for a 2-plane). Complex
+    conjugate clusters are handled through the real and imaginary parts of
+    a bilinearly paired basis.
 
     Sigma is refused as not skew-Hamiltonian where ||(Sigma sigma)^T +
     Sigma sigma|| exceeds 1e-10 ||Sigma||. The block residual
@@ -370,13 +368,15 @@ def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters):
     refuses below rcond 1e-10 while it computes S = T^{-1}. Off-block mass
     is left to the caller to judge.
 
-    Clusters of size 2 take the closed-form path ``_pair_planes``: for a
-    complex cluster its two eigenvectors, for a real one the real plane
-    they span (their real parts, or Re z + Im z and Re z - Im z of a
-    snapped pair z, z-bar), stacked in float64 for real and complex128 for
-    complex clusters. Larger clusters take the general path,
-    ``_orthonormal_spans`` and ``_symplectic_pairs``. Both paths apply the
-    same rank rule, isotropy check and balance.
+    Clusters of size 2 take their orthonormal bases in closed form from
+    ``_orthonormal_planes``: for a complex cluster of its two eigenvectors,
+    for a real one of the real plane they span (their real parts, or
+    Re z + Im z and Re z - Im z of a snapped pair z, z-bar), stacked in
+    float64 for real and complex128 for complex clusters; ``_pair`` pairs
+    the two vectors of each. Larger clusters take their bases from the
+    batched SVD of ``_orthonormal_spans``, under the same rank rule, and
+    their pairs from ``_symplectic_pairs``, whose every step ends in
+    ``_pair``.
     """
     n = sig_h.shape[0] // 2
     sig = readonly_form(n)
@@ -404,7 +404,9 @@ def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters):
                 # real eigenvectors have Im 0; a snapped pair z, z-bar spans
                 # its real plane with Re z + Im z and Re z - Im z
                 planes = planes.real + planes.imag
-            u, w = _pair_planes(planes[0::2], planes[1::2], sig)
+            # one pairing step of _symplectic_pairs on the orthonormal rows
+            a, b = _orthonormal_planes(planes.reshape(-1, 2, 2 * n)).transpose(1, 0, 2)
+            u, w = _pair(a, b, np.add.reduce(a @ sig * b, axis=1), 1.0 if kind == REAL else 2.0)
         else:
             raw = v[:, members].reshape(2 * n, -1, d).transpose(1, 0, 2)  # (k, 2n, d)
             if kind == REAL and np.iscomplexobj(raw):

@@ -163,19 +163,17 @@ def _plane(ratio, n, seed, complex_=False):
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("offset, refused", [(-1e-3, True), (1e-3, False)])
-def test_closed_form_pairing_applies_the_rank_rule_of_the_svd(offset, refused, seed, complex_):
+def test_closed_form_planes_apply_the_rank_rule_of_the_svd(offset, refused, seed, complex_):
     # s2 / s1 = 1e-8 (1 +- 1e-3): the closed form refuses the plane exactly
     # where _orthonormal_spans refuses it
-    n = 3
-    sig = canonical.readonly_form(n)
-    a, b = _plane(1e-8 * (1 + offset), n, seed, complex_)
+    a, b = _plane(1e-8 * (1 + offset), 3, seed, complex_)
     verdicts = []
-    for pair in (
-        lambda: canonical._pair_planes(a, b, sig),
+    for span in (
+        lambda: canonical._orthonormal_planes(np.stack((a, b), axis=1)),
         lambda: canonical._orthonormal_spans(np.stack((a, b), axis=2), 2),
     ):
         try:
-            pair()
+            span()
             verdicts.append(False)
         except DegenerateSpectrum as exc:
             assert "rank deficient" in str(exc)
@@ -185,70 +183,60 @@ def test_closed_form_pairing_applies_the_rank_rule_of_the_svd(offset, refused, s
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("seed", range(4))
-def test_closed_form_pairing_matches_the_general_path(seed, complex_):
-    # the same plane through both paths: the same span, u^T sig w = -c and
-    # the same lengths |u| = |w|, whatever basis each path picks
+def test_closed_form_planes_are_orthonormal_bases_of_their_spans(seed, complex_):
     n = 3
-    sig = canonical.readonly_form(n)
     a, b = _plane(0.3, n, seed, complex_)
-    u, w = canonical._pair_planes(a, b, sig)
-    u_ref, w_ref = canonical._symplectic_pairs(canonical._orthonormal_spans(np.stack((a, b), axis=2), 2), sig)
-    c = 2.0 if complex_ else 1.0
-    for uu, ww in ((u, w), (u_ref, w_ref)):
-        assert uu.reshape(-1) @ sig @ ww.reshape(-1) == pytest.approx(-c, rel=1e-13)
-    assert np.linalg.norm(u) == pytest.approx(np.linalg.norm(u_ref), rel=1e-13)
-    assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(w_ref), rel=1e-13)
+    (q,) = canonical._orthonormal_planes(np.stack((a, b), axis=1))  # rows
+    assert q.shape == (2, 2 * n) and q.dtype == a.dtype
+    assert np.linalg.norm(q.conj() @ q.T - np.eye(2)) <= 1e-15
     span = np.linalg.svd(np.column_stack([a[0], b[0]]), full_matrices=False)[0]
-    assert u.shape == w.shape == (1, 2 * n)
-    for vec in (u[0], w[0]):
-        assert np.linalg.norm(vec - span @ (span.conj().T @ vec)) <= 1e-14 * np.linalg.norm(vec)
+    assert np.linalg.norm(q.T @ q.conj() - span @ span.conj().T) <= 1e-14
 
 
-def test_closed_form_pairing_refuses_an_isotropic_plane():
-    # span(e1, e2) of R^4 is isotropic: e1^T sig e2 = 0
-    sig = canonical.readonly_form(2)
-    a, b = np.eye(4)[None, 0], np.eye(4)[None, 1]
-    with pytest.raises(IsotropicEigenspace, match="symplectic form degenerates"):
-        canonical._pair_planes(a, b, sig)
-    # and so is the complex plane span(e1 + i e2, e2)
-    with pytest.raises(IsotropicEigenspace, match="symplectic form degenerates"):
-        canonical._pair_planes(a + 1j * b, b + 0j, sig)
-
-
-@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-@pytest.mark.parametrize("score, refused", [(5e-11, True), (2e-10, False)])
-def test_closed_form_pairing_reads_the_isotropy_score_of_the_unit_vectors(score, refused, scale):
-    # the plane span(e1, cos t e2 + sin t e3) of R^4 has e1^T sig v = sin t,
-    # the pairing score of its orthonormal basis, against _PAIRING_MIN = 1e-10,
-    # whatever the length of the vectors that span it
-    sig = canonical.readonly_form(2)
+@pytest.mark.parametrize("kind", [REAL, COMPLEX_PAIR])
+def test_stage1_refuses_an_isotropic_plane(kind):
+    # span(e1, e2) of R^4 is isotropic, e1^T sig e2 = 0, and so is the
+    # complex plane span(e1 + i e2, e2); either as a cluster's eigenvectors
+    # fails the pairing
     e = np.eye(4)
-    a = scale * e[None, 0]
-    b = scale * (0.5 * e[0] + math.sqrt(1 - score**2) * e[1] + score * e[2])[None]
-    verdicts = []
-    for pair in (
-        lambda: canonical._pair_planes(a, b, sig),
-        lambda: canonical._symplectic_pairs(canonical._orthonormal_spans(np.stack((a, b), axis=2), 2), sig),
-    ):
-        try:
-            pair()
-            verdicts.append(False)
-        except IsotropicEigenspace:
-            verdicts.append(True)
-    assert verdicts == [refused, refused]
+    if kind == REAL:
+        v = e
+        clusters = [(Invariant(1.0, 0.0, REAL), [0, 1]), (Invariant(2.0, 0.0, REAL), [2, 3])]
+    else:
+        v = np.column_stack([e[0] + 1j * e[1], e[1], e[2], e[3]])
+        clusters = [(Invariant(1.0, 1.0, COMPLEX_PAIR), [0, 1])]
+    with pytest.raises(IsotropicEigenspace, match="symplectic form degenerates"):
+        canonical._block_diagonalize(np.zeros((4, 4)), v, clusters)
+
+
+def _repeated_invariants(n, seed):
+    # n / 4 units, in turns of two either a real invariant twice and a
+    # simple complex pair, or a complex pair twice: n / 4 clusters of four
+    # eigenvalues
+    p = lambda a, b: np.array([[a, b], [-b, a]])
+    j = np.zeros((0, 0))
+    for i in range(n // 4):
+        if i // 2 % 2 == 0:
+            units = [[[1.5 + i]], [[1.5 + i]], p(0.5 + i, 1.0)]
+        else:
+            units = [p(-1.0 - i, 0.7)] * 2
+        for blk in units:
+            j = direct_sum(j, np.asarray(blk, dtype=float))
+    return random_symplectic(n, seed) @ direct_sum(np.eye(n), j) @ random_symplectic(n, seed + 1)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_stage1_svds_do_not_grow_with_n(monkeypatch, n):
-    # at most one batched stage-1 SVD per (kind, size) group of clusters of
-    # size 4 or more (size-2 clusters are paired in closed form, with no
-    # SVD); the rcond gates of X and of the stage-1 basis T are settled by
-    # the bound from their inverses, so no full-size (2-D) SVD runs
-    x = np.random.default_rng(n).standard_normal((2 * n, 2 * n))
+    # the n / 4 clusters of four eigenvalues take at most one batched
+    # stage-1 SVD per (kind, size) group (2-planes take their bases in
+    # closed form, with no SVD); the rcond gates of X and of the stage-1
+    # basis T are settled by the bound from their inverses, so no full-size
+    # (2-D) SVD runs
+    x = _repeated_invariants(n, 7 * n)
     w = np.linalg.eigvals(sigma_matrix(x))
     clusters = spectrum_from_eigenvalues(w, canonical.DEFAULT_TOL)[1]
-    groups = {(inv.kind, len(idx)) for inv, idx in clusters}
-    assert groups <= {(REAL, 2), (COMPLEX_PAIR, 2)} and len(clusters) >= n // 2
+    large = [(inv.kind, len(idx)) for inv, idx in clusters if len(idx) >= 4]
+    assert len(large) == n // 4 and set(large) <= {(REAL, 4), (COMPLEX_PAIR, 4)}
     calls = []
     svd = np.linalg.svd
 
@@ -257,15 +245,15 @@ def test_stage1_svds_do_not_grow_with_n(monkeypatch, n):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    decompose(x)
-    assert len(calls) <= len(groups), calls
+    assert verify_decomposition(x, decompose(x)).verdict
+    assert 0 < len(calls) <= len(set(large)), calls
     assert all(len(shape) == 3 for shape in calls), calls
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_decompose_of_a_well_conditioned_x_runs_no_full_size_svd(monkeypatch, n):
-    # every cluster of a Gaussian X is a 2-plane, which stage 1 pairs in
-    # closed form, and the rcond gates of X and of the stage-1 basis T are
+    # every cluster of a Gaussian X is a 2-plane, whose basis stage 1 takes
+    # in closed form, and the rcond gates of X and of the stage-1 basis T are
     # settled by the bound from their inverses: no SVD runs at all
     x = np.random.default_rng(n).standard_normal((2 * n, 2 * n))
     shapes = []
@@ -676,7 +664,7 @@ def test_decompose_debug_mode_runs():
 def test_decompose_ill_conditioned_stage1_channel():
     # stage 1 is ill-conditioned here (rcond of its basis about 6e-5) and
     # leaves off-block mass in M; the closed form, which reads M as block
-    # diagonal, still meets the contract (s2 2.7e-9), so no step runs
+    # diagonal, still meets the contract (s2 4.5e-9), so no step runs
     ch = random_valid_channel(8, 4, squeezing=True, seed=2)
     normalize_channel(ch)
     d = decompose(ch.x)
@@ -785,9 +773,9 @@ def _near_real_pair(t):
 
 def _mass_between_clusters():
     # every cluster is a singleton, but stage 1's basis has rcond 2.7e-4 and
-    # leaves 5.6e-11 of mass between clusters in M; the closed form's S2
-    # misses the contract (s2 1.2e-7), and the step back onto the group
-    # brings it within (1.5e-13)
+    # leaves 9.3e-12 of mass between clusters in M; the closed form's S2
+    # misses the contract (s2 1.8e-8), and the step back onto the group
+    # brings it within (1.7e-13)
     return random_valid_channel(7, 6, squeezing=True, seed=519043367)
 
 
@@ -850,7 +838,7 @@ def test_decompose_steps_the_s2_of_a_snapped_near_real_pair_onto_the_group(monke
     # the snapped pair 1 +- 1e-9 i leaves e M asymmetric by about 2.5e-9; on
     # these dressings that puts the closed form's S2 off the contract
     # (s2 1.1e-8 and 2.6e-8), and the step back onto the group within it
-    # (2.8e-16 and 2.0e-15)
+    # (3.1e-16 and 1.5e-15)
     steps = _counting_steps(monkeypatch)
     x = _near_real_pair(t)
     d = decompose(x)

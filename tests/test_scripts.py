@@ -52,8 +52,7 @@ def test_decompose_timing_prints_the_stages_of_one_tree_per_n():
     for row in rows:
         ms, shares = row[1:13:2], row[2:13:2]
         assert len(row) == 14 and min(ms) > 0
-        # the six cells and the sum are each printed rounded to 1e-4 ms
-        assert sum(ms) == pytest.approx(row[13], abs=7 * 0.5e-4)
+        assert sum(ms) == pytest.approx(row[13], rel=1e-3, abs=1e-4)
         assert sum(shares) == pytest.approx(100, abs=0.5)
 
 
@@ -107,8 +106,9 @@ def test_stress_compare_counts_the_decompose_calls_that_ran_a_stage1_svd(monkeyp
 
     import sympeq
 
-    # every cluster of a Gaussian X is a 2-plane, paired in closed form; the
-    # repeated family has clusters of four eigenvalues, which take the SVD
+    # every cluster of a Gaussian X is a 2-plane, whose basis stage 1 takes
+    # in closed form; the repeated family has clusters of four eigenvalues,
+    # which take the SVD
     x = np.random.default_rng(4).standard_normal((8, 8))
     i = 0
     repeated = stress_compare._dressed_form(sympeq, "repeated", np.random.default_rng(3_000_000 + i), 3_000_000 + 2 * i)
