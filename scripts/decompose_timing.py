@@ -16,6 +16,9 @@ turns for ``--repeat`` timed calls each, the round alternating which tree
 goes first. The operations are:
 
 * ``decompose`` and ``invariants`` of X;
+* ``decompose_repeated``: ``decompose`` of a dressed
+  S_a (I_n (+) r I_n) S_b with seeded ``random_symplectic`` S_a, S_b and
+  r in [0.5, 3], one real invariant n times, which a Gaussian X never has;
 * ``spectrum_from_eigenvalues`` on the eigenvalues of Sigma(X), which
   classifies them;
 * ``hermitian_min_eig`` of (X X^T + I, the antisymmetric part of X), the
@@ -42,8 +45,9 @@ stages by marks taken on entry to functions of its ``canonical`` module:
   runs), up to the return.
 
 The table gives, per n, the median over rounds of each round's median time
-of every stage in ms with its percentage of their sum, and that sum. Calls
-that raise before the last mark are left out.
+of every stage in ms with its percentage of their sum, and the sum of the
+stage times as printed, rounded to 1e-4 ms. Calls that raise before the
+last mark are left out.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import numpy as np
 import trees
 
 NS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32)
-OPS = ("decompose", "invariants", "spectrum_from_eigenvalues", "hermitian_min_eig", "williamson")
+OPS = ("decompose", "decompose_repeated", "invariants", "spectrum_from_eigenvalues", "hermitian_min_eig", "williamson")
 # each stage after the first starts on entry to this function of canonical
 STAGES = {
     "gate": None,
@@ -71,14 +75,16 @@ STAGES = {
 }
 
 
-def _calls(sp, x) -> dict:
-    """Each operation on X as a function of no arguments."""
+def _calls(sp, x, repeated) -> dict:
+    """Each operation on X (or the repeated invariant's input) as a function
+    of no arguments."""
     inv = importlib.import_module(f"{sp.__name__}.invariants")
     w = np.linalg.eigvals(inv.sigma_matrix(x))
     r = x @ x.T + np.eye(x.shape[0])
     a = (x - x.T) / 2
     return {
         "decompose": lambda: sp.decompose(x),
+        "decompose_repeated": lambda: sp.decompose(repeated),
         "invariants": lambda: sp.invariants(x),
         "spectrum_from_eigenvalues": lambda: inv.spectrum_from_eigenvalues(w, sp.DEFAULT_TOL),
         "hermitian_min_eig": lambda: sp.hermitian_min_eig(r, a),
@@ -99,8 +105,8 @@ def measure(pkgs: dict, rounds: int, inputs: int, repeat: int) -> dict:
     """Per tree, operation and n: one median time per call in ms per round."""
     out = {side: {op: {n: [] for n in NS} for op in OPS} for side in pkgs}
     for n in NS:
-        xs = _gaussians(n, inputs)
-        calls = {side: [_calls(sp, x) for x in xs] for side, sp in pkgs.items()}
+        xs, reps = _gaussians(n, inputs), _repeated(pkgs["parent"], n, inputs)
+        calls = {side: [_calls(sp, x, rep) for x, rep in zip(xs, reps)] for side, sp in pkgs.items()}
         for r in range(rounds):
             order = list(pkgs) if r % 2 == 0 else list(pkgs)[::-1]
             for op in OPS:
@@ -118,6 +124,16 @@ def measure(pkgs: dict, rounds: int, inputs: int, repeat: int) -> dict:
 
 def _gaussians(n: int, inputs: int) -> list:
     return [np.random.default_rng(1000 * n + i).standard_normal((2 * n, 2 * n)) for i in range(inputs)]
+
+
+def _repeated(sp, n: int, inputs: int) -> list:
+    out = []
+    for i in range(inputs):
+        seed = 1000 * n + i
+        r = np.random.default_rng(seed).uniform(0.5, 3.0)
+        form = np.diag(np.r_[np.ones(n), np.full(n, r)])
+        out.append(sp.random_symplectic(n, 2 * seed) @ form @ sp.random_symplectic(n, 2 * seed + 1))
+    return out
 
 
 def _marked(sp) -> list:
@@ -172,7 +188,9 @@ def report_stages(runs: dict, rounds: int, inputs: int, repeat: int) -> None:
             continue
         total = sum(med.values())
         cells = " ".join(f"{med[stage]:9.4f} {100 * med[stage] / total:5.1f}" for stage in STAGES)
-        print(f"{n:>3d} {cells} {total:9.4f}")
+        # the sum of the printed cells, so that the printed numbers add up
+        printed = sum(float(f"{med[stage]:.4f}") for stage in STAGES)
+        print(f"{n:>3d} {cells} {printed:9.4f}")
 
 
 def main(argv=None) -> int:

@@ -29,14 +29,16 @@ failure -> success. The exit status is 1 on any different outcome.
 
 Per family and tree, the report also counts the ``decompose`` calls that
 ran a full-size singular-value decomposition, i.e. called
-``numpy.linalg.svd`` on a 2-D array, as an rcond does, and those that ran a
+``numpy.linalg.svd`` on a 2-D array, as an rcond does; those that ran a
 stage-1 SVD, i.e. called it on a 3-D stack, as the general path for
 clusters of four or more eigenvalues does (2-planes take their bases in
-closed form). The evaluation wraps that function, so the counts need
-nothing from the tree. Beside them stands the count of ``decompose``
-results that ``verify_decomposition`` accepts with a reconstruction
-residual above 1e-9, a tenth of the contract's bound, so that a change
-moving results toward that bound shows.
+closed form); and those that ran a batched Hermitian eigensolve, i.e.
+called ``numpy.linalg.eigh`` on a 3-D stack, as the pairing of a real
+invariant repeated three or more times does. The evaluation wraps these
+functions, so the counts need nothing from the tree. Beside them stands
+the count of ``decompose`` results that ``verify_decomposition`` accepts
+with a reconstruction residual above 1e-9, a tenth of the contract's
+bound, so that a change moving results toward that bound shows.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ CONTRACT_RTOL = 1e-9
 RECON_TAIL = 1e-9  # verified results above this reconstruction residual are counted
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 _SVD = np.linalg.svd
+_EIGH = np.linalg.eigh
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +146,18 @@ def _run(sp, fn) -> dict:
 
 
 def _decompose(sp, x, calls: Counter) -> dict:
-    # calls counts the 2-D and 3-D svd calls of decompose, also when it raises
+    # calls counts the 2-D and 3-D svd calls and the 3-D eigh calls of
+    # decompose, also when it raises
     def svd(a, *args, **kwargs):
         calls["svd"] += np.ndim(a) == 2
         calls["stack_svd"] += np.ndim(a) == 3
         return _SVD(a, *args, **kwargs)
 
-    with mock.patch.object(np.linalg, "svd", svd):
+    def eigh(a, *args, **kwargs):
+        calls["stack_eigh"] += np.ndim(a) == 3
+        return _EIGH(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "svd", svd), mock.patch.object(np.linalg, "eigh", eigh):
         d = sp.decompose(x)
     rep = sp.verify_decomposition(x, d)
     return {
@@ -207,6 +215,7 @@ def evaluate(sp, inputs: list[dict]) -> list[dict]:
             "ops": rec,
             "full_svd": calls["svd"] > 0,
             "stage1_svd": calls["stack_svd"] > 0,
+            "stage1_eigh": calls["stack_eigh"] > 0,
             "recon_tail": dec.get("verdict", False) and dec["verify"][0] > RECON_TAIL,
         })
     return json.loads(json.dumps(out))
@@ -305,6 +314,7 @@ def main(argv=None) -> int:
         for side, rec in (("parent", a), ("change", b)):
             family[f"{side} full_svd"] += rec["full_svd"]
             family[f"{side} stage1_svd"] += rec["stage1_svd"]
+            family[f"{side} stage1_eigh"] += rec["stage1_eigh"]
             family[f"{side} recon_tail"] += rec["recon_tail"]
         for op, rec in b["ops"].items():
             if "error" in rec:
@@ -329,11 +339,12 @@ def main(argv=None) -> int:
         print(f"  {family:16s} {c['identical']:5d} identical {c['digits']:5d} digits {c['different']:5d} different")
     if counts["digits"]:
         print(f"  largest number difference: {worst[0]:.2e} relative, in {worst[1]} of input {worst[2]}")
-    print("  decompose calls that ran a full-size SVD | a stage-1 (3-D) SVD | verified decompose "
-          f"results with recon above {RECON_TAIL:g}, parent -> change:")
+    print("  decompose calls that ran a full-size SVD | a stage-1 (3-D) SVD | a batched (3-D) eigh "
+          f"| verified decompose results with recon above {RECON_TAIL:g}, parent -> change:")
     for family, c in by_family.items():
         print(f"  {family:16s} {c['parent full_svd']:5d} -> {c['change full_svd']:5d}"
               f" | {c['parent stage1_svd']:5d} -> {c['change stage1_svd']:5d}"
+              f" | {c['parent stage1_eigh']:5d} -> {c['change stage1_eigh']:5d}"
               f" | {c['parent recon_tail']:5d} -> {c['change recon_tail']:5d}")
     for (op, name), k in sorted(errors.items()):
         print(f"  change: {op} raised {name} on {k} inputs")

@@ -13,17 +13,19 @@ eigenvectors). The construction has two stages:
    is doubled, so a simple invariant's cluster is a 2-plane, on which the
    symplectic form is nondegenerate; such planes, all of a generic
    input's, are orthonormalised in closed form, with no SVD. Larger
-   clusters (repeated invariants) take one batched SVD per stack. One
-   symplectic Gram-Schmidt then runs on all members of a stack at once.
-   Its columns follow the canonical order of the invariants, so M equals
-   -J to rounding;
+   clusters (repeated invariants) take one batched SVD per stack. A real
+   invariant repeated three or more times is then paired in closed form by
+   one batched Hermitian eigensolve of i Q^T sigma Q; other clusters run
+   one symplectic Gram-Schmidt on all members of a stack at once. The
+   columns follow the canonical order of the invariants, so M equals -J to
+   rounding;
 2. the symmetric factors of M in closed form, with no search and no random
    draw, read off M as stage 1 leaves it. Where off-block mass in M (near a
    real/complex or a clustering threshold, or where stage 1 is
    ill-conditioned) carries S2 off the symplectic group by more than the
    residual contract allows, one first-order step in closed form moves S2
-   back onto it. The decomposition thus costs one eigendecomposition in
-   all.
+   back onto it. The decomposition thus costs one full-size
+   eigendecomposition in all.
 
 X and the stage-1 basis T must be invertible, judged by a 2-norm rcond
 floor each. Both gates read ``core.gated_inverse``: the bound
@@ -234,6 +236,11 @@ def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
     basis. A complex basis gets c = 2, which makes the real and imaginary
     parts of its pairs assemble into a symplectic basis. Returns the u- and
     w-vectors as (k, d/2, 2n) stacks.
+
+    Stage 1 runs it on clusters of four eigenvalues, real or complex, and on
+    complex clusters of any size, for which a Hermitian eigensolve gives no
+    basis that is symplectic for the complex bilinear form; real clusters
+    of six or more take ``_eigh_pairs``.
     """
     c = 2.0 if np.iscomplexobj(basis) else 1.0
     k, dim, d = basis.shape
@@ -264,6 +271,35 @@ def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
             raise DegenerateSpectrum("collapsed basis vector in symplectic pairing")
         cols = cols / nv[:, :, None]
     return us, ws
+
+
+def _eigh_pairs(basis: np.ndarray, sig: np.ndarray):
+    """Split each of a (k, 2n, d) stack of real orthonormal bases Q into
+    pairs (u, w) with u^T sig w = -1, from one batched Hermitian eigensolve.
+
+    F = Q^T sig Q is real skew, so i F is Hermitian with eigenvalues
+    +-kappa. An eigenvector y of kappa > 0 and its conjugate belong to
+    distinct eigenvalues, so y_i^T y_j = 0 and the vectors sqrt(2) Re y_i,
+    sqrt(2) Im y_i are orthonormal (as in ``williamson``). Since
+    F Re y = kappa Im y, u = Q sqrt(2 / kappa) Re y and
+    w = Q sqrt(2 / kappa) Im y give u_i^T sig w_j = -delta_ij, with the u's
+    and the w's isotropic. The least kappa is the pairing score; below
+    ``_PAIRING_MIN`` the symplectic form degenerates on the subspace and
+    IsotropicEigenspace is raised. Returns the u- and w-vectors as
+    (k, d/2, 2n) stacks.
+    """
+    d = basis.shape[2]
+    try:
+        kappa, y = np.linalg.eigh(1j * (basis.transpose(0, 2, 1) @ sig @ basis))
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(f"Hermitian eigensolve failed: {exc}") from exc
+    kappa, y = kappa[:, d // 2 :], y[:, :, d // 2 :]  # ascending: the d/2 kappa > 0
+    if kappa.min() < _PAIRING_MIN:
+        raise IsotropicEigenspace(
+            "symplectic form degenerates on an invariant subspace"
+        )
+    y = y * np.sqrt(2.0 / kappa)[:, None, :]
+    return (basis @ y.real).transpose(0, 2, 1), (basis @ y.imag).transpose(0, 2, 1)
 
 
 def _orthonormal_planes(planes: np.ndarray) -> np.ndarray:
@@ -314,8 +350,10 @@ def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL)
     cluster of size 2, one simple invariant and so every cluster of a
     generic input, spans a 2-plane, whose orthonormal basis Gram-Schmidt on
     its two eigenvectors gives in closed form. Larger clusters take theirs
-    from one batched SVD. A symplectic Gram-Schmidt then runs on all
-    members of a stack at once (one pairing step for a 2-plane). Complex
+    from one batched SVD. A real invariant repeated three or more times is
+    paired in closed form, by one batched Hermitian eigensolve of
+    i Q^T sig Q per stack; on every other stack a symplectic Gram-Schmidt
+    runs on all members at once (one pairing step for a 2-plane). Complex
     conjugate clusters are handled through the real and imaginary parts of
     a bilinearly paired basis.
 
@@ -374,9 +412,15 @@ def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters):
     Re z + Im z and Re z - Im z of a snapped pair z, z-bar), stacked in
     float64 for real and complex128 for complex clusters; ``_pair`` pairs
     the two vectors of each. Larger clusters take their bases from the
-    batched SVD of ``_orthonormal_spans``, under the same rank rule, and
-    their pairs from ``_symplectic_pairs``, whose every step ends in
-    ``_pair``.
+    batched SVD of ``_orthonormal_spans``, under the same rank rule. Real
+    clusters of six or more eigenvalues take their pairs from
+    ``_eigh_pairs``; clusters of four, real or complex, and larger complex
+    clusters from ``_symplectic_pairs``, whose every step ends in ``_pair``.
+    Clusters of four keep Gram-Schmidt: where one merges two nearly equal
+    invariants, the reconstruction residual measures the merge and moves
+    with the choice of basis, and the eigensolve's basis moved verdicts
+    there. On an exactly repeated invariant any symplectic basis gives the
+    same M.
     """
     n = sig_h.shape[0] // 2
     sig = readonly_form(n)
@@ -411,7 +455,8 @@ def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters):
             raw = v[:, members].reshape(2 * n, -1, d).transpose(1, 0, 2)  # (k, 2n, d)
             if kind == REAL and np.iscomplexobj(raw):
                 raw = np.concatenate((raw.real, raw.imag), axis=2)
-            u, w = _symplectic_pairs(_orthonormal_spans(raw, d), sig)
+            pairs = _eigh_pairs if kind == REAL and d >= 6 else _symplectic_pairs
+            u, w = pairs(_orthonormal_spans(raw, d), sig)
         if kind != REAL:
             # a complex pair (z, y) gives the columns Re z, Im z and Re y, -Im y
             u, w = _split_parts(u), _split_parts(w.conj())

@@ -209,6 +209,82 @@ def test_stage1_refuses_an_isotropic_plane(kind):
         canonical._block_diagonalize(np.zeros((4, 4)), v, clusters)
 
 
+@pytest.mark.parametrize("d", [6, 8])
+def test_eigh_pairs_are_symplectic_and_span_their_basis(d):
+    n, k = 5, 3
+    q = np.linalg.qr(np.random.default_rng(d).standard_normal((k, 2 * n, d)))[0]
+    sig = canonical.readonly_form(n)
+    u, w = canonical._eigh_pairs(q, sig)
+    assert u.shape == w.shape == (k, d // 2, 2 * n)
+    for qi, ui, wi in zip(q, u, w):
+        scale = np.linalg.norm(ui) * np.linalg.norm(wi)
+        assert np.linalg.norm(ui @ sig @ wi.T + np.eye(d // 2)) <= 1e-14 * scale
+        assert np.linalg.norm(ui @ sig @ ui.T) <= 1e-14 * scale
+        assert np.linalg.norm(wi @ sig @ wi.T) <= 1e-14 * scale
+        assert np.linalg.norm(_projector(np.vstack([ui, wi]).T) - qi @ qi.T) <= 1e-13
+
+
+@pytest.mark.parametrize("coords", [range(6), [0, 1, 2, 3, 6, 7]], ids=["isotropic", "rank-4"])
+def test_eigh_pairs_refuse_a_subspace_on_which_the_form_degenerates(coords):
+    # in R^12, span(q1..q6) is isotropic, and on span(q1..q4, p1, p2) the
+    # form has rank 4; either as a real cluster of six eigenvalues fails the
+    # pairing
+    e = np.eye(12)
+    coords = list(coords)
+    rest = [i for i in range(12) if i not in coords]
+    clusters = [(Invariant(1.0, 0.0, REAL), [0, 1, 2, 3, 4, 5]), (Invariant(2.0, 0.0, REAL), list(range(6, 12)))]
+    with pytest.raises(IsotropicEigenspace, match="symplectic form degenerates"):
+        canonical._block_diagonalize(np.zeros((12, 12)), e[:, coords + rest], clusters)
+
+
+def _repeated_real(n, r, seed):
+    # I (+) r I_n, dressed: one real cluster of 2n eigenvalues
+    return random_symplectic(n, seed) @ direct_sum(np.eye(n), r * np.eye(n)) @ random_symplectic(n, seed + 1)
+
+
+def test_eigh_pairs_surface_an_eigensolve_failure_as_eigen_failure(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(EigenFailure, match="Hermitian eigensolve failed"):
+        decompose(_repeated_real(3, 2.0, 5))
+
+
+def _counting_calls(monkeypatch, name):
+    fn = getattr(canonical, name)
+    calls = []
+
+    def counting(basis, sig):
+        calls.append(basis.shape)
+        return fn(basis, sig)
+
+    monkeypatch.setattr(canonical, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_a_real_cluster_of_six_or_more_is_paired_by_the_eigensolve(monkeypatch, n):
+    eigh = _counting_calls(monkeypatch, "_eigh_pairs")
+    gram_schmidt = _counting_calls(monkeypatch, "_symplectic_pairs")
+    x = _repeated_real(n, 1.5 + n / 10, 10 * n)
+    assert verify_decomposition(x, decompose(x)).verdict
+    assert eigh == [(1, 2 * n, 2 * n)] and gram_schmidt == []
+
+
+@pytest.mark.parametrize("kind", [REAL, COMPLEX_PAIR])
+def test_a_cluster_of_four_is_paired_by_gram_schmidt(monkeypatch, kind):
+    eigh = _counting_calls(monkeypatch, "_eigh_pairs")
+    gram_schmidt = _counting_calls(monkeypatch, "_symplectic_pairs")
+    if kind == REAL:  # one real invariant twice
+        x = _repeated_real(2, 1.7, 3)
+    else:  # one complex pair twice
+        p = np.array([[0.8, 1.3], [-1.3, 0.8]])
+        x = random_symplectic(4, 3) @ direct_sum(np.eye(4), direct_sum(p, p)) @ random_symplectic(4, 4)
+    assert verify_decomposition(x, decompose(x)).verdict
+    assert eigh == [] and gram_schmidt == [(1, x.shape[0], 4)]
+
+
 def _repeated_invariants(n, seed):
     # n / 4 units, in turns of two either a real invariant twice and a
     # simple complex pair, or a complex pair twice: n / 4 clusters of four

@@ -36,7 +36,7 @@ def test_decompose_timing_prints_a_row_per_operation_and_n():
     )
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
-    ops = ("decompose", "invariants", "spectrum_from_eigenvalues", "hermitian_min_eig", "williamson")
+    ops = ("decompose", "decompose_repeated", "invariants", "spectrum_from_eigenvalues", "hermitian_min_eig", "williamson")
     ns = ("1", "2", "3", "4", "5", "6", "7", "8", "16", "24", "32")
     assert [tuple(row[:2]) for row in rows] == [(op, n) for op in ops for n in ns]
     assert all(len(row) == 6 and row[5] in ("0/1", "1/1") for row in rows)
@@ -116,6 +116,26 @@ def test_stress_compare_counts_the_decompose_calls_that_ran_a_stage1_svd(monkeyp
     assert all(rec["ops"]["decompose"]["verdict"] for rec in records)
     assert [rec["stage1_svd"] for rec in records] == [False, True]
     assert [rec["full_svd"] for rec in records] == [False, False]
+
+
+def test_stress_compare_counts_the_decompose_calls_that_ran_a_batched_eigh(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import stress_compare
+
+    import sympeq
+
+    # repeated inputs 0 and 5 hold their real invariant three and two times:
+    # a real cluster of six eigenvalues is paired by a batched Hermitian
+    # eigensolve, one of four by Gram-Schmidt
+    x = np.random.default_rng(4).standard_normal((8, 8))
+    repeated = [
+        stress_compare._dressed_form(sympeq, "repeated", np.random.default_rng(3_000_000 + i), 3_000_000 + 2 * i)
+        for i in (0, 5)
+    ]
+    records = stress_compare.evaluate(sympeq, [{"family": "random", "x": a} for a in (x, *repeated)])
+    assert all(rec["ops"]["decompose"]["verdict"] for rec in records)
+    assert [rec["stage1_eigh"] for rec in records] == [False, True, False]
+    assert [rec["stage1_svd"] for rec in records] == [False, True, True]
 
 
 def test_roundtrip_sweep_prints_a_summary_per_dimension():
