@@ -38,7 +38,8 @@ stages by marks taken on entry to functions of its ``canonical`` module:
 
 * ``gate``: from the call to ``sigma_of_checked``, i.e. the X gate;
 * ``sigma_eig``: Sigma(X) with its eig, up to ``spectrum_from_eigenvalues``;
-* ``classify``: the classification, up to ``_block_diagonalize``;
+* ``classify``: the classification, up to
+  ``block_diagonalize_skew_hamiltonian``;
 * ``stage1``: stage 1, up to ``canonical_from_invariants``;
 * ``blocks``: the canonical blocks and signs, up to ``_finish``;
 * ``finish``: the finish with its residuals (and the S2 step where it
@@ -47,7 +48,10 @@ stages by marks taken on entry to functions of its ``canonical`` module:
 The table gives, per n, the median over rounds of each round's median time
 of every stage in ms with its percentage of their sum, and the sum of the
 stage times as printed, rounded to 1e-4 ms. Calls that raise before the
-last mark are left out.
+last mark are left out. The marks are taken through the tree's module
+attributes, so ``--stages`` needs a tree whose ``decompose`` calls each of
+these names; on a tree whose stage 1 has another name, no call reaches the
+last mark and every row reads "every call raised before its last stage".
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ STAGES = {
     "gate": None,
     "sigma_eig": "sigma_of_checked",
     "classify": "spectrum_from_eigenvalues",
-    "stage1": "_block_diagonalize",
+    "stage1": "block_diagonalize_skew_hamiltonian",
     "blocks": "canonical_from_invariants",
     "finish": "_finish",
 }

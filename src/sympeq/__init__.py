@@ -12,7 +12,6 @@ from .canonical import (
     TwoSymmetricFactors,
     VerificationReport,
     WilliamsonResult,
-    block_diagonalize_skew_hamiltonian,
     canonical_from_invariants,
     decompose,
     factor_two_symmetric,
@@ -42,7 +41,6 @@ from .errors import (
     NoNonsingularFactor,
     NotPositiveDefinite,
     NotPure,
-    NotSkewHamiltonian,
     NotSymmetric,
     SingularInput,
     SympeqError,

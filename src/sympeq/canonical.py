@@ -7,8 +7,9 @@ conjugate invariant pair. One eigendecomposition of the skew-Hamiltonian
 Sigma(X) serves both the invariants (its eigenvalues) and stage 1 (its
 eigenvectors). The construction has two stages:
 
-1. symplectic block-diagonalization of Sigma(X) to -(M (+) M^T), exposed as
-   ``block_diagonalize_skew_hamiltonian``. The invariant clusters are
+1. symplectic block-diagonalization of Sigma(X) to -(M (+) M^T)
+   (``block_diagonalize_skew_hamiltonian``, a step of ``decompose`` and
+   not part of the package's API). The invariant clusters are
    grouped by kind and size, and each group is one stack. Every invariant
    is doubled, so a simple invariant's cluster is a 2-plane, on which the
    symplectic form is nondegenerate; such planes, all of a generic
@@ -59,7 +60,6 @@ from .core import (
     as_even_square,
     as_matrix,
     block_diag,
-    direct_sum,
     frobenius,
     gated_inverse,
     is_symplectic,
@@ -69,14 +69,12 @@ from .core import (
     symplectic_residual,
 )
 from .errors import (
-    ClusteringAmbiguous,
     DegenerateSpectrum,
     DimensionError,
     EigenFailure,
     IsotropicEigenspace,
     NoNonsingularFactor,
     NotPositiveDefinite,
-    NotSkewHamiltonian,
     SingularInput,
 )
 from .invariants import (
@@ -98,7 +96,6 @@ __all__ = [
     "TwoSymmetricFactors",
     "VerificationReport",
     "canonical_from_invariants",
-    "block_diagonalize_skew_hamiltonian",
     "factor_two_symmetric",
     "decompose",
     "williamson",
@@ -336,75 +333,20 @@ def _split_parts(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z).view(float).reshape(*z.shape, 2).swapaxes(-1, -2)
 
 
-def block_diagonalize_skew_hamiltonian(sigma_mat, tol: Tolerances = DEFAULT_TOL):
-    """Symplectic similarity bringing a skew-Hamiltonian matrix to -(M (+) M^T).
-
-    Returns ``(S, M)`` with S symplectic and ``S Sigma S^{-1} = -(M (+) M^T)``.
-    The eigenspaces of distinct invariants are orthogonal with respect to the
-    symplectic form, so each cluster's basis is built on its own eigenspace.
-    The clusters, and the canonical order of their columns, come from
-    ``spectrum_from_eigenvalues``; an ambiguous clustering raises
-    DegenerateSpectrum. Clusters of one kind and size are processed together
-    as one stack, which yields vectors u, w with u^T sig w = -1; u-vectors
-    fill the first-half columns of S^{-1} and w-vectors the second half. A
-    cluster of size 2, one simple invariant and so every cluster of a
-    generic input, spans a 2-plane, whose orthonormal basis Gram-Schmidt on
-    its two eigenvectors gives in closed form. Larger clusters take theirs
-    from one batched SVD. A real invariant repeated three or more times is
-    paired in closed form, by one batched Hermitian eigensolve of
-    i Q^T sig Q per stack; on every other stack a symplectic Gram-Schmidt
-    runs on all members at once (one pairing step for a 2-plane). Complex
-    conjugate clusters are handled through the real and imaginary parts of
-    a bilinearly paired basis.
-
-    Sigma is refused as not skew-Hamiltonian where ||(Sigma sigma)^T +
-    Sigma sigma|| exceeds 1e-10 ||Sigma||. The block residual
-    ||S Sigma S^{-1} + (M (+) M^T)|| may reach
-    residual_tol * max(1, 1/rcond(T)) * ||Sigma||, with T = S^{-1}; beyond
-    it DegenerateSpectrum is raised. Both thresholds are relative to
-    ||Sigma||, so the verdict does not change with Sigma -> c Sigma. The
-    exact rcond(T) is computed only where the residual exceeds that
-    threshold with the factor 1, since only then can the factor change the
-    verdict.
-    """
-    sig_h = as_even_square(sigma_mat, "Sigma")
-    sig = readonly_form(sig_h.shape[0] // 2)
-    skew = sig_h @ sig
-    scale = frobenius(sig_h)
-    if frobenius(skew.T + skew) > 1e-10 * scale:
-        raise NotSkewHamiltonian("(Sigma sigma)^T != -(Sigma sigma) within tolerance")
-
-    try:
-        w, v = np.linalg.eig(sig_h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigenFailure(f"eigensolver failed: {exc}") from exc
-
-    try:
-        clusters = spectrum_from_eigenvalues(w, tol)[1]
-    except ClusteringAmbiguous as exc:
-        raise DegenerateSpectrum(str(exc)) from exc
-    s, m, t = _block_diagonalize(sig_h, v, clusters)
-    # m is computed and can overflow; direct_sum keeps its finiteness check here
-    residual = frobenius(s @ sig_h @ t + direct_sum(m, m.T))
-    # the factor max(1, 1/rcond(T)) can only raise the threshold, so a
-    # residual within it at factor 1 passes without the exact rcond
-    if residual > tol.residual_tol * scale and residual > (
-        tol.residual_tol * max(1.0, 1.0 / reciprocal_condition(t)) * scale
-    ):
-        raise DegenerateSpectrum(
-            f"block-diagonalization residual {residual:.3e} exceeds tolerance"
-        )
-    return s, m
-
-
-def _block_diagonalize(sig_h: np.ndarray, v: np.ndarray, clusters):
-    """Stage 1 from one eigendecomposition of the skew-Hamiltonian sig_h.
+def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, clusters):
+    """Stage 1 of ``decompose``: a symplectic similarity S bringing the
+    skew-Hamiltonian sig_h to -(M (+) M^T), from one eigendecomposition.
 
     ``v`` holds its eigenvectors and ``clusters`` the classification of its
     eigenvalues by ``spectrum_from_eigenvalues``. Returns S, M off the
     diagonal blocks of S sig_h T, and the basis T, which ``gated_inverse``
     refuses below rcond 1e-10 while it computes S = T^{-1}. Off-block mass
-    is left to the caller to judge.
+    is left to the caller to judge. The eigenspaces of distinct invariants
+    are orthogonal with respect to the symplectic form, so each cluster's
+    basis is built on its own eigenspace: its u-vectors fill first-half
+    columns of T and its w-vectors, with u^T sig w = -1, the same columns
+    n further on. Complex conjugate clusters are handled through the real
+    and imaginary parts of a bilinearly paired basis.
 
     Clusters of size 2 take their orthonormal bases in closed form from
     ``_orthonormal_planes``: for a complex cluster of its two eigenvectors,
@@ -660,7 +602,7 @@ def decompose(
             f"scale, within degeneracy_gap {tol.degeneracy_gap:g}"
         )
 
-    s, m, t = _block_diagonalize(sig_x, v, clusters)
+    s, m, t = block_diagonalize_skew_hamiltonian(sig_x, v, clusters)
     blocks = canonical_from_invariants(spectrum)
     # stage 1 orders M's blocks as the spectrum orders J's: read M as it is
     e = np.array([sign for val in spectrum.values for sign in _SIGNS[val.kind]])

@@ -37,10 +37,6 @@ class ClusteringAmbiguous(SympeqError):
     """Eigenvalues cannot be grouped into doubles within the degeneracy gap."""
 
 
-class NotSkewHamiltonian(SympeqError):
-    """Input lacks the required skew-Hamiltonian structure."""
-
-
 class NotPositiveDefinite(SympeqError):
     """Input matrix is not strictly positive definite."""
 

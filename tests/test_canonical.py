@@ -1,5 +1,7 @@
+import ast
 import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from sympeq import (
     NotSymmetric,
     SingularInput,
     SympeqError,
-    block_diagonalize_skew_hamiltonian,
     canonical_from_invariants,
     channel_validity,
     decompose,
@@ -134,7 +135,7 @@ def test_stacked_stage1_spans_the_per_cluster_eigenspaces(t, snapped):
     (plane,) = [idx for inv, idx in clusters if inv.kind == REAL and len(idx) == 2]
     assert (np.abs(v[:, plane].imag).max() > 0) == snapped
 
-    s, _, t_new = canonical._block_diagonalize(sig_h, v, clusters)
+    s, _, t_new = canonical.block_diagonalize_skew_hamiltonian(sig_h, v, clusters)
     sig = canonical.readonly_form(n)
     assert np.linalg.norm(s @ sig @ s.T - sig) <= 1e-13 * max(1.0, np.linalg.norm(s) ** 2)
     t_ref = _reference_stage1_basis(v, clusters, n)
@@ -206,7 +207,7 @@ def test_stage1_refuses_an_isotropic_plane(kind):
         v = np.column_stack([e[0] + 1j * e[1], e[1], e[2], e[3]])
         clusters = [(Invariant(1.0, 1.0, COMPLEX_PAIR), [0, 1])]
     with pytest.raises(IsotropicEigenspace, match="symplectic form degenerates"):
-        canonical._block_diagonalize(np.zeros((4, 4)), v, clusters)
+        canonical.block_diagonalize_skew_hamiltonian(np.zeros((4, 4)), v, clusters)
 
 
 @pytest.mark.parametrize("d", [6, 8])
@@ -234,7 +235,7 @@ def test_eigh_pairs_refuse_a_subspace_on_which_the_form_degenerates(coords):
     rest = [i for i in range(12) if i not in coords]
     clusters = [(Invariant(1.0, 0.0, REAL), [0, 1, 2, 3, 4, 5]), (Invariant(2.0, 0.0, REAL), list(range(6, 12)))]
     with pytest.raises(IsotropicEigenspace, match="symplectic form degenerates"):
-        canonical._block_diagonalize(np.zeros((12, 12)), e[:, coords + rest], clusters)
+        canonical.block_diagonalize_skew_hamiltonian(np.zeros((12, 12)), e[:, coords + rest], clusters)
 
 
 def _repeated_real(n, r, seed):
@@ -511,16 +512,22 @@ def test_factor_singular_input_still_factors():
     check_factors(m, factor_two_symmetric(m, seed=0))
 
 
-# --- block_diagonalize_skew_hamiltonian --------------------------------------
+# --- stage 1: block_diagonalize_skew_hamiltonian -----------------------------
+
+
+def _stage1(sig_h):
+    # decompose's stage 1 on its own: one eig, the classification, the pairing
+    w, v = np.linalg.eig(sig_h)
+    clusters = spectrum_from_eigenvalues(w, canonical.DEFAULT_TOL)[1]
+    return canonical.block_diagonalize_skew_hamiltonian(sig_h, v, clusters)[:2]
 
 
 def block_diag_residual(sig_h, s, m):
-    n = m.shape[0]
     return np.linalg.norm(s @ sig_h @ np.linalg.inv(s) + direct_sum(m, m.T))
 
 
 def test_block_diagonalize_identity():
-    s, m = block_diagonalize_skew_hamiltonian(np.eye(2))
+    s, m = _stage1(np.eye(2))
     assert np.allclose(m, [[-1.0]])
     assert np.allclose(s, np.eye(2))
 
@@ -530,7 +537,7 @@ def test_block_diagonalize_complex_pair_spectrum():
     x[:2, :2] = np.eye(2)
     x[2:, 2:] = [[1.0, 2.0], [-2.0, 1.0]]
     sig_h = sigma_matrix(x)
-    s, m = block_diagonalize_skew_hamiltonian(sig_h)
+    s, m = _stage1(sig_h)
     got = np.sort_complex(np.linalg.eigvals(m))
     want = np.sort_complex(np.array([-(1 + 2j), -(1 - 2j)]))
     assert np.max(np.abs(got - want)) <= 1e-10
@@ -545,20 +552,43 @@ def test_block_diagonalize_random(seed, n):
     x = rng.standard_normal((2 * n, 2 * n))
     sig_h = sigma_matrix(x)
     try:
-        s, m = block_diagonalize_skew_hamiltonian(sig_h)
-    except DegenerateSpectrum:
+        s, m = _stage1(sig_h)
+    except (DegenerateSpectrum, ClusteringAmbiguous):
         return  # near-degenerate draws may be rejected with a typed error
     assert is_symplectic(s).verdict
     cond = np.linalg.cond(s)
     assert block_diag_residual(sig_h, s, m) <= 1e-8 * cond * max(1.0, np.linalg.norm(sig_h))
 
 
-def test_block_diagonalize_rejects_non_skew_hamiltonian():
-    from sympeq import NotSkewHamiltonian
+def test_decompose_runs_stage1_through_its_module_name(monkeypatch):
+    # stage 1 is looked up as canonical.block_diagonalize_skew_hamiltonian on
+    # every call, so a wrapper of that name (as a span tracer installs) sees it
+    stage1 = canonical.block_diagonalize_skew_hamiltonian
+    calls = []
 
-    bad = np.arange(16.0).reshape(4, 4)
-    with pytest.raises(NotSkewHamiltonian):
-        block_diagonalize_skew_hamiltonian(bad)
+    def counting(*args):
+        calls.append(args[0].shape)
+        return stage1(*args)
+
+    monkeypatch.setattr(canonical, "block_diagonalize_skew_hamiltonian", counting)
+    x = np.random.default_rng(4).standard_normal((6, 6))
+    assert verify_decomposition(x, decompose(x)).verdict
+    assert calls == [(6, 6)]
+
+
+def test_every_traced_sympeq_name_resolves():
+    # the benchmark's tracer wraps each (module, attribute) of TRACED in
+    # perfbench/spans.py and fails on a name the library no longer has; the
+    # table is read from the file, not imported
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "spans.py").read_text())
+    (traced,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"]
+    ]
+    pairs = [pair for pair in ast.literal_eval(traced).values() if pair[0].split(".")[0] == "sympeq"]
+    assert ("sympeq.canonical", "block_diagonalize_skew_hamiltonian") in pairs
+    missing = [pair for pair in pairs if not hasattr(importlib.import_module(pair[0]), pair[1])]
+    assert missing == []
 
 
 # --- williamson ---------------------------------------------------------------
@@ -965,24 +995,12 @@ def test_decompose_steps_s2_back_onto_the_group(i, family):
 
 @pytest.mark.parametrize("i, family", [(394, "near_pairs"), (421, "split_reals"), (387, "near_real_pair")])
 def test_decompose_judges_a_near_degenerate_input_by_its_contract_alone(i, family):
-    # stage 1's block form misses the public op's residual threshold here,
-    # yet the factors built from it meet the residual contract (recon 1.6e-9,
-    # 4.2e-9 and 2.3e-9): decompose returns them
+    # stage 1's block form misses the rcond(T)-scaled block-residual
+    # threshold it was once judged by, yet the factors built from it meet
+    # the residual contract (recon 1.6e-9, 4.2e-9 and 2.3e-9): decompose
+    # returns them
     x = _stress_form(i, family)
     assert verify_decomposition(x, decompose(x)).verdict
-    with pytest.raises(DegenerateSpectrum, match="block-diagonalization residual"):
-        block_diagonalize_skew_hamiltonian(sigma_matrix(x))
-
-
-@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
-def test_block_diagonalize_verdict_does_not_change_with_scale(c):
-    # stress input 1601 (split_reals): both thresholds of the public stage-1
-    # op are relative to ||Sigma||, so X -> cX leaves its refusal standing;
-    # at c = 1e-3 the block residual 1.9e-12 exceeds residual_tol ||Sigma||
-    # = 9.9e-14, where a threshold floored at residual_tol passed it
-    x = c * _stress_form(1, "split_reals")
-    with pytest.raises(DegenerateSpectrum, match="block-diagonalization residual"):
-        block_diagonalize_skew_hamiltonian(sigma_matrix(x))
 
 
 def test_residual_contract_refuses_nan():
