@@ -16,16 +16,18 @@ eigenvectors). The construction has two stages:
    input's, are orthonormalised in closed form, with no SVD. Larger
    clusters (repeated invariants) take one batched SVD per stack. A real
    invariant repeated three or more times is then paired in closed form by
-   one batched Hermitian eigensolve of i Q^T sigma Q; other clusters run
-   one symplectic Gram-Schmidt on all members of a stack at once. The
-   columns follow the canonical order of the invariants, so M equals -J to
-   rounding;
+   one batched Hermitian eigensolve of i Q^T sigma Q, on the null space of
+   Sigma - lambda I where eig's vectors of it are nearly dependent; other
+   clusters run one symplectic Gram-Schmidt on all members of a stack at
+   once. The columns follow the canonical order of the invariants, so M
+   equals -J to rounding;
 2. the symmetric factors of M in closed form, with no search and no random
    draw, read off M as stage 1 leaves it. Where off-block mass in M (near a
    real/complex or a clustering threshold, or where stage 1 is
    ill-conditioned) carries S2 off the symplectic group by more than the
    residual contract allows, one first-order step in closed form moves S2
-   back onto it. The decomposition thus costs one full-size
+   back onto it, and likewise S1 where an ill-conditioned stage-1 basis
+   carries S1 off the group. The decomposition thus costs one full-size
    eigendecomposition in all.
 
 X and the stage-1 basis T must be invertible, judged by a 2-norm rcond
@@ -202,6 +204,26 @@ def _orthonormal_spans(stack: np.ndarray, dim: int) -> np.ndarray:
     return u[:, :, :dim]
 
 
+def _null_spaces(sig_h: np.ndarray, shifts, d: int) -> np.ndarray:
+    """Orthonormal bases of the null spaces of sig_h - lambda I, one per
+    shift lambda, as a (k, 2n, d) stack: the last d right singular vectors
+    of one batched SVD.
+
+    For a repeated invariant of a far from normal sig_h, eig may return
+    nearly dependent vectors of an eigenspace of full dimension. The rank
+    rule reads the d smallest singular values against 1e-8 ||sig_h||, not
+    against the largest of sig_h - lambda I, which vanishes where the
+    cluster fills the whole space; beyond it the input is defective.
+    """
+    shifted = sig_h - np.asarray(shifts)[:, None, None] * np.eye(sig_h.shape[0])
+    _, sv, vt = np.linalg.svd(shifted)
+    if not (sv[:, -d] <= 1e-8 * frobenius(sig_h)).all():  # nan refuses too
+        raise DegenerateSpectrum(
+            "invariant subspace is rank deficient (defective or near-defective input)"
+        )
+    return vt[:, -d:].transpose(0, 2, 1)
+
+
 def _pair(u: np.ndarray, v: np.ndarray, f: np.ndarray, c: float):
     """The pairs (u, w) with u^T sig w = -c from unit vectors u, v, rows of
     two (k, 2n) stacks, and their products f = u^T sig v.
@@ -283,7 +305,9 @@ def _eigh_pairs(basis: np.ndarray, sig: np.ndarray):
     and the w's isotropic. The least kappa is the pairing score; below
     ``_PAIRING_MIN`` the symplectic form degenerates on the subspace and
     IsotropicEigenspace is raised. Returns the u- and w-vectors as
-    (k, d/2, 2n) stacks.
+    (k, d/2, 2n) stacks. Q spans the cluster's eigenvectors
+    (``_orthonormal_spans``) or, where those are nearly dependent, the null
+    space of sig_h - lambda I (``_null_spaces``).
     """
     d = basis.shape[2]
     try:
@@ -358,6 +382,12 @@ def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, cluster
     clusters of six or more eigenvalues take their pairs from
     ``_eigh_pairs``; clusters of four, real or complex, and larger complex
     clusters from ``_symplectic_pairs``, whose every step ends in ``_pair``.
+    Where eig's vectors of a stack of real clusters of six or more fail the
+    rank rule, that stack takes its bases from ``_null_spaces`` of sig_h
+    less each cluster's mean instead. Only there: on a cluster that merges
+    nearly equal invariants the smallest singular vectors of
+    sig_h - lambda I span no invariant subspace, and taking them on every
+    such cluster refused merged inputs that the eigenvectors' span passes.
     Clusters of four keep Gram-Schmidt: where one merges two nearly equal
     invariants, the reconstruction residual measures the merge and moves
     with the choice of basis, and the eigensolve's basis moved verdicts
@@ -397,8 +427,15 @@ def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, cluster
             raw = v[:, members].reshape(2 * n, -1, d).transpose(1, 0, 2)  # (k, 2n, d)
             if kind == REAL and np.iscomplexobj(raw):
                 raw = np.concatenate((raw.real, raw.imag), axis=2)
-            pairs = _eigh_pairs if kind == REAL and d >= 6 else _symplectic_pairs
-            u, w = pairs(_orthonormal_spans(raw, d), sig)
+            if kind == REAL and d >= 6:
+                try:
+                    basis = _orthonormal_spans(raw, d)
+                except DegenerateSpectrum:
+                    shifts = [inv.re for inv, idx in clusters if inv.kind == REAL and len(idx) == d]
+                    basis = _null_spaces(sig_h, shifts, d)
+                u, w = _eigh_pairs(basis, sig)
+            else:
+                u, w = _symplectic_pairs(_orthonormal_spans(raw, d), sig)
         if kind != REAL:
             # a complex pair (z, y) gives the columns Re z, Im z and Re y, -Im y
             u, w = _split_parts(u), _split_parts(w.conj())
@@ -566,9 +603,13 @@ def decompose(
     near-coincident spectrum) carries S2 off the symplectic group. Only
     where its residual E = S2 sigma S2^T - sigma exceeds the contract, S2 is
     replaced by (I + E sigma / 2) S2, which is symplectic to O(||E||^2), and
-    the reconstruction and S2 residuals are computed again; S1 is unchanged.
-    Then the residual contract is checked once: it is the one numerical
-    verdict on the construction, since stage 1 judges no residual of its own.
+    the reconstruction and S2 residuals are computed again. An
+    ill-conditioned stage-1 basis T can likewise carry S1 = (e (+) e) T^{-1}
+    off the group; only where S1's residual then exceeds the contract, S1
+    takes the same step, and the reconstruction and S1 residuals are
+    computed again. Then the residual contract is checked once: it is the
+    one numerical verdict on the construction, since stage 1 judges no
+    residual of its own.
     The construction is deterministic: ``seed`` and ``debug`` are accepted
     for compatibility and ignored. The returned factors are one valid
     choice; only the canonical matrix, the residuals, and symplecticity are
@@ -614,6 +655,14 @@ def decompose(
             s2=s2,
             recon_residual=_recon_residual(x, d.s1, s2, blocks),
             s2_residual=symplectic_residual(s2),
+        )
+    if d.s1_residual > tol.residual_tol:
+        s1 = _symplectic_step(d.s1)
+        d = replace(
+            d,
+            s1=s1,
+            recon_residual=_recon_residual(x, s1, d.s2, blocks),
+            s1_residual=symplectic_residual(s1),
         )
     if not _meets_contract(d.recon_residual, d.s1_residual, d.s2_residual, tol):
         raise DegenerateSpectrum(

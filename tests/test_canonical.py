@@ -252,6 +252,58 @@ def test_eigh_pairs_surface_an_eigensolve_failure_as_eigen_failure(monkeypatch):
         decompose(_repeated_real(3, 2.0, 5))
 
 
+def _counting_null_spaces(monkeypatch):
+    null_spaces = canonical._null_spaces
+    calls = []
+
+    def counting(sig_h, shifts, d):
+        calls.append((len(shifts), d))
+        return null_spaces(sig_h, shifts, d)
+
+    monkeypatch.setattr(canonical, "_null_spaces", counting)
+    return calls
+
+
+def test_dependent_eigenvectors_of_a_repeated_invariant_take_the_null_space(monkeypatch):
+    # the interaction block of a passive channel with the invariant 1 five
+    # times: eig's ten vectors of its eigenspace fail the rank rule of their
+    # span (s10 / s1 about 2.5e-9), and the null space of Sigma - I gives
+    # the basis instead
+    calls = _counting_null_spaces(monkeypatch)
+    x = random_valid_channel(7, 2, squeezing=False, seed=752694768).x
+    assert verify_decomposition(x, decompose(x)).verdict
+    assert calls == [(1, 10)]
+
+
+def test_a_defective_cluster_of_six_is_refused_by_the_null_space_rule(monkeypatch):
+    # J = 2 I_3 + 1e-3 N with N nilpotent: the invariant 2 thrice, with one
+    # eigenvector. eig's vectors fail the rank rule, and so does the null
+    # space of Sigma - 2 I, whose dimension is short
+    calls = _counting_null_spaces(monkeypatch)
+    j = 2.0 * np.eye(3) + 1e-3 * np.diag([1.0, 1.0], 1)
+    x = random_symplectic(3, 5) @ direct_sum(np.eye(3), j) @ random_symplectic(3, 6)
+    with pytest.raises(DegenerateSpectrum, match="rank deficient"):
+        decompose(x)
+    assert calls == [(1, 6)]
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-7])
+def test_merged_invariants_keep_the_basis_of_their_eigenvectors(monkeypatch, eps):
+    # I (+) r diag(1, 1 + eps, 1 + 2 eps, ...) at n = 3..5, dressed: the n
+    # invariants merge into one real cluster whose eigenvectors pass the
+    # rank rule. The d smallest singular vectors of Sigma - lambda-bar I
+    # span no invariant subspace of a merged cluster, and with them as its
+    # basis 29 and 40 of these 40 inputs were refused
+    calls = _counting_null_spaces(monkeypatch)
+    for seed in range(40):
+        n = 3 + seed % 3
+        r = np.random.default_rng(seed).uniform(0.5, 3.0)
+        form = direct_sum(np.eye(n), r * np.diag(1.0 + eps * np.arange(n)))
+        x = random_symplectic(n, 2 * seed) @ form @ random_symplectic(n, 2 * seed + 1)
+        assert verify_decomposition(x, decompose(x)).verdict, seed
+    assert calls == []
+
+
 def _counting_calls(monkeypatch, name):
     fn = getattr(canonical, name)
     calls = []
@@ -995,10 +1047,9 @@ def test_decompose_steps_s2_back_onto_the_group(i, family):
 
 @pytest.mark.parametrize("i, family", [(394, "near_pairs"), (421, "split_reals"), (387, "near_real_pair")])
 def test_decompose_judges_a_near_degenerate_input_by_its_contract_alone(i, family):
-    # stage 1's block form misses the rcond(T)-scaled block-residual
-    # threshold it was once judged by, yet the factors built from it meet
-    # the residual contract (recon 1.6e-9, 4.2e-9 and 2.3e-9): decompose
-    # returns them
+    # stage 1's block residual here exceeds residual_tol ||Sigma|| / rcond(T),
+    # yet the factors built from it meet the residual contract (recon
+    # 1.6e-9, 4.2e-9 and 2.3e-9): decompose returns them
     x = _stress_form(i, family)
     assert verify_decomposition(x, decompose(x)).verdict
 

@@ -39,6 +39,7 @@ from sympeq import (
     vacuum,
     verify_decomposition,
 )
+from sympeq import canonical
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -121,6 +122,41 @@ def test_condense_a_state_whose_first_s2_misses_the_contract():
     z = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
     g = BipartiteCovariance(n=3, gamma_a=(gamma_a + gamma_a.T) / 2, gamma_b=c * np.eye(6), x=ch.x.T @ (s * z))
     res = condense_correlations(g)
+    d = Decomposition(res.s_a, res.s_b.T, res.blocks, 0.0, 0.0, 0.0)
+    assert verify_decomposition(g.x, d).verdict
+    assert state_validity(res.g_out).valid
+
+
+def test_condense_a_state_whose_s1_misses_the_contract(monkeypatch):
+    # input 593 of seed 120 of the benchmark's apps-small workload, built as
+    # it builds it (numpy's cosh and sinh); the workload's X may differ in
+    # the last bit of an entry, with the alignment of the product that forms
+    # it. Stage 1's basis has rcond about 1e-4, so the closed form misses the
+    # contract on s2 (6.5e-8) and on s1 (1.1e-8; 1.6e-8 on the workload's
+    # bits). S2's step brings recon and s2 within it, and S1 = S_A takes the
+    # same step onto the group
+    ch = random_valid_channel(6, 4, squeezing=True, seed=39223194)
+    r = 0.12493407934793756
+    c, s = np.cosh(2 * r), np.sinh(2 * r)
+    gamma_a = ch.x.T @ (c * np.eye(12)) @ ch.x + ch.y
+    z = np.diag([1.0] * 6 + [-1.0] * 6)
+    g = BipartiteCovariance(n=6, gamma_a=(gamma_a + gamma_a.T) / 2, gamma_b=c * np.eye(12), x=ch.x.T @ (s * z))
+    finish, step = canonical._finish, canonical._symplectic_step
+    first, steps = [], []
+
+    def recording(*args):
+        first.append(finish(*args))
+        return first[-1]
+
+    def counting(s):
+        steps.append(s.shape[0])
+        return step(s)
+
+    monkeypatch.setattr(canonical, "_finish", recording)
+    monkeypatch.setattr(canonical, "_symplectic_step", counting)
+    res = condense_correlations(g)
+    assert steps == [12, 12] and first[0].s1_residual > 1e-8
+    assert res.s_a is not first[0].s1
     d = Decomposition(res.s_a, res.s_b.T, res.blocks, 0.0, 0.0, 0.0)
     assert verify_decomposition(g.x, d).verdict
     assert state_validity(res.g_out).valid
@@ -290,6 +326,23 @@ def test_normalize_attenuator():
 def test_normalize_a_channel_whose_first_s2_misses_the_contract():
     # input 743 of seed 31 of the benchmark's apps-small workload
     ch = random_valid_channel(7, 2, squeezing=True, seed=642963945)
+    res = normalize_channel(ch)
+    d = Decomposition(res.s1, res.s2, res.blocks, 0.0, 0.0, 0.0)
+    assert verify_decomposition(ch.x, d).verdict
+    assert channel_validity(res.ch_out).valid
+
+
+@pytest.mark.parametrize(
+    "n, env, squeezing, seed",
+    [(7, 2, False, 752694768), (6, 1, True, 664279645)],
+    ids=["seed43-744", "seed46-721"],
+)
+def test_normalize_a_channel_whose_repeated_invariant_has_dependent_eigenvectors(n, env, squeezing, seed):
+    # inputs 744 of seed 43 and 721 of seed 46 of the benchmark's apps-small
+    # workload: the invariant 1 is repeated five times, and eig's ten vectors
+    # of its eigenspace have s10 / s1 about 2.5e-9, under the rank rule of
+    # their span; the null space of Sigma - I gives the basis instead
+    ch = random_valid_channel(n, env, squeezing=squeezing, seed=seed)
     res = normalize_channel(ch)
     d = Decomposition(res.s1, res.s2, res.blocks, 0.0, 0.0, 0.0)
     assert verify_decomposition(ch.x, d).verdict
