@@ -19,6 +19,10 @@ goes first. The operations are:
 * ``decompose_repeated``: ``decompose`` of a dressed
   S_a (I_n (+) r I_n) S_b with seeded ``random_symplectic`` S_a, S_b and
   r in [0.5, 3], one real invariant n times, which a Gaussian X never has;
+* ``decompose_passive``: ``decompose`` of the interaction block of a seeded
+  number-preserving channel, ``random_valid_channel(n, env,
+  squeezing=False).x`` with env = 1..3 in turn, a passive X, which takes
+  the closed form of one n x n complex SVD;
 * ``spectrum_from_eigenvalues`` on the eigenvalues of Sigma(X), which
   classifies them;
 * ``hermitian_min_eig`` of (X X^T + I, the antisymmetric part of X), the
@@ -67,7 +71,15 @@ import numpy as np
 import trees
 
 NS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32)
-OPS = ("decompose", "decompose_repeated", "invariants", "spectrum_from_eigenvalues", "hermitian_min_eig", "williamson")
+OPS = (
+    "decompose",
+    "decompose_repeated",
+    "decompose_passive",
+    "invariants",
+    "spectrum_from_eigenvalues",
+    "hermitian_min_eig",
+    "williamson",
+)
 # each stage after the first starts on entry to this function of canonical
 STAGES = {
     "gate": None,
@@ -79,9 +91,9 @@ STAGES = {
 }
 
 
-def _calls(sp, x, repeated) -> dict:
-    """Each operation on X (or the repeated invariant's input) as a function
-    of no arguments."""
+def _calls(sp, x, repeated, passive) -> dict:
+    """Each operation on X (or the repeated invariant's or the passive
+    input) as a function of no arguments."""
     inv = importlib.import_module(f"{sp.__name__}.invariants")
     w = np.linalg.eigvals(inv.sigma_matrix(x))
     r = x @ x.T + np.eye(x.shape[0])
@@ -89,6 +101,7 @@ def _calls(sp, x, repeated) -> dict:
     return {
         "decompose": lambda: sp.decompose(x),
         "decompose_repeated": lambda: sp.decompose(repeated),
+        "decompose_passive": lambda: sp.decompose(passive),
         "invariants": lambda: sp.invariants(x),
         "spectrum_from_eigenvalues": lambda: inv.spectrum_from_eigenvalues(w, sp.DEFAULT_TOL),
         "hermitian_min_eig": lambda: sp.hermitian_min_eig(r, a),
@@ -109,8 +122,11 @@ def measure(pkgs: dict, rounds: int, inputs: int, repeat: int) -> dict:
     """Per tree, operation and n: one median time per call in ms per round."""
     out = {side: {op: {n: [] for n in NS} for op in OPS} for side in pkgs}
     for n in NS:
-        xs, reps = _gaussians(n, inputs), _repeated(pkgs["parent"], n, inputs)
-        calls = {side: [_calls(sp, x, rep) for x, rep in zip(xs, reps)] for side, sp in pkgs.items()}
+        xs = _gaussians(n, inputs)
+        reps, passives = _repeated(pkgs["parent"], n, inputs), _passive(pkgs["parent"], n, inputs)
+        calls = {
+            side: [_calls(sp, *args) for args in zip(xs, reps, passives)] for side, sp in pkgs.items()
+        }
         for r in range(rounds):
             order = list(pkgs) if r % 2 == 0 else list(pkgs)[::-1]
             for op in OPS:
@@ -138,6 +154,12 @@ def _repeated(sp, n: int, inputs: int) -> list:
         form = np.diag(np.r_[np.ones(n), np.full(n, r)])
         out.append(sp.random_symplectic(n, 2 * seed) @ form @ sp.random_symplectic(n, 2 * seed + 1))
     return out
+
+
+def _passive(sp, n: int, inputs: int) -> list:
+    return [
+        sp.random_valid_channel(n, 1 + i % 3, squeezing=False, seed=1000 * n + i).x for i in range(inputs)
+    ]
 
 
 def _marked(sp) -> list:

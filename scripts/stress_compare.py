@@ -29,7 +29,9 @@ failure -> success. The exit status is 1 on any different outcome.
 
 Per family and tree, the report also counts the ``decompose`` calls that
 ran a full-size singular-value decomposition, i.e. called
-``numpy.linalg.svd`` on a 2-D array, as an rcond does; those that ran a
+``numpy.linalg.svd`` on a real 2-D array, as an rcond does; those that ran
+the closed form of a passive or anti-passive X, i.e. called it on a
+complex 2-D array, the n x n matrix Z whose real form X is; those that ran a
 stage-1 SVD, i.e. called it on a 3-D stack, as the general path for
 clusters of four or more eigenvalues does (2-planes take their bases in
 closed form); and those that ran a batched Hermitian eigensolve, i.e.
@@ -146,10 +148,11 @@ def _run(sp, fn) -> dict:
 
 
 def _decompose(sp, x, calls: Counter) -> dict:
-    # calls counts the 2-D and 3-D svd calls and the 3-D eigh calls of
-    # decompose, also when it raises
+    # calls counts the real and the complex 2-D svd calls, the 3-D svd calls
+    # and the 3-D eigh calls of decompose, also when it raises
     def svd(a, *args, **kwargs):
-        calls["svd"] += np.ndim(a) == 2
+        calls["svd"] += np.ndim(a) == 2 and not np.iscomplexobj(a)
+        calls["passive_svd"] += np.ndim(a) == 2 and np.iscomplexobj(a)
         calls["stack_svd"] += np.ndim(a) == 3
         return _SVD(a, *args, **kwargs)
 
@@ -214,6 +217,7 @@ def evaluate(sp, inputs: list[dict]) -> list[dict]:
             "family": item["family"],
             "ops": rec,
             "full_svd": calls["svd"] > 0,
+            "passive_svd": calls["passive_svd"] > 0,
             "stage1_svd": calls["stack_svd"] > 0,
             "stage1_eigh": calls["stack_eigh"] > 0,
             "recon_tail": dec.get("verdict", False) and dec["verify"][0] > RECON_TAIL,
@@ -313,6 +317,7 @@ def main(argv=None) -> int:
         family[verdict] += 1
         for side, rec in (("parent", a), ("change", b)):
             family[f"{side} full_svd"] += rec["full_svd"]
+            family[f"{side} passive_svd"] += rec["passive_svd"]
             family[f"{side} stage1_svd"] += rec["stage1_svd"]
             family[f"{side} stage1_eigh"] += rec["stage1_eigh"]
             family[f"{side} recon_tail"] += rec["recon_tail"]
@@ -339,10 +344,12 @@ def main(argv=None) -> int:
         print(f"  {family:16s} {c['identical']:5d} identical {c['digits']:5d} digits {c['different']:5d} different")
     if counts["digits"]:
         print(f"  largest number difference: {worst[0]:.2e} relative, in {worst[1]} of input {worst[2]}")
-    print("  decompose calls that ran a full-size SVD | a stage-1 (3-D) SVD | a batched (3-D) eigh "
+    print("  decompose calls that ran a real full-size SVD | a passive closed-form (complex n x n) SVD "
+          "| a stage-1 (3-D) SVD | a batched (3-D) eigh "
           f"| verified decompose results with recon above {RECON_TAIL:g}, parent -> change:")
     for family, c in by_family.items():
         print(f"  {family:16s} {c['parent full_svd']:5d} -> {c['change full_svd']:5d}"
+              f" | {c['parent passive_svd']:5d} -> {c['change passive_svd']:5d}"
               f" | {c['parent stage1_svd']:5d} -> {c['change stage1_svd']:5d}"
               f" | {c['parent stage1_eigh']:5d} -> {c['change stage1_eigh']:5d}"
               f" | {c['parent recon_tail']:5d} -> {c['change recon_tail']:5d}")

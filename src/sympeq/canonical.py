@@ -30,15 +30,26 @@ eigenvectors). The construction has two stages:
    carries S1 off the group. The decomposition thus costs one full-size
    eigendecomposition in all.
 
+A passive X (X sigma = sigma X, a number-preserving coupling) or an
+anti-passive one (X sigma = -sigma X) is the real form of an n x n complex
+matrix Z, and the orthogonal symplectic matrices are the real forms of the
+unitaries. Such an X, recognised by an exact test, costs one complex SVD
+Z = U diag(s) V^H instead of the eigendecomposition, stage 1 and both
+inverses: its invariants are +-s^2, J is diagonal, and S1 and S2 are read
+off U, s and V in closed form. Its factors then take the same steps onto
+the group and face the same residual contract.
+
 X and the stage-1 basis T must be invertible, judged by a 2-norm rcond
 floor each. Both gates read ``core.gated_inverse``: the bound
 rcond_2 >= 1 / (||A||_F ||A^{-1}||_F) from the inverse decides wherever it
 clears the floor tenfold, and a singular-value decomposition only where it
 does not, so an input that clears both bounds runs no full-size SVD. T's
 inverse is stage 1's S, and X's inverse finishes S2 = X^{-1} T W sigma
-(W from the closed-form factors), so X and T are factored once each.
-Within ``decompose`` one numerical verdict judges the construction: the
-residual contract on S1, S2 and the reconstruction.
+(W from the closed-form factors), so X and T are factored once each. A
+passive or anti-passive X is judged by s_min / s_max of its SVD instead,
+which is rcond_2(X) exactly, and is not inverted. Within ``decompose`` one
+numerical verdict judges the construction: the residual contract on S1, S2
+and the reconstruction.
 
 The general factorization of a real matrix into two real symmetric factors
 (``factor_two_symmetric``) remains a standalone operation.
@@ -86,6 +97,7 @@ from .invariants import (
     InvariantSpectrum,
     invariant_multiset,
     invariants,
+    passive_svd,
     sigma_of_checked,
     spectral_scale,
     spectrum_from_eigenvalues,
@@ -533,6 +545,19 @@ def _recon_residual(x: np.ndarray, s1: np.ndarray, s2: np.ndarray, blocks) -> fl
     return recon / max(frobenius(s1) * frobenius(x) * frobenius(s2), 1e-300)
 
 
+def _decomposition(x: np.ndarray, s1: np.ndarray, s2: np.ndarray, blocks) -> Decomposition:
+    """The decomposition (S1, S2) with the residuals ``verify_decomposition``
+    recomputes."""
+    return Decomposition(
+        s1=s1,
+        s2=s2,
+        blocks=blocks,
+        recon_residual=_recon_residual(x, s1, s2, blocks),
+        s1_residual=symplectic_residual(s1),
+        s2_residual=symplectic_residual(s2),
+    )
+
+
 def _finish(
     x: np.ndarray, x_inv: np.ndarray, s: np.ndarray, t: np.ndarray, m: np.ndarray, e: np.ndarray, blocks
 ) -> Decomposition:
@@ -551,15 +576,35 @@ def _finish(
     t_w[:, n:] = t[:, n:] @ (-(b + b.T) / 2)
 
     s1 = np.concatenate([e, e])[:, None] * s  # gl_embed(diag(e)) @ S
-    s2 = x_inv @ t_w
-    return Decomposition(
-        s1=s1,
-        s2=s2,
-        blocks=blocks,
-        recon_residual=_recon_residual(x, s1, s2, blocks),
-        s1_residual=symplectic_residual(s1),
-        s2_residual=symplectic_residual(s2),
-    )
+    return _decomposition(x, s1, x_inv @ t_w, blocks)
+
+
+def _passive_finish(x: np.ndarray, sign: float, u: np.ndarray, sv: np.ndarray, vh: np.ndarray, blocks):
+    """S1 and S2 of a passive (sign +1) or anti-passive (sign -1) X from the
+    SVD Z = U diag(s) V^H of ``passive_svd``.
+
+    With R(Z) = [[Re Z, Im Z], [-Im Z, Re Z]], X = R(Z) for sign +1 and
+    X = R(Z) F for sign -1, F = diag(I, -I). S1 = R(U^H), and
+    S2 = R(V) D or F R(V) F D = R(conj V) D with D = diag(1/s, s), so that
+    R(U^H) X R(V) (or F R(V) F) = diag(s, sign s) and
+    S1 X S2 = I (+) diag(sign s^2): both symplectic, with no inverse.
+    D scales S2's columns, as the general path's X^{-1} T W sigma does: in
+    S2 sigma S2^T = R (D sigma D) R^T the scales cancel pairwise, whereas
+    diag(1/s, s) R(U^H) as S1 would carry R's rounding into S1's residual
+    times s_max^2 or 1/s_min^2.
+    """
+    n = sv.shape[0]
+    ur, ui = u.real.T, u.imag.T  # R(U^H) = [[ur, -ui], [ui, ur]]
+    s1 = np.empty((2 * n, 2 * n))
+    s1[:n, :n] = s1[n:, n:] = ur
+    s1[:n, n:], s1[n:, :n] = -ui, ui
+    vr, vi = vh.real.T, -sign * vh.imag.T  # Re and Im of V, or of conj V
+    s2 = np.empty((2 * n, 2 * n))
+    s2[:n, :n] = s2[n:, n:] = vr
+    s2[:n, n:], s2[n:, :n] = vi, -vi
+    s2[:, :n] /= sv
+    s2[:, n:] *= sv
+    return _decomposition(x, s1, s2, blocks)
 
 
 def _symplectic_step(s: np.ndarray) -> np.ndarray:
@@ -599,6 +644,13 @@ def decompose(
     T = S^{-1} stage 1's basis, and S1 = (A (+) A) S. X^{-1} is the inverse
     the X gate computes, so no system in S X is solved.
 
+    A passive X (X sigma = sigma X) or an anti-passive one
+    (X sigma = -sigma X), recognised exactly by ``passive_svd``, takes one
+    n x n complex SVD Z = U diag(s) V^H in place of the eigendecomposition,
+    stage 1 and both inverses: the invariants are sign s^2, J is diagonal,
+    and S1 = R(U^H), S2 = R(V) diag(1/s, s) or F R(V) F diag(1/s, s) in
+    closed form (``_passive_finish``).
+
     Off-block mass in M (stage 1 ill-conditioned, or a near-real or
     near-coincident spectrum) carries S2 off the symplectic group. Only
     where its residual E = S2 sigma S2^T - sigma exceeds the contract, S2 is
@@ -607,9 +659,9 @@ def decompose(
     ill-conditioned stage-1 basis T can likewise carry S1 = (e (+) e) T^{-1}
     off the group; only where S1's residual then exceeds the contract, S1
     takes the same step, and the reconstruction and S1 residuals are
-    computed again. Then the residual contract is checked once: it is the
-    one numerical verdict on the construction, since stage 1 judges no
-    residual of its own.
+    computed again. Both paths take these steps alike. Then the residual
+    contract is checked once: it is the one numerical verdict on the
+    construction, since stage 1 judges no residual of its own.
     The construction is deterministic: ``seed`` and ``debug`` are accepted
     for compatibility and ignored. The returned factors are one valid
     choice; only the canonical matrix, the residuals, and symplecticity are
@@ -618,23 +670,32 @@ def decompose(
     X is refused as singular where rcond_2(X) < 1e-12. The gate reads the
     bound 1 / (||X||_F ||X^{-1}||_F) and computes the singular values of X
     only where that bound does not clear the floor tenfold; the verdict is
-    the one the singular values give.
+    the one the singular values give. For a passive or anti-passive X it
+    reads s_min / s_max, which is rcond_2(X) exactly.
 
     Raises SingularInput for singular X, DegenerateSpectrum (or subclasses)
     when the spectrum is too degenerate or ill-conditioned for a trustworthy
     result, never returning a silently bad decomposition.
     """
     x = as_even_square(x, "X")
-    x_inv = gated_inverse(x, _X_RCOND_MIN)[0]
-    if x_inv is None:
+    passive = passive_svd(x)
+    if passive is None:
+        x_inv = gated_inverse(x, _X_RCOND_MIN)[0]
+        singular = x_inv is None
+    else:
+        w, sign, u, sv, vh = passive
+        lo, hi = sorted((sv[0], sv[-1]))  # X's singular values are Z's, each twice
+        singular = not (hi > 0.0 and lo / hi >= _X_RCOND_MIN)
+    if singular:
         raise SingularInput("X is singular within tolerance (rcond < 1e-12)")
 
-    # one eigendecomposition of Sigma(X) serves the invariants and stage 1
-    sig_x = sigma_of_checked(x)
-    try:
-        w, v = np.linalg.eig(sig_x)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigenFailure(f"eigensolver failed on Sigma(X): {exc}") from exc
+    if passive is None:
+        # one eigendecomposition of Sigma(X) serves the invariants and stage 1
+        sig_x = sigma_of_checked(x)
+        try:
+            w, v = np.linalg.eig(sig_x)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+            raise EigenFailure(f"eigensolver failed on Sigma(X): {exc}") from exc
     spectrum, clusters = spectrum_from_eigenvalues(w, tol)
     if spectrum.has_zero:
         smallest = min(abs(val.as_complex()) for val in spectrum.values) / spectral_scale(w)
@@ -643,11 +704,16 @@ def decompose(
             f"scale, within degeneracy_gap {tol.degeneracy_gap:g}"
         )
 
-    s, m, t = block_diagonalize_skew_hamiltonian(sig_x, v, clusters)
-    blocks = canonical_from_invariants(spectrum)
-    # stage 1 orders M's blocks as the spectrum orders J's: read M as it is
-    e = np.array([sign for val in spectrum.values for sign in _SIGNS[val.kind]])
-    d = _finish(x, x_inv, s, t, m, e, blocks)
+    if passive is None:
+        s, m, t = block_diagonalize_skew_hamiltonian(sig_x, v, clusters)
+        blocks = canonical_from_invariants(spectrum)
+        # stage 1 orders M's blocks as the spectrum orders J's: read M as it is
+        e = np.array([e_k for val in spectrum.values for e_k in _SIGNS[val.kind]])
+        d = _finish(x, x_inv, s, t, m, e, blocks)
+    else:
+        # the columns of the SVD follow the canonical order of sign s^2
+        blocks = canonical_from_invariants(spectrum)
+        d = _passive_finish(x, sign, u, sv, vh, blocks)
     if d.s2_residual > tol.residual_tol:
         s2 = _symplectic_step(d.s2)
         d = replace(

@@ -7,6 +7,11 @@ The spectrum is two-fold degenerate and conjugation-closed; this module
 computes it, clusters the doubles, and classifies entries as real values or
 complex-conjugate pairs.
 
+For a passive X, X sigma = sigma X, or an anti-passive one, X sigma =
+-sigma X, one n x n complex SVD takes the place of the 2n x 2n eigensolve
+(``passive_svd``): the invariants are +-s^2 of its singular values s, each
+doubled.
+
 This module is the one place where the spectral policy is decided, in one
 function, ``spectrum_from_eigenvalues``: the gap (``degeneracy_gap`` relative
 to ``spectral_scale``, max|w|), the snap of near-real eigenvalues to the real
@@ -127,6 +132,45 @@ def spectral_scale(w) -> float:
     return (float(np.abs(w).max()) or 1.0) if w.size else 1.0
 
 
+def passive_svd(x: np.ndarray):
+    """The invariants and SVD of a passive or anti-passive X, or None.
+
+    X sigma = sigma X holds exactly where X = [[C, D], [-D, C]], the real
+    form R(Z) = [[Re Z, Im Z], [-Im Z, Re Z]] of Z = C + iD, and
+    X sigma = -sigma X where X = [[C, D], [D, -C]] = R(C - iD) F with
+    F = diag(I, -I). The test is exact, with no threshold, and a general X
+    fails it on the scalars x[0, 0] and +-x[n, n]. R is multiplicative and
+    maps the unitaries onto the orthogonal symplectic matrices, so with
+    Z = U diag(s) V^H, Sigma(X) = sign X X^T is orthogonally similar to
+    sign diag(s^2, s^2). Returns ``(w, sign, u, s, vh)``: w holds the 2n
+    eigenvalues sign s^2 twice over, and s (with u's columns and vh's rows)
+    runs in the canonical order of the invariants sign s^2, descending for
+    sign +1 and ascending for -1. One full SVD serves ``invariants`` and
+    ``decompose`` alike, so both read the same bits.
+    """
+    n = x.shape[0] // 2
+    head, tail = x.item(0, 0), x.item(n, n)
+    if head != tail and head != -tail:
+        return None
+    c, d = x[:n, :n], x[:n, n:]
+    # X = [[C, D], [-sign D, sign C]]; where head and tail are 0 both signs fit
+    for sign in (1.0, -1.0):
+        if head == sign * tail and (x[n:, n:] == sign * c).all() and (x[n:, :n] == -sign * d).all():
+            break
+    else:
+        return None
+    z = np.empty((n, n), dtype=complex)
+    z.real, z.imag = c, sign * d
+    try:
+        u, s, vh = np.linalg.svd(z)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise EigenFailure(f"singular value decomposition failed on X: {exc}") from exc
+    if sign < 0:  # -s^2 descends as s ascends
+        u, s, vh = u[:, ::-1], s[::-1], vh[::-1]
+    w = sign * s * s
+    return np.concatenate((w, w)), sign, u, s, vh
+
+
 def invariants(x, tol: Tolerances = DEFAULT_TOL) -> InvariantSpectrum:
     """Invariant spectrum of X: eigenvalues of Sigma(X), clustered into doubles.
 
@@ -135,10 +179,16 @@ def invariants(x, tol: Tolerances = DEFAULT_TOL) -> InvariantSpectrum:
     of size 2m yields m equal invariants. Repeated invariants are reported as
     repeats, not rejected; only clusters that cannot be doubled raise
     ClusteringAmbiguous. ``has_zero`` flags invariants at zero (singular X),
-    which downstream canonical-form construction refuses.
+    which downstream canonical-form construction refuses. A passive or
+    anti-passive X takes its eigenvalues from one n x n complex SVD
+    (``passive_svd``), any other X from one eigensolve of Sigma(X).
     """
+    x = as_even_square(x, "X")
+    passive = passive_svd(x)
+    if passive is not None:
+        return spectrum_from_eigenvalues(passive[0], tol)[0]
     try:
-        w = np.linalg.eigvals(sigma_matrix(x))
+        w = np.linalg.eigvals(sigma_of_checked(x))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigenFailure(f"eigensolver failed on Sigma(X): {exc}") from exc
     return spectrum_from_eigenvalues(w, tol)[0]

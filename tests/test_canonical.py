@@ -265,14 +265,28 @@ def _counting_null_spaces(monkeypatch):
 
 
 def test_dependent_eigenvectors_of_a_repeated_invariant_take_the_null_space(monkeypatch):
-    # the interaction block of a passive channel with the invariant 1 five
-    # times: eig's ten vectors of its eigenspace fail the rank rule of their
-    # span (s10 / s1 about 2.5e-9), and the null space of Sigma - I gives
-    # the basis instead
+    # the interaction block of a squeezing channel (input 721 of seed 46 of
+    # the benchmark's apps-small workload) with the invariant 1 five times:
+    # eig's ten vectors of its eigenspace fail the rank rule of their span,
+    # and the null space of Sigma - I gives the basis instead
     calls = _counting_null_spaces(monkeypatch)
-    x = random_valid_channel(7, 2, squeezing=False, seed=752694768).x
+    x = random_valid_channel(6, 1, squeezing=True, seed=664279645).x
     assert verify_decomposition(x, decompose(x)).verdict
     assert calls == [(1, 10)]
+
+
+def test_a_passive_channel_with_a_repeated_invariant_takes_the_closed_form(monkeypatch):
+    # input 744 of seed 43 of the benchmark's apps-small workload: a passive
+    # interaction block with the invariant 1 five times, whose eig vectors
+    # once failed the rank rule of their span; it takes the complex SVD,
+    # with no eigensolve and no null space
+    calls = _counting_null_spaces(monkeypatch)
+    eigs = _counting_linalg(monkeypatch, "eig")
+    x = random_valid_channel(7, 2, squeezing=False, seed=752694768).x
+    d = decompose(x)
+    assert verify_decomposition(x, d).verdict
+    assert calls == [] and eigs == []
+    assert [v.re for v in d.blocks.blocks[:5]] == pytest.approx([1.0] * 5, rel=1e-12)
 
 
 def test_a_defective_cluster_of_six_is_refused_by_the_null_space_rule(monkeypatch):
@@ -302,6 +316,19 @@ def test_merged_invariants_keep_the_basis_of_their_eigenvectors(monkeypatch, eps
         x = random_symplectic(n, 2 * seed) @ form @ random_symplectic(n, 2 * seed + 1)
         assert verify_decomposition(x, decompose(x)).verdict, seed
     assert calls == []
+
+
+def _counting_linalg(monkeypatch, name):
+    # the shapes and dtypes of the arrays passed to numpy.linalg.<name>
+    fn = getattr(np.linalg, name)
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append((np.shape(a), np.asarray(a).dtype.kind))
+        return fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
 
 def _counting_calls(monkeypatch, name):
@@ -941,12 +968,24 @@ def _scaled_gaussian(seed, n, power):
     return 10.0**power * np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
 
 
+def _real_form(c, d, sign):
+    # X sigma = sign sigma X: [[C, D], [-D, C]] for sign +1, [[C, D], [D, -C]]
+    # for sign -1, the real form of Z = C + i sign D (times diag(I, -I))
+    return np.block([[c, d], [-d, c]]) if sign > 0 else np.block([[c, d], [d, -c]])
+
+
+def _passive(n, seed, sign=1.0):
+    return _real_form(*np.random.default_rng(seed).standard_normal((2, n, n)), sign)
+
+
 @pytest.mark.parametrize(
     "x",
     [_scaled_gaussian(s, 1 + s % 6, p) for s in range(6) for p in (-4, -2, 0, 4)]
     + [_repeated_clusters(t) for t in range(2)]
     + [_near_real_pair(t) for t in range(2)]
-    + [_tied_real_parts(t) for t in range(4)],
+    + [_tied_real_parts(t) for t in range(4)]
+    + [_passive(1 + s % 4, s, sign) for s in range(4) for sign in (1.0, -1.0)]
+    + [np.eye(4), np.sqrt(0.36) * np.eye(2), random_valid_channel(3, 1, squeezing=False, seed=8).x],
 )
 def test_decompose_blocks_equal_invariants_exactly(x):
     # decompose reads its blocks off the same eigenvalues that invariants
@@ -959,6 +998,94 @@ def test_decompose_blocks_equal_invariants_exactly(x):
             decompose(x)
         return
     assert decompose(x).blocks.blocks == spectrum.values
+
+
+# --- passive and anti-passive X: one complex SVD -----------------------------
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["passive", "anti_passive"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_passive_x_takes_one_complex_svd_and_verifies(monkeypatch, n, sign):
+    # the invariants are sign s^2 of the singular values s of Z, in canonical
+    # order, from one n x n complex SVD: no eig, no inverse, no other SVD
+    x = _passive(n, 100 + n, sign)
+    z = x[:n, :n] + 1j * sign * x[:n, n:]
+    want = sorted(sign * np.linalg.svd(z, compute_uv=False) ** 2, reverse=True)
+    svds = _counting_linalg(monkeypatch, "svd")
+    eigs = _counting_linalg(monkeypatch, "eig")
+    invs = _counting_linalg(monkeypatch, "inv")
+    d = decompose(x)
+    assert svds == [((n, n), "c")] and eigs == [] and invs == []
+    assert [v.kind for v in d.blocks.blocks] == [REAL] * n
+    assert [v.re for v in d.blocks.blocks] == pytest.approx(want, rel=1e-12)
+    assert verify_decomposition(x, d).verdict
+
+
+@pytest.mark.parametrize("entry", ["first", "last", "interior"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["passive", "anti_passive"])
+def test_a_one_ulp_perturbation_of_a_passive_x_takes_the_general_path(monkeypatch, sign, entry):
+    # the predicate is exact: one entry one ulp off the structure sends X
+    # through the eigendecomposition of Sigma(X), which verifies as well
+    n = 3
+    x = _passive(n, 7, sign)
+    i, j = {"first": (0, 0), "last": (2 * n - 1, 2 * n - 1), "interior": (n + 1, 2)}[entry]
+    x[i, j] = np.nextafter(x[i, j], np.inf)
+    eigs = _counting_linalg(monkeypatch, "eig")
+    d = decompose(x)
+    assert len(eigs) == 1
+    assert verify_decomposition(x, d).verdict
+    assert [v.kind for v in d.blocks.blocks] == [REAL] * n
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["passive", "anti_passive"])
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (3, 2), (4, 3)])
+def test_dressing_a_passive_x_changes_neither_kinds_nor_values(n, seed, sign):
+    # S_a X S_b takes the general path; its kinds and values agree with the
+    # closed form's within 1e-9 of the spectral scale
+    x = _passive(n, seed, sign)
+    dressed = random_symplectic(n, 2 * seed) @ x @ random_symplectic(n, 2 * seed + 1)
+    d = decompose(dressed)
+    assert verify_decomposition(dressed, d).verdict
+    closed, general = decompose(x).blocks.blocks, d.blocks.blocks
+    assert [v.kind for v in general] == [v.kind for v in closed]
+    scale = max(abs(v.re) for v in closed)
+    assert max(abs(a.re - b.re) for a, b in zip(closed, general)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6, -2.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["passive", "anti_passive"])
+def test_scaling_a_passive_x_scales_its_blocks_by_c_squared(sign, c):
+    # S2 carries the scales 1/s and s on its columns, where they cancel in
+    # S2 sigma S2^T; on S1's rows they would put S1 off the contract at
+    # |c| = 1e6 and 1e-6
+    x = _passive(4, 11, sign)
+    base, scaled = decompose(x), decompose(c * x)
+    assert verify_decomposition(c * x, scaled).verdict
+    assert [v.kind for v in scaled.blocks.blocks] == [v.kind for v in base.blocks.blocks]
+    want = [c * c * v.re for v in base.blocks.blocks]
+    assert [v.re for v in scaled.blocks.blocks] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("smin, refused", [(0.0, True), (5e-13, True), (2e-12, False)])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["passive", "anti_passive"])
+def test_a_singular_passive_x_is_refused_by_the_x_gate(sign, smin, refused):
+    # the gate reads rcond_2(X) = s_min / s_max of Z exactly; past it the
+    # invariant smin^2 is refused as zero, never with the gate's message
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    v = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    z = (u * [1.0, 0.5, smin]) @ v.conj().T
+    x = _real_form(z.real, sign * z.imag, sign)
+    with pytest.raises(SingularInput) as err:
+        decompose(x)
+    assert (str(err.value) == _X_GATE) == refused, str(err.value)
+
+
+def test_the_zero_matrix_is_refused_by_the_x_gate():
+    # 0 is passive and anti-passive alike; s_max = 0 is read as rcond 0
+    with pytest.raises(SingularInput) as err:
+        decompose(np.zeros((4, 4)))
+    assert str(err.value) == _X_GATE
 
 
 def _counting_steps(monkeypatch):

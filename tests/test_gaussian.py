@@ -339,9 +339,10 @@ def test_normalize_a_channel_whose_first_s2_misses_the_contract():
 )
 def test_normalize_a_channel_whose_repeated_invariant_has_dependent_eigenvectors(n, env, squeezing, seed):
     # inputs 744 of seed 43 and 721 of seed 46 of the benchmark's apps-small
-    # workload: the invariant 1 is repeated five times, and eig's ten vectors
-    # of its eigenspace have s10 / s1 about 2.5e-9, under the rank rule of
-    # their span; the null space of Sigma - I gives the basis instead
+    # workload: the invariant 1 is repeated five times. For 721, eig's ten
+    # vectors of its eigenspace have s10 / s1 about 2.6e-9, under the rank
+    # rule of their span, and the null space of Sigma - I gives the basis
+    # instead; 744 is passive and takes the closed form of one complex SVD
     ch = random_valid_channel(n, env, squeezing=squeezing, seed=seed)
     res = normalize_channel(ch)
     d = Decomposition(res.s1, res.s2, res.blocks, 0.0, 0.0, 0.0)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,26 @@ def test_canonical_order_real_before_pair_on_tied_real_part():
 
 
 # --- properties -------------------------------------------------------------
+
+
+@given(seeds, st.integers(min_value=1, max_value=6), st.sampled_from([1.0, -1.0]))
+@settings(max_examples=40, deadline=None)
+def test_passive_x_takes_its_invariants_from_one_complex_svd(seed, n, sign):
+    # X sigma = sign sigma X: Sigma(X) = sign X X^T, whose eigenvalues are
+    # sign s^2 of the singular values of Z = C + i sign D, each twice
+    c, d = np.random.default_rng(seed).standard_normal((2, n, n))
+    x = np.block([[c, d], [-d, c]]) if sign > 0 else np.block([[c, d], [d, -c]])
+    with (
+        mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as eigvals,
+        mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd,
+    ):
+        spectrum = invariants(x)
+    assert eigvals.call_count == 0 and svd.call_count == 1
+    assert np.iscomplexobj(svd.call_args.args[0])
+    assert [v.kind for v in spectrum.values] == [REAL] * n
+    want = np.sort_complex(np.linalg.eigvals(sigma_matrix(x)))[::2]
+    got = np.sort_complex(spectrum.as_multiset())
+    assert np.max(np.abs(got - want)) <= 1e-10 * spectral_scale(want)
 
 
 @given(seeds, st.integers(min_value=1, max_value=6))

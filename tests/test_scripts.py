@@ -36,7 +36,15 @@ def test_decompose_timing_prints_a_row_per_operation_and_n():
     )
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
-    ops = ("decompose", "decompose_repeated", "invariants", "spectrum_from_eigenvalues", "hermitian_min_eig", "williamson")
+    ops = (
+        "decompose",
+        "decompose_repeated",
+        "decompose_passive",
+        "invariants",
+        "spectrum_from_eigenvalues",
+        "hermitian_min_eig",
+        "williamson",
+    )
     ns = ("1", "2", "3", "4", "5", "6", "7", "8", "16", "24", "32")
     assert [tuple(row[:2]) for row in rows] == [(op, n) for op in ops for n in ns]
     assert all(len(row) == 6 and row[5] in ("0/1", "1/1") for row in rows)
@@ -136,6 +144,25 @@ def test_stress_compare_counts_the_decompose_calls_that_ran_a_batched_eigh(monke
     assert all(rec["ops"]["decompose"]["verdict"] for rec in records)
     assert [rec["stage1_eigh"] for rec in records] == [False, True, False]
     assert [rec["stage1_svd"] for rec in records] == [False, True, True]
+
+
+def test_stress_compare_counts_the_closed_form_svd_of_a_passive_channel(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import stress_compare
+
+    import sympeq
+
+    # the interaction block of a number-preserving channel is passive: its
+    # one SVD is of the complex n x n Z, counted apart from a real rcond
+    x = np.random.default_rng(4).standard_normal((8, 8))
+    passive = sympeq.random_valid_channel(4, 2, squeezing=False, seed=9).x
+    singular = passive.copy()
+    singular[:, [0, 4]] = 0.0  # still passive, with a zero singular value
+    records = stress_compare.evaluate(sympeq, [{"family": "random", "x": a} for a in (x, passive, singular)])
+    assert records[1]["ops"]["decompose"]["verdict"]
+    assert records[2]["ops"]["decompose"]["error"] == "SingularInput"
+    assert [rec["passive_svd"] for rec in records] == [False, True, True]
+    assert [rec["full_svd"] for rec in records] == [False, False, False]
 
 
 def test_roundtrip_sweep_prints_a_summary_per_dimension():
