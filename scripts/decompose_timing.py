@@ -23,6 +23,10 @@ goes first. The operations are:
   number-preserving channel, ``random_valid_channel(n, env,
   squeezing=False).x`` with env = 1..3 in turn, a passive X, which takes
   the closed form of one n x n complex SVD;
+* ``decompose_channel``: ``decompose`` of the interaction block of a seeded
+  channel with squeezing, ``random_valid_channel(n, env,
+  squeezing=True).x`` with env = 1..3 in turn, the general-path input of
+  ``normalize_channel`` and ``condense_correlations``;
 * ``spectrum_from_eigenvalues`` on the eigenvalues of Sigma(X), which
   classifies them;
 * ``hermitian_min_eig`` of (X X^T + I, the antisymmetric part of X), the
@@ -75,6 +79,7 @@ OPS = (
     "decompose",
     "decompose_repeated",
     "decompose_passive",
+    "decompose_channel",
     "invariants",
     "spectrum_from_eigenvalues",
     "hermitian_min_eig",
@@ -91,9 +96,9 @@ STAGES = {
 }
 
 
-def _calls(sp, x, repeated, passive) -> dict:
-    """Each operation on X (or the repeated invariant's or the passive
-    input) as a function of no arguments."""
+def _calls(sp, x, repeated, passive, channel) -> dict:
+    """Each operation on X (or the repeated invariant's, the passive or the
+    channel's input) as a function of no arguments."""
     inv = importlib.import_module(f"{sp.__name__}.invariants")
     w = np.linalg.eigvals(inv.sigma_matrix(x))
     r = x @ x.T + np.eye(x.shape[0])
@@ -102,6 +107,7 @@ def _calls(sp, x, repeated, passive) -> dict:
         "decompose": lambda: sp.decompose(x),
         "decompose_repeated": lambda: sp.decompose(repeated),
         "decompose_passive": lambda: sp.decompose(passive),
+        "decompose_channel": lambda: sp.decompose(channel),
         "invariants": lambda: sp.invariants(x),
         "spectrum_from_eigenvalues": lambda: inv.spectrum_from_eigenvalues(w, sp.DEFAULT_TOL),
         "hermitian_min_eig": lambda: sp.hermitian_min_eig(r, a),
@@ -123,9 +129,12 @@ def measure(pkgs: dict, rounds: int, inputs: int, repeat: int) -> dict:
     out = {side: {op: {n: [] for n in NS} for op in OPS} for side in pkgs}
     for n in NS:
         xs = _gaussians(n, inputs)
-        reps, passives = _repeated(pkgs["parent"], n, inputs), _passive(pkgs["parent"], n, inputs)
+        parent = pkgs["parent"]
+        reps, passives = _repeated(parent, n, inputs), _channels(parent, n, inputs, squeezing=False)
+        channels = _channels(parent, n, inputs, squeezing=True)
         calls = {
-            side: [_calls(sp, *args) for args in zip(xs, reps, passives)] for side, sp in pkgs.items()
+            side: [_calls(sp, *args) for args in zip(xs, reps, passives, channels)]
+            for side, sp in pkgs.items()
         }
         for r in range(rounds):
             order = list(pkgs) if r % 2 == 0 else list(pkgs)[::-1]
@@ -156,9 +165,10 @@ def _repeated(sp, n: int, inputs: int) -> list:
     return out
 
 
-def _passive(sp, n: int, inputs: int) -> list:
+def _channels(sp, n: int, inputs: int, squeezing: bool) -> list:
     return [
-        sp.random_valid_channel(n, 1 + i % 3, squeezing=False, seed=1000 * n + i).x for i in range(inputs)
+        sp.random_valid_channel(n, 1 + i % 3, squeezing=squeezing, seed=1000 * n + i).x
+        for i in range(inputs)
     ]
 
 

@@ -9,18 +9,18 @@ eigenvectors). The construction has two stages:
 
 1. symplectic block-diagonalization of Sigma(X) to -(M (+) M^T)
    (``block_diagonalize_skew_hamiltonian``, a step of ``decompose`` and
-   not part of the package's API). The invariant clusters are
-   grouped by kind and size, and each group is one stack. Every invariant
-   is doubled, so a simple invariant's cluster is a 2-plane, on which the
-   symplectic form is nondegenerate; such planes, all of a generic
-   input's, are orthonormalised in closed form, with no SVD. Larger
-   clusters (repeated invariants) take one batched SVD per stack. A real
-   invariant repeated three or more times is then paired in closed form by
-   one batched Hermitian eigensolve of i Q^T sigma Q, on the null space of
-   Sigma - lambda I where eig's vectors of it are nearly dependent; other
-   clusters run one symplectic Gram-Schmidt on all members of a stack at
-   once. The columns follow the canonical order of the invariants, so M
-   equals -J to rounding;
+   not part of the package's API). Every invariant is doubled, so a
+   simple invariant's cluster is a 2-plane, on which the symplectic form
+   is nondegenerate; such planes, all of a generic input's, real and
+   complex alike, are one stack, orthonormalised in closed form, with no
+   SVD, and paired in one step. Larger clusters (repeated invariants) are
+   grouped by kind and size, one stack per group, and take one batched SVD
+   per stack. A real invariant repeated three or more times is then paired
+   in closed form by one batched Hermitian eigensolve of i Q^T sigma Q, on
+   the null space of Sigma - lambda I where eig's vectors of it are nearly
+   dependent; other clusters run one symplectic Gram-Schmidt on all members
+   of a stack at once. The columns follow the canonical order of the
+   invariants, so M equals -J to rounding;
 2. the symmetric factors of M in closed form, with no search and no random
    draw, read off M as stage 1 leaves it. Where off-block mass in M (near a
    real/complex or a clustering threshold, or where stage 1 is
@@ -236,9 +236,11 @@ def _null_spaces(sig_h: np.ndarray, shifts, d: int) -> np.ndarray:
     return vt[:, -d:].transpose(0, 2, 1)
 
 
-def _pair(u: np.ndarray, v: np.ndarray, f: np.ndarray, c: float):
+def _pair(u: np.ndarray, v: np.ndarray, f: np.ndarray, c):
     """The pairs (u, w) with u^T sig w = -c from unit vectors u, v, rows of
-    two (k, 2n) stacks, and their products f = u^T sig v.
+    two (k, 2n) stacks, and their products f = u^T sig v. c is given per
+    member, 1 for a real and 2 for a complex one, as a (k,) array or, for
+    a stack of one kind, as one scalar.
 
     |f| is the pairing score; below ``_PAIRING_MIN`` the symplectic form
     degenerates on the subspace and IsotropicEigenspace is raised.
@@ -369,6 +371,31 @@ def _split_parts(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z).view(float).reshape(*z.shape, 2).swapaxes(-1, -2)
 
 
+def _plane_pairs(planes: np.ndarray, complex_planes: list, sig: np.ndarray):
+    """The pairs (u, w) of k 2-plane clusters, plane i spanned by the
+    eigenvectors in rows 2i, 2i + 1 of ``planes``, complex where
+    ``complex_planes[i]``, as two (k, 2n) stacks.
+
+    A real plane is the span of its two vectors' real parts, or of
+    Re z + Im z and Re z - Im z of a snapped pair z, z-bar; a complex plane
+    is that of its two eigenvectors. All k are orthonormalised by
+    ``_orthonormal_planes`` and paired by one ``_pair`` step with c = 1 per
+    real and 2 per complex plane, in float64 where every plane is real and
+    in complex128 otherwise; a real plane's u and w then have Im 0.
+    """
+    planes = planes.reshape(-1, 2, planes.shape[1])
+    if any(complex_planes):
+        c = np.array([2.0 if cx else 1.0 for cx in complex_planes])
+        if not all(complex_planes):
+            planes = np.where((c == 1.0)[:, None, None], planes.real + planes.imag, planes)
+    else:
+        c = 1.0
+        if np.iscomplexobj(planes):  # real eigenvectors have Im 0
+            planes = planes.real + planes.imag
+    a, b = _orthonormal_planes(planes).transpose(1, 0, 2)
+    return _pair(a, b, np.add.reduce(a @ sig * b, axis=1), c)
+
+
 def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, clusters):
     """Stage 1 of ``decompose``: a symplectic similarity S bringing the
     skew-Hamiltonian sig_h to -(M (+) M^T), from one eigendecomposition.
@@ -384,12 +411,14 @@ def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, cluster
     n further on. Complex conjugate clusters are handled through the real
     and imaginary parts of a bilinearly paired basis.
 
-    Clusters of size 2 take their orthonormal bases in closed form from
-    ``_orthonormal_planes``: for a complex cluster of its two eigenvectors,
+    Clusters of size 2, real and complex, are one stack (``_plane_pairs``):
+    they take their orthonormal bases in closed form from
+    ``_orthonormal_planes``, for a complex cluster of its two eigenvectors,
     for a real one of the real plane they span (their real parts, or
     Re z + Im z and Re z - Im z of a snapped pair z, z-bar), stacked in
-    float64 for real and complex128 for complex clusters; ``_pair`` pairs
-    the two vectors of each. Larger clusters take their bases from the
+    complex128 only where a complex cluster is among them; one ``_pair``
+    step, with c per member, pairs the two vectors of each, and T's columns
+    are scattered once. Larger clusters take their bases from the
     batched SVD of ``_orthonormal_spans``, under the same rank rule. Real
     clusters of six or more eigenvalues take their pairs from
     ``_eigh_pairs``; clusters of four, real or complex, and larger complex
@@ -408,54 +437,63 @@ def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, cluster
     """
     n = sig_h.shape[0] // 2
     sig = readonly_form(n)
-    # Clusters of one kind and size are paired as one stack. A cluster of
-    # size d owns a run of u-columns of T from its offset in canonical order,
-    # d/2 for a real cluster and d for a complex one (Re z, Im z of each
-    # pair), and the same run of w-columns n further on.
+    # The 2-planes are paired as one stack, larger clusters of one kind and
+    # size as one stack each. A cluster of size d owns a run of u-columns of
+    # T from its offset in canonical order, d/2 for a real cluster and d for
+    # a complex one (Re z, Im z of each pair), and the same run of w-columns
+    # n further on. A real 2-plane's u and w have Im 0, which goes to a spare
+    # last row of T^T that is dropped.
+    plane_members, complex_planes = [], []
+    re_u, im_u, re_w, im_w = [], [], [], []
     groups: dict = {}
     offset = 0
     for inv, idx in clusters:
-        key = (inv.kind, len(idx))
-        if key not in groups:
-            groups[key] = ([], [])
-        members, columns = groups[key]
-        members.extend(idx)
-        width = len(idx) // 2 if inv.kind == REAL else len(idx)
-        columns.extend(range(offset, offset + width))
+        real = inv.kind == REAL
+        width = len(idx) // 2 if real else len(idx)
+        if len(idx) == 2:
+            plane_members += idx
+            complex_planes.append(not real)
+            re_u.append(offset)
+            re_w.append(offset + n)
+            im_u.append(2 * n if real else offset + 1)
+            im_w.append(2 * n if real else offset + 1 + n)
+        else:
+            members, columns = groups.setdefault((inv.kind, len(idx)), ([], []))
+            members += idx
+            columns += range(offset, offset + width)
         offset += width
 
     pieces, order = [], []
-    for (kind, d), (members, columns) in groups.items():
-        if d == 2:
-            planes = v[:, members].T  # the two vectors of member i in rows 2i, 2i + 1
-            if kind == REAL and np.iscomplexobj(planes):
-                # real eigenvectors have Im 0; a snapped pair z, z-bar spans
-                # its real plane with Re z + Im z and Re z - Im z
-                planes = planes.real + planes.imag
-            # one pairing step of _symplectic_pairs on the orthonormal rows
-            a, b = _orthonormal_planes(planes.reshape(-1, 2, 2 * n)).transpose(1, 0, 2)
-            u, w = _pair(a, b, np.add.reduce(a @ sig * b, axis=1), 1.0 if kind == REAL else 2.0)
+    if plane_members:
+        u, w = _plane_pairs(v[:, plane_members].T, complex_planes, sig)
+        if np.iscomplexobj(u):
+            # a complex pair (z, y) gives the columns Re z, Im z and Re y, -Im y
+            pieces += [u.real, u.imag, w.real, -w.imag]
+            order += re_u + im_u + re_w + im_w
         else:
-            raw = v[:, members].reshape(2 * n, -1, d).transpose(1, 0, 2)  # (k, 2n, d)
-            if kind == REAL and np.iscomplexobj(raw):
-                raw = np.concatenate((raw.real, raw.imag), axis=2)
-            if kind == REAL and d >= 6:
-                try:
-                    basis = _orthonormal_spans(raw, d)
-                except DegenerateSpectrum:
-                    shifts = [inv.re for inv, idx in clusters if inv.kind == REAL and len(idx) == d]
-                    basis = _null_spaces(sig_h, shifts, d)
-                u, w = _eigh_pairs(basis, sig)
-            else:
-                u, w = _symplectic_pairs(_orthonormal_spans(raw, d), sig)
+            pieces += [u, w]
+            order += re_u + re_w
+    for (kind, d), (members, columns) in groups.items():
+        raw = v[:, members].reshape(2 * n, -1, d).transpose(1, 0, 2)  # (k, 2n, d)
+        if kind == REAL and np.iscomplexobj(raw):
+            raw = np.concatenate((raw.real, raw.imag), axis=2)
+        if kind == REAL and d >= 6:
+            try:
+                basis = _orthonormal_spans(raw, d)
+            except DegenerateSpectrum:
+                shifts = [inv.re for inv, idx in clusters if inv.kind == REAL and len(idx) == d]
+                basis = _null_spaces(sig_h, shifts, d)
+            u, w = _eigh_pairs(basis, sig)
+        else:
+            u, w = _symplectic_pairs(_orthonormal_spans(raw, d), sig)
         if kind != REAL:
             # a complex pair (z, y) gives the columns Re z, Im z and Re y, -Im y
             u, w = _split_parts(u), _split_parts(w.conj())
         pieces += [u.reshape(-1, 2 * n), w.reshape(-1, 2 * n)]
         order += columns + [col + n for col in columns]
-    rows = np.empty((2 * n, 2 * n))  # the columns of T
+    rows = np.empty((2 * n + 1, 2 * n))  # the columns of T, and the spare
     rows[order] = np.concatenate(pieces)
-    t = rows.T
+    t = rows[:-1].T
     s = gated_inverse(t, _JORDAN_RCOND_MIN)[0]
     if s is None:
         raise DegenerateSpectrum("symplectic eigenbasis is numerically singular")

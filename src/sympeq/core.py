@@ -299,6 +299,19 @@ def hermitian_min_eig(sym_part, skew_part) -> float:
     a = as_matrix(skew_part, "A")
     if r.shape != a.shape or r.shape[0] != r.shape[1] or r.size == 0:
         raise DimensionError("R and A must be nonempty square matrices of equal shape")
-    r = (r + r.T) / 2
-    a = (a - a.T) / 2
-    return float(np.linalg.eigvalsh(r + 1j * a)[0])
+    return min_eig_of_checked(r, a)
+
+
+def min_eig_of_checked(r: np.ndarray, a: np.ndarray) -> float:
+    """``hermitian_min_eig`` of nonempty square float arrays of equal shape.
+
+    For callers that built R and A from arrays they have checked. A
+    non-finite entry makes the eigenvalue nan; only then are R and A checked
+    for finiteness, so that such an entry raises what ``hermitian_min_eig``
+    raises.
+    """
+    value = float(np.linalg.eigvalsh((r + r.T) / 2 + 1j * ((a - a.T) / 2))[0])
+    if not math.isfinite(value):
+        as_matrix(r, "R")
+        as_matrix(a, "A")
+    return value

@@ -29,7 +29,7 @@ from .core import (
     block_diag,
     direct_sum,
     frobenius,
-    hermitian_min_eig,
+    min_eig_of_checked,
     mode_direct_sum,
     random_symplectic,
     reciprocal_condition,
@@ -242,7 +242,7 @@ def state_validity(g, tol: Tolerances = DEFAULT_TOL) -> ValidityReport:
     else:
         gamma = as_even_square(g, "Gamma")
         omega = symplectic_form(gamma.shape[0] // 2)
-    min_eig = hermitian_min_eig(symmetric_part(gamma, "covariance matrix must be symmetric"), omega)
+    min_eig = min_eig_of_checked(symmetric_part(gamma, "covariance matrix must be symmetric"), omega)
     return ValidityReport(
         min_eig=min_eig,
         valid=min_eig >= -tol.psd_tol * max(1.0, frobenius(gamma)),
@@ -295,7 +295,7 @@ def channel_validity(ch: GaussianChannel, tol: Tolerances = DEFAULT_TOL) -> Vali
     """Complete-positivity check: Y + i (X^T sigma X - sigma) >= 0."""
     sig = symplectic_form(ch.n)
     skew = ch.x.T @ sig @ ch.x - sig
-    min_eig = hermitian_min_eig(ch.y, skew)
+    min_eig = min_eig_of_checked(ch.y, skew)
     scale = max(1.0, float(np.hypot(frobenius(ch.y), frobenius(skew))))
     return ValidityReport(min_eig=min_eig, valid=min_eig >= -tol.psd_tol * scale)
 

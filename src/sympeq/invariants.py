@@ -20,9 +20,11 @@ ascending im; reals before pairs where real parts tie within the gap). The
 canonical-form construction takes its clusters and scales from here.
 
 At a few modes numpy's per-call overhead outweighs the arithmetic, so numpy
-does only the scale, the snap, the sort orders and the mirror check, a fixed
-number of calls; the linkage, the checks, the spreads and the means run over
-Python scalars, rounding exactly as numpy's elementwise and summing ufuncs.
+does only the scale, the snap and the sort orders of the runs, a fixed
+number of calls; the split into reals and the two half planes, the linkage,
+the checks (the mirror check included), the spreads and the means run over
+Python scalars, in one pass where they can, rounding exactly as numpy's
+elementwise and summing ufuncs and sorting as ``np.sort_complex`` does.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import add
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -222,6 +224,9 @@ def _mean(members: list[complex]) -> tuple[float, float]:
     return float(np.add.reduce(arr.real)) / size, float(np.add.reduce(arr.imag)) / size
 
 
+_re_im = attrgetter("real", "imag")
+
+
 def _tie_key(cluster):
     inv = cluster[0]
     return (False, -inv.re) if inv.kind == REAL else (True, inv.im)
@@ -247,9 +252,14 @@ def spectrum_from_eigenvalues(w: np.ndarray, tol: Tolerances):
     w = w.astype(complex)
     w.imag[np.abs(w.imag) <= gap_abs] = 0.0
     vals = w.tolist()
-    reals = [i for i, z in enumerate(vals) if z.imag == 0.0]
-    ups = [i for i, z in enumerate(vals) if z.imag > 0.0]
-    downs = [i for i, z in enumerate(vals) if z.imag < 0.0]
+    reals, ups, downs = [], [], []
+    for i, z in enumerate(vals):
+        if z.imag == 0.0:
+            reals.append(i)
+        elif z.imag > 0.0:
+            ups.append(i)
+        elif z.imag < 0.0:
+            downs.append(i)
     if len(ups) != len(downs):
         raise ClusteringAmbiguous(
             "conjugate closure violated: unequal counts above/below the real axis"
@@ -264,25 +274,30 @@ def spectrum_from_eigenvalues(w: np.ndarray, tol: Tolerances):
     if ups:
         order = np.lexsort((w.imag[ups], w.real[ups])).tolist()
         runs.append((COMPLEX_PAIR, _linkage([ups[k] for k in order], vals, gap_abs)))
+    clusters, worst = [], 0.0
     for kind, groups in runs:
         for group in groups:
-            if len(group) % 2 != 0:
+            if len(group) == 2:  # as _mean and the pairwise spread take it
+                a, b = vals[group[0]], vals[group[1]]
+                total = 0.0 + a + b
+                spread, mean = abs(a - b), (total.real / 2, total.imag / 2)
+            elif len(group) % 2 != 0:
                 name = "real" if kind == REAL else "complex"
                 raise ClusteringAmbiguous(
                     f"{name} eigenvalue cluster of odd size {len(group)} cannot be doubled"
                 )
-    if ups:  # mirror check against the lower half plane
-        up_sorted = np.sort_complex(w[ups])
-        down_sorted = np.sort_complex(np.conj(w[downs]))
-        if np.abs(up_sorted - down_sorted).max() > gap_abs:
+            else:
+                members = [vals[i] for i in group]
+                spread = max(abs(a - b) for a, b in combinations(members, 2))
+                mean = _mean(members)
+            worst = max(worst, spread)
+            clusters.append((Invariant(*mean, kind), group))
+    # mirror check against the lower half plane, sorted as np.sort_complex sorts
+    if ups:
+        up_sorted = sorted([vals[i] for i in ups], key=_re_im)
+        down_sorted = sorted([vals[i].conjugate() for i in downs], key=_re_im)
+        if max(abs(a - b) for a, b in zip(up_sorted, down_sorted)) > gap_abs:
             raise ClusteringAmbiguous("conjugate partners do not match within the gap")
-
-    clusters, worst = [], 0.0
-    for kind, groups in runs:
-        for group in groups:
-            members = [vals[i] for i in group]
-            worst = max(worst, max(abs(a - b) for a, b in combinations(members, 2)))
-            clusters.append((Invariant(*_mean(members), kind), group))
 
     clusters.sort(key=lambda c: (-c[0].re, c[0].im))
     # real parts within the gap are tied: in a chain of tied clusters the

@@ -365,6 +365,32 @@ def test_a_cluster_of_four_is_paired_by_gram_schmidt(monkeypatch, kind):
     assert eigh == [] and gram_schmidt == [(1, x.shape[0], 4)]
 
 
+def _mixed_gaussian(n):
+    # the first seeded Gaussian X whose clusters are all 2-planes, of both
+    # kinds: real invariants and complex pairs
+    for seed in range(100 * n, 100 * n + 100):
+        x = np.random.default_rng(seed).standard_normal((2 * n, 2 * n))
+        clusters = spectrum_from_eigenvalues(np.linalg.eigvals(sigma_matrix(x)), canonical.DEFAULT_TOL)[1]
+        if all(len(idx) == 2 for _, idx in clusters) and {inv.kind for inv, _ in clusters} == {REAL, COMPLEX_PAIR}:
+            return x
+    raise AssertionError("no Gaussian X with both kinds of 2-plane")
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_real_and_complex_planes_are_paired_as_one_stack(monkeypatch, n):
+    x = _mixed_gaussian(n)
+    calls = {}
+    for name in ("_orthonormal_planes", "_pair"):
+        def counting(*args, _name=name, _fn=getattr(canonical, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(canonical, name, counting)
+    d = decompose(x)
+    assert calls == {"_orthonormal_planes": 1, "_pair": 1}
+    assert verify_decomposition(x, d).verdict
+
+
 def _repeated_invariants(n, seed):
     # n / 4 units, in turns of two either a real invariant twice and a
     # simple complex pair, or a complex pair twice: n / 4 clusters of four

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sympeq import (
     DimensionError,
+    InvalidInput,
     SingularInput,
     Tolerances,
     direct_sum,
@@ -17,7 +18,7 @@ from sympeq import (
     random_symplectic,
     symplectic_form,
 )
-from sympeq.core import gated_inverse, readonly_form, reciprocal_condition
+from sympeq.core import gated_inverse, min_eig_of_checked, readonly_form, reciprocal_condition
 
 seeds = st.integers(min_value=0, max_value=10**6)
 small_n = st.integers(min_value=1, max_value=4)
@@ -224,6 +225,22 @@ def test_hermitian_min_eig_matches_real_doubling(n):
         a = (a - a.T) / 2
         want = float(np.linalg.eigvalsh(np.block([[r, -a], [a, r]]))[0])
         assert abs(hermitian_min_eig(r, a) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_checked_min_eig_equals_the_public_one_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for n in range(1, 9):
+        r, a = rng.standard_normal((2, 2 * n, 2 * n))
+        assert min_eig_of_checked(r, a) == hermitian_min_eig(r, a)
+
+
+@pytest.mark.parametrize("bad, value", [("R", np.inf), ("A", np.inf), ("R", np.nan), ("A", -np.inf)])
+def test_checked_min_eig_raises_the_public_error_on_a_non_finite_entry(bad, value):
+    r, a = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
+    (r if bad == "R" else a)[0, 1] = value
+    for fn in (hermitian_min_eig, min_eig_of_checked):
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidInput, match=f"^{bad} contains non-finite entries$"):
+            fn(r, a)
 
 
 def test_hermitian_min_eig_rejects_empty_matrices():

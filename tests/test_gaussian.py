@@ -288,6 +288,15 @@ def test_channel_validity_attenuator():
     assert rep.valid
 
 
+def test_channel_validity_refuses_an_overflowing_constraint():
+    # X^T sigma X overflows although X is finite: the constraint has no
+    # finite entries to judge, which is a typed refusal, not a verdict
+    ch = GaussianChannel(n=1, x=1e160 * np.eye(2), y=np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInput, match="A contains non-finite entries"):
+            channel_validity(ch)
+
+
 def test_channel_validity_noiseless_amplifier():
     # oracle: Y + i(2 sigma - sigma) = i sigma has eigenvalues +/- 1
     ch = GaussianChannel(n=1, x=np.sqrt(2.0) * np.eye(2), y=np.zeros((2, 2)))

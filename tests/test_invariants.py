@@ -1,3 +1,5 @@
+import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -410,23 +412,35 @@ def _classified(w):
     return spectrum.pairing_residual.hex(), spectrum.has_zero, spectrum.n, values, groups
 
 
+_REFUSALS = (
+    "conjugate closure violated: unequal counts above/below the real axis",
+    "real eigenvalue cluster of odd size N cannot be doubled",
+    "complex eigenvalue cluster of odd size N cannot be doubled",
+    "conjugate partners do not match within the gap",
+)
+
+
 def test_classification_equals_numpy_reference_bit_for_bit():
-    refusals = repeats = 0
+    refusals = Counter()
+    planes = repeats = 0
     for w in _classification_spectra():
         got = _classified(w)
         try:
             spectrum, clusters = _reference_spectrum(w.copy(), Tolerances())
         except ClusteringAmbiguous as exc:
             assert got == str(exc)
-            refusals += 1
+            refusals[re.sub(r"\d+", "N", str(exc))] += 1
             continue
         values = [(v.re.hex(), v.im.hex(), v.kind) for v in spectrum.values]
         groups = [(c[0].re.hex(), c[0].im.hex(), c[0].kind, c[1]) for c in clusters]
         want = spectrum.pairing_residual.hex(), spectrum.has_zero, spectrum.n, values, groups
         assert got == want
+        planes += any(len(c[1]) == 2 for c in clusters)
         repeats += any(len(c[1]) >= 8 for c in clusters)
-    # the inputs reach both the refusals and the pairwise-summed clusters
-    assert refusals > 100 and repeats > 100
+    # the inputs reach every refusal, each many times, the two-member
+    # clusters and the pairwise-summed ones
+    assert set(refusals) == set(_REFUSALS) and min(refusals.values()) >= 30, refusals
+    assert planes > 100 and repeats > 100
 
 
 def test_loose_gap_merges_near_degenerate_invariants():

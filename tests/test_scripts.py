@@ -40,6 +40,7 @@ def test_decompose_timing_prints_a_row_per_operation_and_n():
         "decompose",
         "decompose_repeated",
         "decompose_passive",
+        "decompose_channel",
         "invariants",
         "spectrum_from_eigenvalues",
         "hermitian_min_eig",
