@@ -50,16 +50,18 @@ stages by marks taken on entry to functions of its ``canonical`` module:
   ``block_diagonalize_skew_hamiltonian``;
 * ``stage1``: stage 1, up to ``canonical_from_invariants``;
 * ``blocks``: the canonical blocks and signs, up to ``_finish``;
-* ``finish``: the finish with its residuals (and the S2 step where it
-  runs), up to the return.
+* ``finish``: the finish, then ``_decomposition`` with its steps onto the
+  group where they run, its residuals and the contract, up to the return.
 
 The table gives, per n, the median over rounds of each round's median time
 of every stage in ms with its percentage of their sum, and the sum of the
 stage times as printed, rounded to 1e-4 ms. Calls that raise before the
 last mark are left out. The marks are taken through the tree's module
 attributes, so ``--stages`` needs a tree whose ``decompose`` calls each of
-these names; on a tree whose stage 1 has another name, no call reaches the
-last mark and every row reads "every call raised before its last stage".
+these names once, in this order; marks in any other order are refused with
+an error, since they would give one stage's time to another. On a tree
+whose stage 1 has another name, no call reaches the last mark and every
+row reads "every call raised before its last stage".
 """
 
 from __future__ import annotations
@@ -173,17 +175,31 @@ def _channels(sp, n: int, inputs: int, squeezing: bool) -> list:
 
 
 def _marked(sp) -> list:
-    """Make each stage's function in the tree's ``canonical`` record the
-    time of its entry; returns the list the marks go to."""
+    """Make each stage's function in the tree's ``canonical`` record its
+    name and the time of its entry; returns the list the marks go to."""
     canonical = importlib.import_module(f"{sp.__name__}.canonical")
     marks = []
     for name in list(STAGES.values())[1:]:
-        def entry(*args, _fn=getattr(canonical, name), **kwargs):
-            marks.append(time.perf_counter())
+        def entry(*args, _name=name, _fn=getattr(canonical, name), **kwargs):
+            marks.append((_name, time.perf_counter()))
             return _fn(*args, **kwargs)
 
         setattr(canonical, name, entry)
     return marks
+
+
+def stage_times(start: float, marks: list, stop: float) -> dict | None:
+    """Each stage's time in one call from its (name, time) marks, or None
+    where the call raised before the last mark. Marks that are not in the
+    order of ``STAGES`` raise ValueError."""
+    names = [name for name, _ in marks]
+    order = list(STAGES.values())[1:]
+    if names != order[: len(names)]:
+        raise ValueError(f"stage marks out of order: got {names}, expected {order}")
+    if len(names) < len(order):
+        return None
+    bounds = [start, *(t for _, t in marks), stop]
+    return {stage: b - a for stage, a, b in zip(STAGES, bounds, bounds[1:])}
 
 
 def measure_stages(sp, rounds: int, inputs: int, repeat: int) -> dict:
@@ -203,10 +219,10 @@ def measure_stages(sp, rounds: int, inputs: int, repeat: int) -> dict:
                     except sp.SympeqError:
                         pass
                     stop = time.perf_counter()
-                    if timed and len(marks) == len(STAGES) - 1:
-                        bounds = [start, *marks, stop]
-                        for stage, a, b in zip(STAGES, bounds, bounds[1:]):
-                            times[stage].append(b - a)
+                    call = stage_times(start, marks, stop)
+                    if timed and call:
+                        for stage, t in call.items():
+                            times[stage].append(t)
             for stage in STAGES:
                 if times[stage]:
                     out[n][stage].append(1e3 * statistics.median(times[stage]))
@@ -242,7 +258,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.stages:
-        runs = measure_stages(trees.load(args.stages, "sympeq_stages"), args.rounds, args.inputs, args.repeat)
+        sp = trees.load(args.stages, "sympeq_stages")
+        try:
+            runs = measure_stages(sp, args.rounds, args.inputs, args.repeat)
+        except ValueError as exc:  # stage marks out of order
+            parser.error(str(exc))
         report_stages(runs, args.rounds, args.inputs, args.repeat)
         return 0
     if not (args.parent and args.change):

@@ -37,7 +37,7 @@ from .core import (
     symplectic_form,
 )
 from .errors import DimensionError, InvalidInput, NotPure, SingularInput
-from .invariants import COMPLEX_PAIR, REAL, InvariantSpectrum, invariants, sigma_matrix
+from .invariants import COMPLEX_PAIR, REAL, InvariantSpectrum, invariants
 
 __all__ = [
     "SQUEEZING_WITNESSED",
@@ -209,19 +209,15 @@ def bipartite_mode_sum(g1: BipartiteCovariance, g2: BipartiteCovariance) -> Bipa
     )
 
 
-def condense_correlations(
-    g: BipartiteCovariance,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
-) -> CondenseResult:
+def condense_correlations(g: BipartiteCovariance, tol: Tolerances = DEFAULT_TOL) -> CondenseResult:
     """Condense cross-party correlations into single modes and mode pairs.
 
     The correlation block transforms as x -> S_A x S_B^T under local
-    symplectics, so the equivalence normal form of x applies directly. The
-    returned state is recomputed in full; its correlation block equals
-    I (+) J within the residual tolerance, while the local blocks transform
-    covariantly and are not constrained to be diagonal. ``seed`` is accepted
-    for compatibility and ignored: the decomposition is deterministic.
+    symplectics, so the equivalence normal form of x applies directly, with
+    S_A = S1 and S_B = S2^T of ``decompose``. The returned state is
+    recomputed in full; its correlation block equals I (+) J within the
+    residual tolerance, while the local blocks transform covariantly and are
+    not constrained to be diagonal.
     """
     d = decompose(g.x, tol=tol)
     s_a = d.s1
@@ -300,18 +296,14 @@ def channel_validity(ch: GaussianChannel, tol: Tolerances = DEFAULT_TOL) -> Vali
     return ValidityReport(min_eig=min_eig, valid=min_eig >= -tol.psd_tol * scale)
 
 
-def normalize_channel(
-    ch: GaussianChannel,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
-) -> NormalizeResult:
+def normalize_channel(ch: GaussianChannel, tol: Tolerances = DEFAULT_TOL) -> NormalizeResult:
     """Decouple the interaction part of a channel by encoding and decoding.
 
     Symplectic transformations before and after the channel act as
     X -> S1 X S2 and Y -> S2^T Y S2; choosing the equivalence normal form of
-    X reduces the interaction to single-mode and mode-pair units. Validity is
-    preserved exactly in theory (the constraint transforms by congruence).
-    ``seed`` is accepted for compatibility and ignored.
+    X (``decompose``) reduces the interaction to single-mode and mode-pair
+    units. Validity is preserved exactly in theory (the constraint
+    transforms by congruence).
     """
     d = decompose(ch.x, tol=tol)
     x_out = d.s1 @ ch.x @ d.s2
@@ -324,25 +316,14 @@ def passive_interaction(c, d) -> PassiveInteraction:
     """Assemble the interaction block of a number-preserving coupling.
 
     For x = [[c, d], [-d, c]] the invariant matrix has the closed form
-    [[d d^T + c c^T, d c^T - c d^T], [c d^T - d c^T, d d^T + c c^T]], which is
-    symmetric, hence all invariants are real. The closed form is checked
-    against the direct product before returning.
+    [[d d^T + c c^T, d c^T - c d^T], [c d^T - d c^T, d d^T + c c^T]] for
+    every c and d, which is symmetric, hence all invariants are real.
     """
     c = as_matrix(c, "c")
     d = as_matrix(d, "d")
     if c.shape != d.shape or c.shape[0] != c.shape[1]:
         raise DimensionError("c and d must be square matrices of equal shape")
     x = np.block([[c, d], [-d, c]])
-    closed = np.block(
-        [
-            [d @ d.T + c @ c.T, d @ c.T - c @ d.T],
-            [c @ d.T - d @ c.T, d @ d.T + c @ c.T],
-        ]
-    )
-    direct = sigma_matrix(x)
-    gap = frobenius(closed - direct)
-    if gap > 1e-10 * max(1.0, frobenius(closed)):
-        raise InvalidInput(f"structured invariant identity violated at {gap:.3e}")
     return PassiveInteraction(n=c.shape[0], c=c, d=d, x=x)
 
 

@@ -65,6 +65,20 @@ def test_decompose_timing_prints_the_stages_of_one_tree_per_n():
         assert sum(shares) == pytest.approx(100, abs=0.5)
 
 
+def test_decompose_timing_refuses_stage_marks_out_of_order(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import decompose_timing
+
+    names = list(decompose_timing.STAGES.values())[1:]
+    marks = [(name, float(i)) for i, name in enumerate(names, 1)]
+    times = decompose_timing.stage_times(0.0, marks, 9.0)
+    assert list(times) == list(decompose_timing.STAGES) and sum(times.values()) == 9.0
+    assert decompose_timing.stage_times(0.0, marks[:2], 9.0) is None  # raised before the last mark
+    for bad in ([marks[1], marks[0], *marks[2:]], [*marks, marks[-1]], marks[1:]):
+        with pytest.raises(ValueError, match="out of order"):
+            decompose_timing.stage_times(0.0, bad, 9.0)
+
+
 def test_loader_refuses_a_tree_that_imports_sympeq_by_absolute_name(tmp_path):
     package = tmp_path / "src" / "sympeq"
     shutil.copytree(ROOT / "src" / "sympeq", package, ignore=shutil.ignore_patterns("__pycache__"))
