@@ -27,6 +27,11 @@ goes first. The operations are:
   channel with squeezing, ``random_valid_channel(n, env,
   squeezing=True).x`` with env = 1..3 in turn, the general-path input of
   ``normalize_channel`` and ``condense_correlations``;
+* ``decompose_mixed``: ``decompose`` of a dressed S_a (I_n (+) J) S_b, J
+  built like the ``repeated`` family of ``stress_compare.py``: a complex
+  pair twice and a real invariant two or three times, then simple real
+  invariants, each block kept where it still fits in n slots, so that
+  stage 1 pairs a complex cluster of four from n = 4 on;
 * ``spectrum_from_eigenvalues`` on the eigenvalues of Sigma(X), which
   classifies them;
 * ``hermitian_min_eig`` of (X X^T + I, the antisymmetric part of X), the
@@ -82,6 +87,7 @@ OPS = (
     "decompose_repeated",
     "decompose_passive",
     "decompose_channel",
+    "decompose_mixed",
     "invariants",
     "spectrum_from_eigenvalues",
     "hermitian_min_eig",
@@ -98,9 +104,9 @@ STAGES = {
 }
 
 
-def _calls(sp, x, repeated, passive, channel) -> dict:
-    """Each operation on X (or the repeated invariant's, the passive or the
-    channel's input) as a function of no arguments."""
+def _calls(sp, x, repeated, passive, channel, mixed) -> dict:
+    """Each operation on X (or the repeated invariant's, the passive, the
+    channel's or the mixed clusters' input) as a function of no arguments."""
     inv = importlib.import_module(f"{sp.__name__}.invariants")
     w = np.linalg.eigvals(inv.sigma_matrix(x))
     r = x @ x.T + np.eye(x.shape[0])
@@ -110,6 +116,7 @@ def _calls(sp, x, repeated, passive, channel) -> dict:
         "decompose_repeated": lambda: sp.decompose(repeated),
         "decompose_passive": lambda: sp.decompose(passive),
         "decompose_channel": lambda: sp.decompose(channel),
+        "decompose_mixed": lambda: sp.decompose(mixed),
         "invariants": lambda: sp.invariants(x),
         "spectrum_from_eigenvalues": lambda: inv.spectrum_from_eigenvalues(w, sp.DEFAULT_TOL),
         "hermitian_min_eig": lambda: sp.hermitian_min_eig(r, a),
@@ -133,9 +140,9 @@ def measure(pkgs: dict, rounds: int, inputs: int, repeat: int) -> dict:
         xs = _gaussians(n, inputs)
         parent = pkgs["parent"]
         reps, passives = _repeated(parent, n, inputs), _channels(parent, n, inputs, squeezing=False)
-        channels = _channels(parent, n, inputs, squeezing=True)
+        channels, mixed = _channels(parent, n, inputs, squeezing=True), _mixed(parent, n, inputs)
         calls = {
-            side: [_calls(sp, *args) for args in zip(xs, reps, passives, channels)]
+            side: [_calls(sp, *args) for args in zip(xs, reps, passives, channels, mixed)]
             for side, sp in pkgs.items()
         }
         for r in range(rounds):
@@ -172,6 +179,22 @@ def _channels(sp, n: int, inputs: int, squeezing: bool) -> list:
         sp.random_valid_channel(n, 1 + i % 3, squeezing=squeezing, seed=1000 * n + i).x
         for i in range(inputs)
     ]
+
+
+def _mixed(sp, n: int, inputs: int) -> list:
+    out = []
+    for i in range(inputs):
+        seed = 1000 * n + i
+        rng = np.random.default_rng(seed)
+        a, b, r = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0)
+        pair = np.array([[a, b], [-b, a]])
+        reals = [[[r]]] * int(rng.integers(2, 4)) + [[[3.5 + k / 4]] for k in range(n)]
+        j = np.zeros((0, 0))
+        for block in [pair, pair, *reals]:
+            if j.shape[0] + len(block) <= n:
+                j = sp.direct_sum(j, block)
+        out.append(sp.random_symplectic(n, 2 * seed) @ sp.direct_sum(np.eye(n), j) @ sp.random_symplectic(n, 2 * seed + 1))
+    return out
 
 
 def _marked(sp) -> list:

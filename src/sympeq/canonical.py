@@ -11,16 +11,19 @@ eigenvectors). The construction has two stages:
    (``block_diagonalize_skew_hamiltonian``, a step of ``decompose`` and
    not part of the package's API). Every invariant is doubled, so a
    simple invariant's cluster is a 2-plane, on which the symplectic form
-   is nondegenerate; such planes, all of a generic input's, real and
-   complex alike, are one stack, orthonormalised in closed form, with no
-   SVD, and paired in one step. Larger clusters (repeated invariants) are
-   grouped by kind and size, one stack per group, and take one batched SVD
-   per stack. A real invariant repeated three or more times is then paired
+   is nondegenerate. The basis T comes from one table of stacks keyed by
+   cluster size: the 2-planes, real and complex alike and all of a generic
+   input's clusters, are one stack, orthonormalised in closed form, with
+   no SVD, and paired in one step; larger clusters (repeated invariants)
+   are one stack per size and kind, with one batched SVD each. A real
+   cluster of any size spans the real rows Re z + Im z of its
+   eigenvectors z. A real invariant repeated three or more times is paired
    in closed form by one batched Hermitian eigensolve of i Q^T sigma Q, on
    the null space of Sigma - lambda I where eig's vectors of it are nearly
    dependent; other clusters run one symplectic Gram-Schmidt on all members
-   of a stack at once. The columns follow the canonical order of the
-   invariants, so M equals -J to rounding;
+   of a stack at once. One scatter writes every stack's pairs into T's
+   columns in the canonical order of the invariants, so M equals -J to
+   rounding;
 2. the symmetric factors of M in closed form, with no search and no random
    draw, read off M as stage 1 leaves it. Where off-block mass in M (near a
    real/complex or a clustering threshold, or where stage 1 is
@@ -205,22 +208,24 @@ def canonical_from_invariants(spectrum: InvariantSpectrum) -> CanonicalBlocks:
 
 
 def _orthonormal_spans(stack: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal bases of the column spans of a (k, rows, cols) stack.
+    """Orthonormal bases of the spans of the rows of a (k, d, 2n) stack, as
+    (k, dim, 2n) rows.
 
-    One batched SVD serves all k members; raises if any rank falls short.
+    One batched SVD of the (k, 2n, d) column stacks serves all k members;
+    raises if any rank falls short.
     """
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    u, s, _ = np.linalg.svd(stack.transpose(0, 2, 1), full_matrices=False)
     if any(sv[dim - 1] <= 1e-8 * sv[0] for sv in s.tolist()):
         raise DegenerateSpectrum(
             "invariant subspace is rank deficient (defective or near-defective input)"
         )
-    return u[:, :, :dim]
+    return u[:, :, :dim].transpose(0, 2, 1)
 
 
 def _null_spaces(sig_h: np.ndarray, shifts, d: int) -> np.ndarray:
     """Orthonormal bases of the null spaces of sig_h - lambda I, one per
-    shift lambda, as a (k, 2n, d) stack: the last d right singular vectors
-    of one batched SVD.
+    shift lambda, as (k, d, 2n) rows: the last d right singular vectors of
+    one batched SVD.
 
     For a repeated invariant of a far from normal sig_h, eig may return
     nearly dependent vectors of an eigenspace of full dimension. The rank
@@ -234,7 +239,7 @@ def _null_spaces(sig_h: np.ndarray, shifts, d: int) -> np.ndarray:
         raise DegenerateSpectrum(
             "invariant subspace is rank deficient (defective or near-defective input)"
         )
-    return vt[:, -d:].transpose(0, 2, 1)
+    return vt[:, -d:]
 
 
 def _pair(u: np.ndarray, v: np.ndarray, f: np.ndarray, c):
@@ -258,18 +263,18 @@ def _pair(u: np.ndarray, v: np.ndarray, f: np.ndarray, c):
 
 
 def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
-    """Split each of a (k, 2n, d) stack of invariant subspaces into pairs (u, w)
-    with u^T sig w = -c.
+    """Split each of k invariant subspaces, with orthonormal bases in the
+    rows of a (k, d, 2n) stack, into pairs (u, w) with u^T sig w = -c.
 
     Gram-Schmidt with respect to the bilinear form u^T sig w, run on all k
     members at once: each step pairs the first remaining vector u with the
     first remaining v of largest |u^T sig v|, and projects the others onto
     the form-complement of the pair. Every vector entering a step has unit
-    length (a column of an orthonormal basis, or renormalised after the
-    projection), so the pairing score is |u^T sig v| itself. c = 1 for a real
-    basis. A complex basis gets c = 2, which makes the real and imaginary
-    parts of its pairs assemble into a symplectic basis. Returns the u- and
-    w-vectors as (k, d/2, 2n) stacks.
+    length (a basis vector, or renormalised after the projection), so the
+    pairing score is |u^T sig v| itself. c = 1 for a real basis. A complex
+    basis gets c = 2, which makes the real and imaginary parts of its pairs
+    assemble into a symplectic basis. Returns the u- and w-vectors as
+    (k, d/2, 2n) stacks.
 
     Stage 1 runs it on clusters of four eigenvalues, real or complex, and on
     complex clusters of any size, for which a Hermitian eigensolve gives no
@@ -277,12 +282,11 @@ def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
     of six or more take ``_eigh_pairs``.
     """
     c = 2.0 if np.iscomplexobj(basis) else 1.0
-    k, dim, d = basis.shape
+    k, d, dim = basis.shape
     us = np.empty((k, d // 2, dim), dtype=basis.dtype)
     ws = np.empty_like(us)
-    cols = basis.transpose(0, 2, 1)  # one basis vector per row
     for step in range(d):
-        u, rest = cols[:, 0], cols[:, 1:]
+        u, rest = basis[:, 0], basis[:, 1:]
         form = (rest @ (u @ sig)[:, :, None])[:, :, 0]  # u^T sig v for every v
         if rest.shape[1] == 1:  # the only candidate; basic indexing is cheaper
             f, v = form[:, 0], rest[:, 0]
@@ -294,22 +298,23 @@ def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
             break
         keep = np.ones(form.shape, dtype=bool)
         keep[members, j] = False
-        cols = rest[keep].reshape(k, -1, dim)
+        basis = rest[keep].reshape(k, -1, dim)
         u, w = us[:, step, :, None], ws[:, step, :, None]
         # v - (w^T sig v / c) u + (u^T sig v / c) w, renormalised; each
         # v^T sig x = -x^T sig v
-        along_u, along_w = cols @ (sig @ w / c), cols @ (sig @ u / c)
-        cols = cols + along_u * u.transpose(0, 2, 1) - along_w * w.transpose(0, 2, 1)
-        nv = np.linalg.norm(cols, axis=2)
+        along_u, along_w = basis @ (sig @ w / c), basis @ (sig @ u / c)
+        basis = basis + along_u * u.transpose(0, 2, 1) - along_w * w.transpose(0, 2, 1)
+        nv = np.linalg.norm(basis, axis=2)
         if nv.min() < 1e-10:
             raise DegenerateSpectrum("collapsed basis vector in symplectic pairing")
-        cols = cols / nv[:, :, None]
+        basis = basis / nv[:, :, None]
     return us, ws
 
 
 def _eigh_pairs(basis: np.ndarray, sig: np.ndarray):
-    """Split each of a (k, 2n, d) stack of real orthonormal bases Q into
-    pairs (u, w) with u^T sig w = -1, from one batched Hermitian eigensolve.
+    """Split each of k real orthonormal bases Q, the rows of a (k, d, 2n)
+    stack, into pairs (u, w) with u^T sig w = -1, from one batched Hermitian
+    eigensolve.
 
     F = Q^T sig Q is real skew, so i F is Hermitian with eigenvalues
     +-kappa. An eigenvector y of kappa > 0 and its conjugate belong to
@@ -324,9 +329,9 @@ def _eigh_pairs(basis: np.ndarray, sig: np.ndarray):
     (``_orthonormal_spans``) or, where those are nearly dependent, the null
     space of sig_h - lambda I (``_null_spaces``).
     """
-    d = basis.shape[2]
+    d = basis.shape[1]
     try:
-        kappa, y = np.linalg.eigh(1j * (basis.transpose(0, 2, 1) @ sig @ basis))
+        kappa, y = np.linalg.eigh(1j * (basis @ sig @ basis.transpose(0, 2, 1)))
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(f"Hermitian eigensolve failed: {exc}") from exc
     kappa, y = kappa[:, d // 2 :], y[:, :, d // 2 :]  # ascending: the d/2 kappa > 0
@@ -334,8 +339,8 @@ def _eigh_pairs(basis: np.ndarray, sig: np.ndarray):
         raise IsotropicEigenspace(
             "symplectic form degenerates on an invariant subspace"
         )
-    y = y * np.sqrt(2.0 / kappa)[:, None, :]
-    return (basis @ y.real).transpose(0, 2, 1), (basis @ y.imag).transpose(0, 2, 1)
+    y = (y * np.sqrt(2.0 / kappa)[:, None, :]).transpose(0, 2, 1)
+    return y.real @ basis, y.imag @ basis
 
 
 def _orthonormal_planes(planes: np.ndarray) -> np.ndarray:
@@ -367,36 +372,6 @@ def _orthonormal_planes(planes: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _split_parts(z: np.ndarray) -> np.ndarray:
-    # (..., m) complex vectors -> (..., 2, m): the rows Re z_i, Im z_i
-    return np.ascontiguousarray(z).view(float).reshape(*z.shape, 2).swapaxes(-1, -2)
-
-
-def _plane_pairs(planes: np.ndarray, complex_planes: list, sig: np.ndarray):
-    """The pairs (u, w) of k 2-plane clusters, plane i spanned by the
-    eigenvectors in rows 2i, 2i + 1 of ``planes``, complex where
-    ``complex_planes[i]``, as two (k, 2n) stacks.
-
-    A real plane is the span of its two vectors' real parts, or of
-    Re z + Im z and Re z - Im z of a snapped pair z, z-bar; a complex plane
-    is that of its two eigenvectors. All k are orthonormalised by
-    ``_orthonormal_planes`` and paired by one ``_pair`` step with c = 1 per
-    real and 2 per complex plane, in float64 where every plane is real and
-    in complex128 otherwise; a real plane's u and w then have Im 0.
-    """
-    planes = planes.reshape(-1, 2, planes.shape[1])
-    if any(complex_planes):
-        c = np.array([2.0 if cx else 1.0 for cx in complex_planes])
-        if not all(complex_planes):
-            planes = np.where((c == 1.0)[:, None, None], planes.real + planes.imag, planes)
-    else:
-        c = 1.0
-        if np.iscomplexobj(planes):  # real eigenvectors have Im 0
-            planes = planes.real + planes.imag
-    a, b = _orthonormal_planes(planes).transpose(1, 0, 2)
-    return _pair(a, b, np.add.reduce(a @ sig * b, axis=1), c)
-
-
 def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, clusters):
     """Stage 1 of ``decompose``: a symplectic similarity S bringing the
     skew-Hamiltonian sig_h to -(M (+) M^T), from one eigendecomposition.
@@ -408,93 +383,103 @@ def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, cluster
     is left to the caller to judge. The eigenspaces of distinct invariants
     are orthogonal with respect to the symplectic form, so each cluster's
     basis is built on its own eigenspace: its u-vectors fill first-half
-    columns of T and its w-vectors, with u^T sig w = -1, the same columns
-    n further on. Complex conjugate clusters are handled through the real
-    and imaginary parts of a bilinearly paired basis.
+    columns of T and its w-vectors, with u^T sig w = -c, the same columns
+    n further on. A complex cluster's pairs (z, y), with c = 2, give the
+    columns Re z, Im z and Re y, -Im y; a real cluster's, with c = 1, one
+    column each.
 
-    Clusters of size 2, real and complex, are one stack (``_plane_pairs``):
-    they take their orthonormal bases in closed form from
-    ``_orthonormal_planes``, for a complex cluster of its two eigenvectors,
-    for a real one of the real plane they span (their real parts, or
-    Re z + Im z and Re z - Im z of a snapped pair z, z-bar), stacked in
-    complex128 only where a complex cluster is among them; one ``_pair``
-    step, with c per member, pairs the two vectors of each, and T's columns
-    are scattered once. Larger clusters take their bases from the
+    The clusters form one table of stacks: the 2-planes of both kinds in
+    one, larger clusters in one per size and kind. Each stack runs in one
+    batch, and one scatter writes Re u, Im u, Re w and -Im w of every
+    stack's pairs into T's columns (a stack in float64 has no Im parts). A
+    real cluster spans the real rows Re z + Im z of its eigenvectors z: the
+    real vectors themselves, or Re z + Im z and Re z - Im z of a snapped
+    pair z, z-bar, which span the same real space as Re z and Im z, with
+    the same ratios of singular values, which the rank rule reads. The
+    2-planes take their orthonormal bases in closed form from
+    ``_orthonormal_planes``, in complex128 only where a complex cluster is
+    among them, and one ``_pair`` step with c per member pairs the two
+    vectors of each. Larger clusters take their bases from the
     batched SVD of ``_orthonormal_spans``, under the same rank rule. Real
     clusters of six or more eigenvalues take their pairs from
     ``_eigh_pairs``; clusters of four, real or complex, and larger complex
     clusters from ``_symplectic_pairs``, whose every step ends in ``_pair``.
+
     Where eig's vectors of a stack of real clusters of six or more fail the
     rank rule, that stack takes its bases from ``_null_spaces`` of sig_h
     less each cluster's mean instead. Only there: on a cluster that merges
     nearly equal invariants the smallest singular vectors of
-    sig_h - lambda I span no invariant subspace, and taking them on every
-    such cluster refused merged inputs that the eigenvectors' span passes.
-    Clusters of four keep Gram-Schmidt: where one merges two nearly equal
-    invariants, the reconstruction residual measures the merge and moves
-    with the choice of basis, and the eigensolve's basis moved verdicts
-    there. On an exactly repeated invariant any symplectic basis gives the
-    same M.
+    sig_h - lambda I span no invariant subspace, so taking them on every
+    such cluster would refuse merged inputs that the eigenvectors' span
+    passes. Clusters of four keep Gram-Schmidt: where one merges two nearly
+    equal invariants, the reconstruction residual measures the merge and
+    moves with the choice of basis, and the eigensolve's basis moves
+    verdicts there. On an exactly repeated invariant any symplectic basis
+    gives the same M.
     """
     n = sig_h.shape[0] // 2
     sig = readonly_form(n)
-    # The 2-planes are paired as one stack, larger clusters of one kind and
-    # size as one stack each. A cluster of size d owns a run of u-columns of
-    # T from its offset in canonical order, d/2 for a real cluster and d for
-    # a complex one (Re z, Im z of each pair), and the same run of w-columns
-    # n further on. A real 2-plane's u and w have Im 0, which goes to a spare
-    # last row of T^T that is dropped.
-    plane_members, complex_planes = [], []
-    re_u, im_u, re_w, im_w = [], [], [], []
-    groups: dict = {}
-    offset = 0
+    # The table: every 2-plane under the key 2, larger clusters under their
+    # size and kind. An entry holds its stack's eigenvector columns of v, and
+    # per cluster its c and the columns of T that take its first pair's Re u
+    # and Im u. A real cluster owns d/2 columns from its offset in canonical
+    # order, and its pairs' Im parts, zero, go to the spare row 2n of T^T; a
+    # complex cluster owns d, Re u and Im u of each pair side by side. Re w
+    # and -Im w take the columns n further on (or the spare row 3n); the spare
+    # rows are dropped.
+    table: dict = {}
+    spare, offset = 2 * n, 0
     for inv, idx in clusters:
-        real = inv.kind == REAL
-        width = len(idx) // 2 if real else len(idx)
-        if len(idx) == 2:
-            plane_members += idx
-            complex_planes.append(not real)
-            re_u.append(offset)
-            re_w.append(offset + n)
-            im_u.append(2 * n if real else offset + 1)
-            im_w.append(2 * n if real else offset + 1 + n)
-        else:
-            members, columns = groups.setdefault((inv.kind, len(idx)), ([], []))
-            members += idx
-            columns += range(offset, offset + width)
-        offset += width
+        d, real = len(idx), inv.kind == REAL
+        key = d if d == 2 else (d, real)
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = ([], [], [], [])
+        members, c, re_u, im_u = entry
+        members += idx
+        c.append(1.0 if real else 2.0)
+        re_u.append(offset)
+        im_u.append(spare if real else offset + 1)
+        offset += d // 2 if real else d
 
     pieces, order = [], []
-    if plane_members:
-        u, w = _plane_pairs(v[:, plane_members].T, complex_planes, sig)
+    for members, c, re_u, im_u in table.values():
+        d = len(members) // len(c)
+        rows = v[:, members].T.reshape(-1, d, 2 * n)
+        if 1.0 in c and np.iscomplexobj(rows):
+            # a real cluster spans the real rows Re z + Im z
+            real_rows = rows.real + rows.imag
+            if 2.0 in c:
+                real_rows = np.where((np.array(c) == 1.0)[:, None, None], real_rows, rows)
+            rows = real_rows
+        if d == 2:
+            a, b = _orthonormal_planes(rows).transpose(1, 0, 2)
+            u, w = _pair(a, b, np.add.reduce(a @ sig * b, axis=1), np.array(c))
+        else:
+            if d == 4 or c[0] == 2.0:
+                u, w = _symplectic_pairs(_orthonormal_spans(rows, d), sig)
+            else:
+                try:
+                    basis = _orthonormal_spans(rows, d)
+                except DegenerateSpectrum:
+                    shifts = [inv.re for inv, idx in clusters if inv.kind == REAL and len(idx) == d]
+                    basis = _null_spaces(sig_h, shifts, d)
+                u, w = _eigh_pairs(basis, sig)
+            u, w = u.reshape(-1, 2 * n), w.reshape(-1, 2 * n)
+            # a cluster's later pairs follow its first, c columns apart; Im u
+            # is read only in a complex stack, where it follows Re u
+            re_u = [col + int(c[0]) * j for col in re_u for j in range(d // 2)]
+            im_u = [col + 1 for col in re_u]
         if np.iscomplexobj(u):
-            # a complex pair (z, y) gives the columns Re z, Im z and Re y, -Im y
             pieces += [u.real, u.imag, w.real, -w.imag]
-            order += re_u + im_u + re_w + im_w
+            cols = re_u + im_u
         else:
             pieces += [u, w]
-            order += re_u + re_w
-    for (kind, d), (members, columns) in groups.items():
-        raw = v[:, members].reshape(2 * n, -1, d).transpose(1, 0, 2)  # (k, 2n, d)
-        if kind == REAL and np.iscomplexobj(raw):
-            raw = np.concatenate((raw.real, raw.imag), axis=2)
-        if kind == REAL and d >= 6:
-            try:
-                basis = _orthonormal_spans(raw, d)
-            except DegenerateSpectrum:
-                shifts = [inv.re for inv, idx in clusters if inv.kind == REAL and len(idx) == d]
-                basis = _null_spaces(sig_h, shifts, d)
-            u, w = _eigh_pairs(basis, sig)
-        else:
-            u, w = _symplectic_pairs(_orthonormal_spans(raw, d), sig)
-        if kind != REAL:
-            # a complex pair (z, y) gives the columns Re z, Im z and Re y, -Im y
-            u, w = _split_parts(u), _split_parts(w.conj())
-        pieces += [u.reshape(-1, 2 * n), w.reshape(-1, 2 * n)]
-        order += columns + [col + n for col in columns]
-    rows = np.empty((2 * n + 1, 2 * n))  # the columns of T, and the spare
+            cols = re_u
+        order += cols + [col + n for col in cols]
+    rows = np.empty((3 * n + 1, 2 * n))  # the columns of T, and the spare rows
     rows[order] = np.concatenate(pieces)
-    t = rows[:-1].T
+    t = rows[:spare].T
     s = gated_inverse(t, _JORDAN_RCOND_MIN)[0]
     if s is None:
         raise DegenerateSpectrum("symplectic eigenbasis is numerically singular")

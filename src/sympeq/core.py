@@ -83,13 +83,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def as_even_square(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square float matrix of even dimension."""
+    """Coerce to a nonempty square float matrix of even dimension."""
     m = as_matrix(a, name)
     rows, cols = m.shape
     if rows != cols:
         raise DimensionError(f"{name} must be square, got {rows}x{cols}")
-    if rows % 2 != 0:
-        raise DimensionError(f"{name} must have even dimension, got {rows}")
+    if rows % 2 != 0 or rows == 0:
+        raise DimensionError(f"{name} must have positive even dimension, got {rows}")
     return m
 
 
@@ -203,12 +203,16 @@ def is_symplectic(s, tol: Tolerances = DEFAULT_TOL) -> SymplecticCheck:
 
     The verdict threshold scales with max(1, ||S||_F^2) because the residual
     of an exactly symplectic S evaluated in floating point grows with the
-    squared norm.
+    squared norm. A norm whose square overflows makes the threshold
+    infinite; a residual that is not finite fails.
     """
     s = as_even_square(s, "S")
     residual = symplectic_residual(s)
-    scale = max(1.0, frobenius(s) ** 2)
-    return SymplecticCheck(residual=residual, verdict=residual <= tol.residual_tol * scale)
+    norm = frobenius(s)
+    scale = max(1.0, norm * norm)
+    return SymplecticCheck(
+        residual=residual, verdict=residual <= tol.residual_tol * scale and residual < math.inf
+    )
 
 
 def symplectic_residual(s: np.ndarray) -> float:

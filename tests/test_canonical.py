@@ -148,6 +148,36 @@ def test_stacked_stage1_spans_the_per_cluster_eigenspaces(t, snapped):
         offset += width
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_real_cluster_given_as_conjugate_pairs_spans_their_real_and_imaginary_parts(seed, m):
+    # a real invariant m times beside a simple one, its cluster handed to
+    # stage 1 as conjugate pairs z, z-bar, the way eig returns a snapped
+    # pair: T's columns for it, built on the rows Re z + Im z, span the
+    # same space as Re z and Im z
+    n = m + 1
+    form = direct_sum(np.eye(n), np.diag([1.7] * m + [0.6]))
+    x = random_symplectic(n, 60 + seed) @ form @ random_symplectic(n, 70 + seed)
+    sig_h = sigma_matrix(x)
+    w, v = np.linalg.eig(sig_h)
+    clusters = spectrum_from_eigenvalues(w, canonical.DEFAULT_TOL)[1]
+    offset, idx = 0, None
+    for _, members in clusters:
+        if len(members) == 2 * m:
+            idx = members
+            break
+        offset += len(members) // 2
+    raw = v[:, idx]
+    q = np.linalg.svd(np.column_stack([raw.real, raw.imag]))[0][:, : 2 * m]  # its real space
+    z = q[:, 0::2] + 1j * q[:, 1::2]  # span(Re z, Im z) = span(q)
+    v = v.astype(complex)
+    v[:, idx] = np.column_stack([z, z.conj()]).reshape(2 * n, 2, m).transpose(0, 2, 1).reshape(2 * n, 2 * m)
+    assert np.abs(v[:, idx].imag).max() > 0.1
+    t = canonical.block_diagonalize_skew_hamiltonian(sig_h, v, clusters)[2]
+    cols = np.r_[offset : offset + m, n + offset : n + offset + m]
+    assert np.linalg.norm(_projector(t[:, cols]) - q @ q.T) <= 1e-12
+
+
 def _plane(ratio, n, seed, complex_=False):
     # (a, b) rows spanning a 2-plane in R^2n or C^2n with s2 / s1 = ratio
     rng = np.random.default_rng(seed)
@@ -171,7 +201,7 @@ def test_closed_form_planes_apply_the_rank_rule_of_the_svd(offset, refused, seed
     verdicts = []
     for span in (
         lambda: canonical._orthonormal_planes(np.stack((a, b), axis=1)),
-        lambda: canonical._orthonormal_spans(np.stack((a, b), axis=2), 2),
+        lambda: canonical._orthonormal_spans(np.stack((a, b), axis=1), 2),
     ):
         try:
             span()
@@ -215,7 +245,7 @@ def test_eigh_pairs_are_symplectic_and_span_their_basis(d):
     n, k = 5, 3
     q = np.linalg.qr(np.random.default_rng(d).standard_normal((k, 2 * n, d)))[0]
     sig = canonical.readonly_form(n)
-    u, w = canonical._eigh_pairs(q, sig)
+    u, w = canonical._eigh_pairs(q.transpose(0, 2, 1), sig)
     assert u.shape == w.shape == (k, d // 2, 2 * n)
     for qi, ui, wi in zip(q, u, w):
         scale = np.linalg.norm(ui) * np.linalg.norm(wi)
@@ -335,9 +365,9 @@ def _counting_calls(monkeypatch, name):
     fn = getattr(canonical, name)
     calls = []
 
-    def counting(basis, sig):
-        calls.append(basis.shape)
-        return fn(basis, sig)
+    def counting(stack, *args):
+        calls.append(stack.shape)
+        return fn(stack, *args)
 
     monkeypatch.setattr(canonical, name, counting)
     return calls
@@ -362,7 +392,27 @@ def test_a_cluster_of_four_is_paired_by_gram_schmidt(monkeypatch, kind):
         p = np.array([[0.8, 1.3], [-1.3, 0.8]])
         x = random_symplectic(4, 3) @ direct_sum(np.eye(4), direct_sum(p, p)) @ random_symplectic(4, 4)
     assert verify_decomposition(x, decompose(x)).verdict
-    assert eigh == [] and gram_schmidt == [(1, x.shape[0], 4)]
+    assert eigh == [] and gram_schmidt == [(1, 4, x.shape[0])]
+
+
+def test_stage1_takes_one_stack_per_cluster_size_and_kind(monkeypatch):
+    # 2-planes of both kinds, a real and a complex cluster of four and a
+    # real cluster of six: the planes are one stack, and each larger
+    # cluster is the stack of its size and kind
+    p = lambda a, b: np.array([[a, b], [-b, a]])
+    blocks = [[[0.4]], p(0.5, 1.0), *[[[2.5]]] * 2, *[p(-1.0, 0.7)] * 2, *[[[3.5]]] * 3]
+    j = blocks[0]
+    for blk in blocks[1:]:
+        j = direct_sum(j, blk)
+    n = j.shape[0]
+    x = random_symplectic(n, 81) @ direct_sum(np.eye(n), j) @ random_symplectic(n, 91)
+    names = ("_orthonormal_planes", "_orthonormal_spans", "_eigh_pairs", "_symplectic_pairs")
+    planes, spans, eigh, gram_schmidt = (_counting_calls(monkeypatch, name) for name in names)
+    assert verify_decomposition(x, decompose(x)).verdict
+    assert planes == [(2, 2, 2 * n)]
+    assert sorted(spans) == [(1, 4, 2 * n), (1, 4, 2 * n), (1, 6, 2 * n)]
+    assert eigh == [(1, 6, 2 * n)]
+    assert gram_schmidt == [(1, 4, 2 * n)] * 2
 
 
 def _mixed_gaussian(n):
@@ -527,6 +577,22 @@ def test_decompose_survives_an_overflowing_residual_norm(p):
     x = 10.0**p * np.random.default_rng(0).standard_normal((4, 4))
     d = decompose(x)
     assert verify_decomposition(x, d).verdict
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "passive"])
+def test_verify_decomposition_survives_a_factor_whose_squared_norm_overflows(kind):
+    # X scaled by 1e-154 gives an S2 of norm above 1.3e154, whose square
+    # overflows in the scale of the symplecticity verdict
+    rng = np.random.default_rng(0)
+    if kind == "gaussian":
+        x = rng.standard_normal((6, 6))
+    else:
+        c, d = rng.standard_normal((2, 3, 3))
+        x = np.block([[c, d], [-d, c]])
+    x = 1e-154 * x
+    with np.errstate(over="ignore"):
+        report = verify_decomposition(x, decompose(x))
+    assert report.verdict
 
 
 def test_overflow_safe_norm_leaves_finite_results_bit_identical(monkeypatch):

@@ -6,16 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympeq import (
+    BipartiteCovariance,
     DimensionError,
+    GaussianChannel,
     InvalidInput,
     SingularInput,
     Tolerances,
+    condense_correlations,
+    decompose,
     direct_sum,
     gl_embed,
     hermitian_min_eig,
+    invariants,
     is_symplectic,
     mode_direct_sum,
+    normalize_channel,
     random_symplectic,
+    squeezing_witness,
     symplectic_form,
 )
 from sympeq.core import gated_inverse, min_eig_of_checked, readonly_form, reciprocal_condition
@@ -88,6 +95,30 @@ def test_is_symplectic_squeezer_and_counterexample():
 def test_is_symplectic_rejects_odd_dimension():
     with pytest.raises(DimensionError):
         is_symplectic(np.eye(3))
+
+
+def test_is_symplectic_fails_an_infinite_residual():
+    # ||S||_F^2 overflows, so the threshold is infinite; the residual
+    # overflows too, and an infinite residual fails
+    with np.errstate(over="ignore"):
+        check = is_symplectic(1e300 * np.eye(2))
+    assert check.residual == math.inf and not check.verdict
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda z: decompose(z),
+        lambda z: invariants(z),
+        lambda z: squeezing_witness(z),
+        lambda z: condense_correlations(BipartiteCovariance(0, z, z, z)),
+        lambda z: normalize_channel(GaussianChannel(0, z, z)),
+    ],
+    ids=["decompose", "invariants", "squeezing_witness", "condense_correlations", "normalize_channel"],
+)
+def test_an_empty_matrix_is_refused_as_a_dimension_error(entry):
+    with pytest.raises(DimensionError, match="must have positive even dimension, got 0"):
+        entry(np.zeros((0, 0)))
 
 
 def test_gl_embed_identity():

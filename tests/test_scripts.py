@@ -41,6 +41,7 @@ def test_decompose_timing_prints_a_row_per_operation_and_n():
         "decompose_repeated",
         "decompose_passive",
         "decompose_channel",
+        "decompose_mixed",
         "invariants",
         "spectrum_from_eigenvalues",
         "hermitian_min_eig",
