@@ -421,8 +421,8 @@ def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, cluster
     sig = readonly_form(n)
     # The table: every 2-plane under the key 2, larger clusters under their
     # size and kind. An entry holds its stack's eigenvector columns of v, and
-    # per cluster its c and the columns of T that take its first pair's Re u
-    # and Im u. A real cluster owns d/2 columns from its offset in canonical
+    # per cluster its c, and per pair the columns of T that take Re u and
+    # Im u. A real cluster owns d/2 columns from its offset in canonical
     # order, and its pairs' Im parts, zero, go to the spare row 2n of T^T; a
     # complex cluster owns d, Re u and Im u of each pair side by side. Re w
     # and -Im w take the columns n further on (or the spare row 3n); the spare
@@ -432,44 +432,40 @@ def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, cluster
     for inv, idx in clusters:
         d, real = len(idx), inv.kind == REAL
         key = d if d == 2 else (d, real)
-        entry = table.get(key)
-        if entry is None:
-            entry = table[key] = ([], [], [], [])
-        members, c, re_u, im_u = entry
+        members, c, re_u, im_u = table.get(key) or table.setdefault(key, ([], [], [], []))
         members += idx
         c.append(1.0 if real else 2.0)
         re_u.append(offset)
         im_u.append(spare if real else offset + 1)
+        if d > 2:  # the later pairs follow the first, c columns apart
+            re_u += range(offset + 1, offset + d // 2) if real else range(offset + 2, offset + d, 2)
+            im_u += [spare] * (d // 2 - 1) if real else range(offset + 3, offset + d, 2)
         offset += d // 2 if real else d
 
     pieces, order = [], []
     for members, c, re_u, im_u in table.values():
         d = len(members) // len(c)
-        rows = v[:, members].T.reshape(-1, d, 2 * n)
-        if 1.0 in c and np.iscomplexobj(rows):
+        z = v[:, members].T.reshape(-1, d, 2 * n)
+        has_real, has_complex = 1.0 in c, 2.0 in c
+        c = np.array(c) if has_real and has_complex else c[0]  # a scalar for one kind
+        if has_real and np.iscomplexobj(z):
             # a real cluster spans the real rows Re z + Im z
-            real_rows = rows.real + rows.imag
-            if 2.0 in c:
-                real_rows = np.where((np.array(c) == 1.0)[:, None, None], real_rows, rows)
-            rows = real_rows
+            real_rows = z.real + z.imag
+            z = np.where((c == 1.0)[:, None, None], real_rows, z) if has_complex else real_rows
         if d == 2:
-            a, b = _orthonormal_planes(rows).transpose(1, 0, 2)
-            u, w = _pair(a, b, np.add.reduce(a @ sig * b, axis=1), np.array(c))
+            a, b = _orthonormal_planes(z).transpose(1, 0, 2)
+            u, w = _pair(a, b, np.add.reduce(a @ sig * b, axis=1), c)
         else:
-            if d == 4 or c[0] == 2.0:
-                u, w = _symplectic_pairs(_orthonormal_spans(rows, d), sig)
+            if d == 4 or has_complex:
+                u, w = _symplectic_pairs(_orthonormal_spans(z, d), sig)
             else:
                 try:
-                    basis = _orthonormal_spans(rows, d)
+                    basis = _orthonormal_spans(z, d)
                 except DegenerateSpectrum:
                     shifts = [inv.re for inv, idx in clusters if inv.kind == REAL and len(idx) == d]
                     basis = _null_spaces(sig_h, shifts, d)
                 u, w = _eigh_pairs(basis, sig)
             u, w = u.reshape(-1, 2 * n), w.reshape(-1, 2 * n)
-            # a cluster's later pairs follow its first, c columns apart; Im u
-            # is read only in a complex stack, where it follows Re u
-            re_u = [col + int(c[0]) * j for col in re_u for j in range(d // 2)]
-            im_u = [col + 1 for col in re_u]
         if np.iscomplexobj(u):
             pieces += [u.real, u.imag, w.real, -w.imag]
             cols = re_u + im_u
@@ -477,9 +473,9 @@ def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, cluster
             pieces += [u, w]
             cols = re_u
         order += cols + [col + n for col in cols]
-    rows = np.empty((3 * n + 1, 2 * n))  # the columns of T, and the spare rows
-    rows[order] = np.concatenate(pieces)
-    t = rows[:spare].T
+    t_rows = np.empty((3 * n + 1, 2 * n))  # the columns of T, and the spare rows
+    t_rows[order] = np.concatenate(pieces)
+    t = t_rows[:spare].T
     s = gated_inverse(t, _JORDAN_RCOND_MIN)[0]
     if s is None:
         raise DegenerateSpectrum("symplectic eigenbasis is numerically singular")

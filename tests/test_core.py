@@ -12,7 +12,6 @@ from sympeq import (
     InvalidInput,
     SingularInput,
     Tolerances,
-    condense_correlations,
     decompose,
     direct_sum,
     gl_embed,
@@ -20,7 +19,6 @@ from sympeq import (
     invariants,
     is_symplectic,
     mode_direct_sum,
-    normalize_channel,
     random_symplectic,
     squeezing_witness,
     symplectic_form,
@@ -111,10 +109,13 @@ def test_is_symplectic_fails_an_infinite_residual():
         lambda z: decompose(z),
         lambda z: invariants(z),
         lambda z: squeezing_witness(z),
-        lambda z: condense_correlations(BipartiteCovariance(0, z, z, z)),
-        lambda z: normalize_channel(GaussianChannel(0, z, z)),
+        # a 0-mode state or channel is refused when it is built, so
+        # condense_correlations and normalize_channel never see one
+        lambda z: BipartiteCovariance(0, z, z, z),
+        lambda z: GaussianChannel(0, z, z),
+        lambda z: GaussianChannel.from_xy(z, z),
     ],
-    ids=["decompose", "invariants", "squeezing_witness", "condense_correlations", "normalize_channel"],
+    ids=["decompose", "invariants", "squeezing_witness", "BipartiteCovariance", "GaussianChannel", "GaussianChannel.from_xy"],
 )
 def test_an_empty_matrix_is_refused_as_a_dimension_error(entry):
     with pytest.raises(DimensionError, match="must have positive even dimension, got 0"):
