@@ -7,13 +7,16 @@ Usage: python scripts/decompose_timing.py --parent TREE --change TREE
        [--rounds 10] [--inputs 8] [--repeat 5]
 
 TREE is a source tree (its ``src`` directory holds ``sympeq``) or the
-``src`` directory itself. Both trees are loaded in this process
-(``trees.py``) and timed call by call in alternation, so a drift of the
-host's speed reaches both alike. Each round is one pass over the same
-seeded Gaussian X (``--inputs`` of them per n, for n = 1..8, 16, 24, 32):
-per operation and input, each tree warms up once, then the two trees take
-turns for ``--repeat`` timed calls each, the round alternating which tree
-goes first. The operations are:
+``src`` directory itself. The comparison runs twice, each time in a child
+process of its own that loads both trees (``trees.py``): once the parent
+first, once the change first, since which tree a process loads first
+moves its per-call times by 2-3%. In each child the two trees are timed
+call by call in alternation, so a drift of the host's speed reaches both
+alike. Each round is one pass over the same seeded Gaussian X
+(``--inputs`` of them per n, for n = 1..8, 16, 24, 32): per operation and
+input, each tree warms up once, then the two trees take turns for
+``--repeat`` timed calls each, the round alternating which tree goes
+first. The operations are:
 
 * ``decompose`` and ``invariants`` of X;
 * ``decompose_repeated``: ``decompose`` of a dressed
@@ -40,14 +43,18 @@ goes first. The operations are:
 
 A call that raises a typed error is timed like any other.
 
-The table gives, per n and operation, the median over rounds of each
-round's median time per call for each tree and the change/parent ratio; a
-ratio above 1 means the change is slower. The count of rounds in which the
-change was faster is printed beside it.
+Per child, n and operation, each tree's time is the median over rounds of
+each round's median time per call. The table gives the geometric mean of
+the two children's times for each tree and their ratio change/parent,
+which is the geometric mean of the two children's ratios; a ratio above 1
+means the change is slower. Beside it is the count of rounds in which the
+change was faster, a round counting as faster where the product of the
+change's two times of that round is below the parent's.
 
-With ``--stages``, one tree's ``decompose`` is timed on the same inputs,
-``--repeat`` calls per input and round after one warm-up, split into six
-stages by marks taken on entry to functions of its ``canonical`` module:
+With ``--stages``, one tree's ``decompose`` is timed on the same inputs for
+n >= 2, ``--repeat`` calls per input and round after one warm-up, split
+into six stages by marks taken on entry to functions of its ``canonical``
+module (a 2 x 2 X takes the one-mode closed form, which runs none of them):
 
 * ``gate``: from the call to ``sigma_of_checked``, i.e. the X gate;
 * ``sigma_eig``: Sigma(X) with its eig, up to ``spectrum_from_eigenvalues``;
@@ -73,15 +80,20 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import json
+import math
 import statistics
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 import trees
 
 NS = (1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32)
+STAGE_NS = NS[1:]  # n = 1 has no stages
 OPS = (
     "decompose",
     "decompose_repeated",
@@ -160,6 +172,42 @@ def measure(pkgs: dict, rounds: int, inputs: int, repeat: int) -> dict:
     return out
 
 
+def measure_in_order(trees_in_order: list, rounds: int, inputs: int, repeat: int) -> dict:
+    """``measure`` of the trees given as (side, tree) pairs, loaded in this
+    order: the work of one child process of the comparison."""
+    pkgs = {side: trees.load(tree, f"sympeq_{side}") for side, tree in trees_in_order}
+    return measure(pkgs, rounds, inputs, repeat)
+
+
+def _measure_in_child(trees_in_order: list, rounds: int, inputs: int, repeat: int) -> dict:
+    code = (
+        "import json, sys; import decompose_timing as t; "
+        "print(json.dumps(t.measure_in_order(*json.loads(sys.argv[1]))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps([trees_in_order, rounds, inputs, repeat])],
+        cwd=Path(__file__).resolve().parent,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(proc.stderr)
+    return json.loads(proc.stdout)
+
+
+def combine(first: dict, second: dict, op: str, n) -> tuple:
+    """(parent ms, change ms, wins) of one row from the runs of the two load
+    orders, as JSON returns them (n keys as strings): the geometric means of
+    the children's median times, and the rounds whose product of the
+    change's two times is below the parent's."""
+    runs = [(run["parent"][op][str(n)], run["change"][op][str(n)]) for run in (first, second)]
+    parent = math.prod(statistics.median(old) for old, _ in runs) ** 0.5
+    change = math.prod(statistics.median(new) for _, new in runs) ** 0.5
+    (old_a, new_a), (old_b, new_b) = runs
+    wins = sum(na * nb < oa * ob for oa, ob, na, nb in zip(old_a, old_b, new_a, new_b))
+    return parent, change, wins
+
+
 def _gaussians(n: int, inputs: int) -> list:
     return [np.random.default_rng(1000 * n + i).standard_normal((2 * n, 2 * n)) for i in range(inputs)]
 
@@ -228,8 +276,8 @@ def stage_times(start: float, marks: list, stop: float) -> dict | None:
 def measure_stages(sp, rounds: int, inputs: int, repeat: int) -> dict:
     """Per n and stage of ``decompose``: one median time in ms per round."""
     marks = _marked(sp)
-    out = {n: {stage: [] for stage in STAGES} for n in NS}
-    for n in NS:
+    out = {n: {stage: [] for stage in STAGES} for n in STAGE_NS}
+    for n in STAGE_NS:
         xs = _gaussians(n, inputs)
         for _ in range(rounds):
             times: dict = {stage: [] for stage in STAGES}
@@ -256,7 +304,7 @@ def report_stages(runs: dict, rounds: int, inputs: int, repeat: int) -> None:
     print(f"decompose by stage, {rounds} rounds, {inputs} inputs x {repeat} calls per n; "
           "median ms per call and % of their sum")
     print(f"{'n':>3s} " + " ".join(f"{stage:>15s}" for stage in STAGES) + f" {'sum':>9s}")
-    for n in NS:
+    for n in STAGE_NS:
         med = {stage: statistics.median(runs[n][stage]) for stage in STAGES if runs[n][stage]}
         if len(med) < len(STAGES):
             print(f"{n:>3d} every call raised before its last stage")
@@ -290,17 +338,18 @@ def main(argv=None) -> int:
         return 0
     if not (args.parent and args.change):
         parser.error("--parent and --change are required without --stages")
-    pkgs = {"parent": trees.load(args.parent, "sympeq_parent"), "change": trees.load(args.change, "sympeq_change")}
-    runs = measure(pkgs, args.rounds, args.inputs, args.repeat)
+    sides = [["parent", str(Path(args.parent).resolve())], ["change", str(Path(args.change).resolve())]]
+    first, second = (
+        _measure_in_child(order, args.rounds, args.inputs, args.repeat) for order in (sides, sides[::-1])
+    )
 
-    print(f"{args.rounds} rounds, {args.inputs} inputs x {args.repeat} calls per n; median ms per call")
+    print(f"{args.rounds} rounds in each load order, {args.inputs} inputs x {args.repeat} calls per n; "
+          "geometric mean of the two orders' median ms per call")
     print(f"{'op':25s} {'n':>3s} {'parent':>9s} {'change':>9s} {'ratio':>7s} {'faster':>7s}")
     for op in OPS:
         for n in NS:
-            old, new = runs["parent"][op][n], runs["change"][op][n]
-            med_old, med_new = statistics.median(old), statistics.median(new)
-            wins = sum(b < a for a, b in zip(old, new))
-            print(f"{op:25s} {n:>3d} {med_old:9.4f} {med_new:9.4f} {med_new / med_old:7.3f} "
+            parent, change, wins = combine(first, second, op, n)
+            print(f"{op:25s} {n:>3d} {parent:9.4f} {change:9.4f} {change / parent:7.3f} "
                   f"{wins:>3d}/{args.rounds}")
     return 0
 

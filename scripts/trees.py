@@ -2,8 +2,8 @@
 
 The comparison scripts (``stress_compare.py``, ``apps_outcomes.py`` and
 ``decompose_timing.py``) import each tree's ``sympeq`` package under a
-private name, so both trees live in the calling process and no child process
-is needed. A tree must import its own modules by relative name: the loader
+private name, so both trees live in one process (``decompose_timing.py``
+runs two such processes, one per load order). A tree must import its own modules by relative name: the loader
 fails if loading a tree adds any module named ``sympeq`` or ``sympeq.*``,
 since an absolute ``import sympeq`` would silently mix the trees.
 """

@@ -13,8 +13,8 @@ eigenvectors). The construction has two stages:
    simple invariant's cluster is a 2-plane, on which the symplectic form
    is nondegenerate. The basis T comes from one table of stacks keyed by
    cluster size: the 2-planes, real and complex alike and all of a generic
-   input's clusters, are one stack, orthonormalised in closed form, with
-   no SVD, and paired in one step; larger clusters (repeated invariants)
+   input's clusters, are one stack, paired in closed form straight from
+   their eigenvectors, with no SVD; larger clusters (repeated invariants)
    are one stack per size and kind, with one batched SVD each. A real
    cluster of any size spans the real rows Re z + Im z of its
    eigenvectors z. A real invariant repeated three or more times is paired
@@ -42,6 +42,13 @@ inverses: its invariants are +-s^2, J is diagonal, and S1 and S2 are read
 off U, s and V in closed form. Its factors then take the same steps onto
 the group and face the same residual contract.
 
+A 2 x 2 X that is neither passive nor anti-passive (one mode) needs no
+eigendecomposition at all: X sigma X^T = det(X) sigma, so Sigma(X) = d I
+with d = det X, the one invariant, real and exactly doubled. S1 = I and
+S2 = X^{-1} diag(1, d) = [[x11 / d, -x01], [-x10 / d, x00]], whose
+determinant is 1, so S1 X S2 = I_1 (+) d with no inverse and no stage 1.
+The passive test runs first, so a passive 2 x 2 X keeps its complex SVD.
+
 X and the stage-1 basis T must be invertible, judged by a 2-norm rcond
 floor each. Both gates read ``core.gated_inverse``: the bound
 rcond_2 >= 1 / (||A||_F ||A^{-1}||_F) from the inverse decides wherever it
@@ -50,9 +57,10 @@ does not, so an input that clears both bounds runs no full-size SVD. T's
 inverse is stage 1's S, and X's inverse finishes S2 = X^{-1} T W sigma
 (W from the closed-form factors), so X and T are factored once each. A
 passive or anti-passive X is judged by s_min / s_max of its SVD instead,
-which is rcond_2(X) exactly, and is not inverted. Within ``decompose`` one
-numerical verdict judges the construction: the residual contract on S1, S2
-and the reconstruction.
+which is rcond_2(X) exactly, and is not inverted; a one-mode X by its
+exact rcond_2 in closed form, from det X and ||X||_F. Within ``decompose``
+one numerical verdict judges the construction: the residual contract on
+S1, S2 and the reconstruction.
 
 The general factorization of a real matrix into two real symmetric factors
 (``factor_two_symmetric``) remains a standalone operation.
@@ -66,6 +74,7 @@ use, so importing this module loads no scipy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +84,6 @@ from .core import (
     Tolerances,
     as_even_square,
     as_matrix,
-    block_diag,
     frobenius,
     gated_inverse,
     is_symplectic,
@@ -100,6 +108,7 @@ from .invariants import (
     InvariantSpectrum,
     invariant_multiset,
     invariants,
+    one_mode_spectrum,
     passive_svd,
     sigma_of_checked,
     spectral_scale,
@@ -188,18 +197,20 @@ def canonical_from_invariants(spectrum: InvariantSpectrum) -> CanonicalBlocks:
     [[a, b], [-b, a]] with b > 0, in the spectrum's canonical order.
     """
     n = spectrum.n
-    j = np.zeros((n, n))
-    pos = 0
+    assembled = np.zeros((2 * n, 2 * n))
+    np.fill_diagonal(assembled[:n, :n], 1.0)
+    pos = n  # J fills the lower right block, entry by entry
     for v in spectrum.values:
         if v.kind == REAL:
-            j[pos, pos] = v.re
+            assembled[pos, pos] = v.re
             pos += 1
         else:
-            j[pos : pos + 2, pos : pos + 2] = [[v.re, v.im], [-v.im, v.re]]
+            assembled[pos, pos] = assembled[pos + 1, pos + 1] = v.re
+            assembled[pos, pos + 1], assembled[pos + 1, pos] = v.im, -v.im
             pos += 2
-    if pos != n:
-        raise DimensionError(f"blocks fill {pos} slots, expected {n}")
-    return CanonicalBlocks(n=n, blocks=spectrum.values, assembled=block_diag(np.eye(n), j))
+    if pos != 2 * n:
+        raise DimensionError(f"blocks fill {pos - n} slots, expected {n}")
+    return CanonicalBlocks(n=n, blocks=spectrum.values, assembled=assembled)
 
 
 # ---------------------------------------------------------------------------
@@ -242,24 +253,22 @@ def _null_spaces(sig_h: np.ndarray, shifts, d: int) -> np.ndarray:
     return vt[:, -d:]
 
 
-def _pair(u: np.ndarray, v: np.ndarray, f: np.ndarray, c):
-    """The pairs (u, w) with u^T sig w = -c from unit vectors u, v, rows of
-    two (k, 2n) stacks, and their products f = u^T sig v. c is given per
-    member, 1 for a real and 2 for a complex one, as a (k,) array or, for
-    a stack of one kind, as one scalar.
+def _pair_scales(f: np.ndarray, c, score: np.ndarray, ratio=1.0):
+    """The scales alpha, beta of the pairs u = alpha a, w = beta b of k
+    vector pairs, for f = a^T sig b, the pairing score |f| / (|a| |b|) and
+    ratio = |b| / |a| (1 for unit vectors, whose score is |f|), each a (k,)
+    array. c is given per member, 1 for a real and 2 for a complex one, as
+    a (k,) array or, for a stack of one kind, as one scalar.
 
-    |f| is the pairing score; below ``_PAIRING_MIN`` the symplectic form
-    degenerates on the subspace and IsotropicEigenspace is raised.
+    u^T sig w = -c and |u| = |w| give alpha^2 = c ratio / |f| and
+    beta = -c / (f alpha). Below ``_PAIRING_MIN`` the score says the
+    symplectic form degenerates on the span of a and b, and
+    IsotropicEigenspace is raised.
     """
-    score = np.abs(f)
     if score.min() < _PAIRING_MIN:
-        raise IsotropicEigenspace(
-            "symplectic form degenerates on an invariant subspace"
-        )
-    # w = v / (-f / c) has u^T sig w = -c and length c / |f|; the balance
-    # sqrt(c / |f|) scales u up and w down to equal lengths
-    balance = np.sqrt(c / score)
-    return u * balance[:, None], v * (-c / (f * balance))[:, None]
+        raise IsotropicEigenspace("symplectic form degenerates on an invariant subspace")
+    alpha = np.sqrt(c * ratio / np.abs(f))
+    return alpha, -c / (f * alpha)
 
 
 def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
@@ -271,10 +280,10 @@ def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
     first remaining v of largest |u^T sig v|, and projects the others onto
     the form-complement of the pair. Every vector entering a step has unit
     length (a basis vector, or renormalised after the projection), so the
-    pairing score is |u^T sig v| itself. c = 1 for a real basis. A complex
-    basis gets c = 2, which makes the real and imaginary parts of its pairs
-    assemble into a symplectic basis. Returns the u- and w-vectors as
-    (k, d/2, 2n) stacks.
+    pairing score is |u^T sig v| itself, and ``_pair_scales`` judges it and
+    scales the pair. c = 1 for a real basis. A complex basis gets c = 2,
+    which makes the real and imaginary parts of its pairs assemble into a
+    symplectic basis. Returns the u- and w-vectors as (k, d/2, 2n) stacks.
 
     Stage 1 runs it on clusters of four eigenvalues, real or complex, and on
     complex clusters of any size, for which a Hermitian eigensolve gives no
@@ -293,7 +302,8 @@ def _symplectic_pairs(basis: np.ndarray, sig: np.ndarray):
         else:
             members, j = np.arange(k), np.abs(form).argmax(axis=1)  # first maximum
             f, v = form[members, j], rest[members, j]
-        us[:, step], ws[:, step] = _pair(u, v, f, c)
+        alpha, beta = _pair_scales(f, c, np.abs(f))
+        us[:, step], ws[:, step] = u * alpha[:, None], v * beta[:, None]
         if rest.shape[1] == 1:
             break
         keep = np.ones(form.shape, dtype=bool)
@@ -343,33 +353,40 @@ def _eigh_pairs(basis: np.ndarray, sig: np.ndarray):
     return y.real @ basis, y.imag @ basis
 
 
-def _orthonormal_planes(planes: np.ndarray) -> np.ndarray:
-    """Closed form of ``_orthonormal_spans`` for k 2-planes, plane i spanned
-    by the rows a_i, b_i of a (k, 2, m) stack.
+def _plane_pairs(planes: np.ndarray, sig: np.ndarray, c):
+    """The pairs (u, w) with u^T sig w = -c of k 2-planes, plane i spanned
+    by the rows a_i, b_i of a (k, 2, 2n) stack, in closed form with no SVD.
+    c is given per member, 1 for a real and 2 for a complex one, as a (k,)
+    array or, for a stack of one kind, as one scalar.
 
-    Gram-Schmidt under the Hermitian product replaces b by b - proj_a b. The
-    rank rule s2 <= 1e-8 s1 reads the singular values of the original (a, b)
-    off its 2x2 Gram matrix: s1^2 s2^2 = |a|^2 |b - proj_a b|^2 and
-    s1^2 + s2^2 = |a|^2 + |b|^2. With q = (s2 / s1)^2 <= 1 their quotient
-    s1^2 s2^2 / (s1^2 + s2^2)^2 = q / (1 + q)^2 grows with q, so the rule
-    refuses where it is at most 1e-16 / (1 + 1e-16)^2, which rounds to
-    1e-16. |b - proj_a b| is summed from the projected vector itself, since
-    |b|^2 - |a^H b|^2 / |a|^2 cancels to rounding exactly where the rule
-    decides. Returns the orthonormal rows as a (k, 2, m) stack.
+    Gram-Schmidt under the Hermitian product replaces b by
+    b' = b - proj_a b. The rank rule s2 <= 1e-8 s1 of ``_orthonormal_spans``
+    reads the singular values of the original (a, b) off its 2x2 Gram
+    matrix: s1^2 s2^2 = |a|^2 |b'|^2 and s1^2 + s2^2 = |a|^2 + |b|^2. With
+    q = (s2 / s1)^2 <= 1 their quotient s1^2 s2^2 / (s1^2 + s2^2)^2 =
+    q / (1 + q)^2 grows with q, so the rule refuses where it is at most
+    1e-16 / (1 + 1e-16)^2, which rounds to 1e-16. |b'| is summed from the
+    projected vector itself, since |b|^2 - |a^H b|^2 / |a|^2 cancels to
+    rounding exactly where the rule decides.
+
+    The pair needs no normalised vectors: f = a^T sig b' = a^T sig b, since
+    a^T sig a = 0, so f is read off the rows as given, and ``_pair_scales``
+    judges the pairing score |f| / (|a| |b'|) and scales the pair
+    u = alpha a, w = beta b'. Returns u and w as two (k, 2n) stacks.
     """
-    a = planes[:, 0]
+    a, b = planes[:, 0], planes[:, 1]
     gram = planes.conj() @ planes.transpose(0, 2, 1)
     aa, bb = gram[:, 0, 0].real, gram[:, 1, 1].real
-    b = planes[:, 1] - (gram[:, 0, 1] / aa)[:, None] * a
+    f = np.add.reduce(a @ sig * b, axis=1)
+    b = b - (gram[:, 0, 1] / aa)[:, None] * a
     rr = np.add.reduce(b.conj() * b, axis=1).real
     if not (aa * rr > 1e-16 * (aa + bb) ** 2).all():  # nan refuses too
         raise DegenerateSpectrum(
             "invariant subspace is rank deficient (defective or near-defective input)"
         )
-    basis = np.empty_like(planes)
-    np.divide(a, np.sqrt(aa)[:, None], out=basis[:, 0])
-    np.divide(b, np.sqrt(rr)[:, None], out=basis[:, 1])
-    return basis
+    ratio = np.sqrt(rr / aa)  # |b'| / |a|
+    alpha, beta = _pair_scales(f, c, np.abs(f) / (aa * ratio), ratio)
+    return a * alpha[:, None], b * beta[:, None]
 
 
 def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, clusters):
@@ -396,14 +413,13 @@ def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, cluster
     real vectors themselves, or Re z + Im z and Re z - Im z of a snapped
     pair z, z-bar, which span the same real space as Re z and Im z, with
     the same ratios of singular values, which the rank rule reads. The
-    2-planes take their orthonormal bases in closed form from
-    ``_orthonormal_planes``, in complex128 only where a complex cluster is
-    among them, and one ``_pair`` step with c per member pairs the two
-    vectors of each. Larger clusters take their bases from the
-    batched SVD of ``_orthonormal_spans``, under the same rank rule. Real
-    clusters of six or more eigenvalues take their pairs from
+    2-planes are paired in closed form straight from their eigenvector rows
+    by ``_plane_pairs``, in complex128 only where a complex cluster is
+    among them, with c per member. Larger clusters take their bases from
+    the batched SVD of ``_orthonormal_spans``, under the same rank rule.
+    Real clusters of six or more eigenvalues take their pairs from
     ``_eigh_pairs``; clusters of four, real or complex, and larger complex
-    clusters from ``_symplectic_pairs``, whose every step ends in ``_pair``.
+    clusters from the Gram-Schmidt of ``_symplectic_pairs``.
 
     Where eig's vectors of a stack of real clusters of six or more fail the
     rank rule, that stack takes its bases from ``_null_spaces`` of sig_h
@@ -445,7 +461,7 @@ def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, cluster
     pieces, order = [], []
     for members, c, re_u, im_u in table.values():
         d = len(members) // len(c)
-        z = v[:, members].T.reshape(-1, d, 2 * n)
+        z = v.T[members].reshape(-1, d, 2 * n)
         has_real, has_complex = 1.0 in c, 2.0 in c
         c = np.array(c) if has_real and has_complex else c[0]  # a scalar for one kind
         if has_real and np.iscomplexobj(z):
@@ -453,8 +469,7 @@ def block_diagonalize_skew_hamiltonian(sig_h: np.ndarray, v: np.ndarray, cluster
             real_rows = z.real + z.imag
             z = np.where((c == 1.0)[:, None, None], real_rows, z) if has_complex else real_rows
         if d == 2:
-            a, b = _orthonormal_planes(z).transpose(1, 0, 2)
-            u, w = _pair(a, b, np.add.reduce(a @ sig * b, axis=1), c)
+            u, w = _plane_pairs(z, sig, c)
         else:
             if d == 4 or has_complex:
                 u, w = _symplectic_pairs(_orthonormal_spans(z, d), sig)
@@ -644,6 +659,26 @@ def _passive_finish(sign: float, u: np.ndarray, sv: np.ndarray, vh: np.ndarray):
     return s1, s2
 
 
+def _one_mode_rcond(x: np.ndarray) -> float:
+    """rcond_2 of a 2 x 2 X, exactly, with no SVD and no inverse.
+
+    s_min s_max = |d| and s_min^2 + s_max^2 = f for d = det X and
+    f = ||X||_F^2, so s_max^2 = (f + sqrt(f^2 - 4 d^2)) / 2 and
+    s_min / s_max = |d| / s_max^2. d and f are read off X / max|x|, where
+    neither overflows nor underflows short of rcond itself doing so: an
+    unscaled X of Gaussian entries at scale 1e100 has d = inf.
+    """
+    (a, b), (c, e) = x.tolist()
+    m = max(abs(a), abs(b), abs(c), abs(e))
+    if m == 0.0:
+        return 0.0
+    a, b, c, e = a / m, b / m, c / m, e / m
+    d, f = abs(a * e - b * c), a * a + b * b + c * c + e * e
+    # f^2 - 4 d^2 >= 0, as a product that keeps its precision where it is
+    # small; rounding may leave f - 2d a little below 0
+    return 2.0 * d / (f + math.sqrt(max(f - 2.0 * d, 0.0) * (f + 2.0 * d)))
+
+
 def _symplectic_step(s: np.ndarray) -> np.ndarray:
     """One first-order step of S back onto the symplectic group.
 
@@ -653,6 +688,19 @@ def _symplectic_step(s: np.ndarray) -> np.ndarray:
     sig = readonly_form(s.shape[0] // 2)
     e = s @ sig @ s.T - sig
     return s + (e @ sig / 2) @ s
+
+
+def _refuse_zero_invariant(spectrum: InvariantSpectrum, scale: float, tol: Tolerances) -> None:
+    """Raise SingularInput where the spectrum has an invariant at zero.
+
+    ``scale`` is the spectral scale the spectrum was clustered against.
+    """
+    if spectrum.has_zero:
+        smallest = min(abs(val.as_complex()) for val in spectrum.values) / scale
+        raise SingularInput(
+            f"zero invariant detected: smallest |invariant| {smallest:.3e} of the spectral "
+            f"scale, within degeneracy_gap {tol.degeneracy_gap:g}"
+        )
 
 
 def _meets_contract(recon: float, s1: float, s2: float, tol: Tolerances) -> bool:
@@ -683,7 +731,12 @@ def decompose(x, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     and S1 = R(U^H), S2 = R(V) diag(1/s, s) or F R(V) F diag(1/s, s) in
     closed form (``_passive_finish``).
 
-    Both routes end alike (``_decomposition``): a factor off the symplectic
+    Any other 2 x 2 X (one mode) has Sigma(X) = det(X) I: its one invariant
+    is d = det X, J = d, S1 = I and S2 = [[x11 / d, -x01], [-x10 / d, x00]],
+    with no eigendecomposition, inverse or stage 1
+    (``_one_mode_decomposition``).
+
+    All routes end alike (``_decomposition``): a factor off the symplectic
     group by more than the residual contract allows takes one first-order
     step back onto it, and the residual contract, the one numerical verdict
     on the construction, is checked on the factors returned. The
@@ -695,7 +748,8 @@ def decompose(x, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     bound 1 / (||X||_F ||X^{-1}||_F) and computes the singular values of X
     only where that bound does not clear the floor tenfold; the verdict is
     the one the singular values give. For a passive or anti-passive X it
-    reads s_min / s_max, which is rcond_2(X) exactly.
+    reads s_min / s_max, which is rcond_2(X) exactly, and for a one-mode X
+    the exact rcond_2 from det X and ||X||_F (``_one_mode_rcond``).
 
     Raises SingularInput for singular X, DegenerateSpectrum (or subclasses)
     when the spectrum is too degenerate or ill-conditioned for a trustworthy
@@ -703,6 +757,8 @@ def decompose(x, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     """
     x = as_even_square(x, "X")
     passive = passive_svd(x)
+    if passive is None and x.shape[0] == 2:
+        return _one_mode_decomposition(x, tol)
     if passive is None:
         x_inv = gated_inverse(x, _X_RCOND_MIN)[0]
         singular = x_inv is None
@@ -721,12 +777,7 @@ def decompose(x, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise EigenFailure(f"eigensolver failed on Sigma(X): {exc}") from exc
     spectrum, clusters = spectrum_from_eigenvalues(w, tol)
-    if spectrum.has_zero:
-        smallest = min(abs(val.as_complex()) for val in spectrum.values) / spectral_scale(w)
-        raise SingularInput(
-            f"zero invariant detected: smallest |invariant| {smallest:.3e} of the spectral "
-            f"scale, within degeneracy_gap {tol.degeneracy_gap:g}"
-        )
+    _refuse_zero_invariant(spectrum, spectral_scale(w), tol)
 
     if passive is None:
         s, m, t = block_diagonalize_skew_hamiltonian(sig_x, v, clusters)
@@ -739,6 +790,32 @@ def decompose(x, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
         blocks = canonical_from_invariants(spectrum)
         s1, s2 = _passive_finish(sign, u, sv, vh)
     return _decomposition(x, s1, s2, blocks, tol)
+
+
+def _one_mode_decomposition(x: np.ndarray, tol: Tolerances) -> Decomposition:
+    """``decompose`` of a 2 x 2 X that is neither passive nor anti-passive.
+
+    Sigma(X) = d I with d = det X (``one_mode_spectrum``), so J = d and
+    S1 = I, S2 = X^{-1} diag(1, d) = [[x11 / d, -x01], [-x10 / d, x00]]:
+    det S2 = 1, so S2 is symplectic, and X S2 = diag(1, d). Only the
+    entries of the first column are divided by d, so S2 overflows only
+    where X^{-1} itself would. The X gate reads the exact rcond_2
+    (``_one_mode_rcond``), which reads X / max|x|, so a well-conditioned X
+    of entries near 1e-170 passes it while d underflows to 0; such an X is
+    refused as having a zero invariant, as on the general route. No
+    inverse, eigensolve or stage 1 runs; the residual contract judges the
+    result as on the other routes. Past the gate, S2's symplectic residual
+    carries rounding of order eps / rcond_2(X), as the general route's
+    does, so the contract may still refuse an X close to the gate.
+    """
+    if not _one_mode_rcond(x) >= _X_RCOND_MIN:
+        raise SingularInput("X is singular within tolerance (rcond < 1e-12)")
+    spectrum = one_mode_spectrum(x)
+    d = spectrum.values[0].re
+    _refuse_zero_invariant(spectrum, abs(d) or 1.0, tol)
+    (a, b), (c, e) = x.tolist()
+    s2 = np.array([[e / d, -b], [-c / d, a]])
+    return _decomposition(x, np.eye(2), s2, canonical_from_invariants(spectrum), tol)
 
 
 def verify_decomposition(x, d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> VerificationReport:

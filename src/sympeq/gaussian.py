@@ -193,10 +193,20 @@ class SchmidtReport:
 
 
 def transform_bipartite(g: BipartiteCovariance, s_a, s_b) -> BipartiteCovariance:
-    """Apply the local symplectic pair: Gamma -> (S_A (+) S_B) Gamma (...)^T."""
-    local = block_diag(as_even_square(s_a, "S_A"), as_even_square(s_b, "S_B"))
-    full = local @ g.assembled() @ local.T
-    return BipartiteCovariance.from_assembled(g.n, full)
+    """Apply the local symplectic pair: Gamma -> (S_A (+) S_B) Gamma (...)^T.
+
+    The transformed blocks are S_A Gamma_A S_A^T, S_B Gamma_B S_B^T and
+    S_A X S_B^T, formed block by block, so the zero blocks of S_A (+) S_B
+    cost no products.
+    """
+    s_a, s_b = as_even_square(s_a, "S_A"), as_even_square(s_b, "S_B")
+    if s_a.shape != g.x.shape or s_b.shape != g.x.shape:
+        raise DimensionError(
+            f"S_A and S_B must have the shape {g.x.shape} of the blocks, got {s_a.shape} and {s_b.shape}"
+        )
+    return BipartiteCovariance(
+        n=g.n, gamma_a=s_a @ g.gamma_a @ s_a.T, gamma_b=s_b @ g.gamma_b @ s_b.T, x=s_a @ g.x @ s_b.T
+    )
 
 
 def bipartite_mode_sum(g1: BipartiteCovariance, g2: BipartiteCovariance) -> BipartiteCovariance:

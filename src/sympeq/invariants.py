@@ -10,7 +10,9 @@ complex-conjugate pairs.
 For a passive X, X sigma = sigma X, or an anti-passive one, X sigma =
 -sigma X, one n x n complex SVD takes the place of the 2n x 2n eigensolve
 (``passive_svd``): the invariants are +-s^2 of its singular values s, each
-doubled.
+doubled. For one mode, X sigma X^T = det(X) sigma, so Sigma(X) = det(X) I
+and the one invariant is det X with no eigensolve at all
+(``one_mode_spectrum``).
 
 This module is the one place where the spectral policy is decided, in one
 function, ``spectrum_from_eigenvalues``: the gap (``degeneracy_gap`` relative
@@ -29,6 +31,7 @@ elementwise and summing ufuncs and sorting as ``np.sort_complex`` does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -107,9 +110,9 @@ def invariant_multiset(values) -> np.ndarray:
 def sigma_matrix(x) -> np.ndarray:
     """Sigma(X) = X sigma X^T sigma^T, exactly skew-Hamiltonian as assembled.
 
-    The antisymmetric core X sigma X^T is symmetrized before the final (exact)
-    multiplication by sigma^T, so ``(Sigma sigma)^T = -(Sigma sigma)`` holds to
-    the last bit.
+    The antisymmetric core X sigma X^T is antisymmetrized before the final
+    (exact) multiplication by sigma^T, so ``(Sigma sigma)^T = -(Sigma sigma)``
+    holds to the last bit.
     """
     x = as_even_square(x, "X")
     return sigma_of_checked(x)
@@ -173,6 +176,24 @@ def passive_svd(x: np.ndarray):
     return np.concatenate((w, w)), sign, u, s, vh
 
 
+def one_mode_spectrum(x: np.ndarray) -> InvariantSpectrum:
+    """The invariant spectrum of a 2 x 2 X.
+
+    At n = 1, X sigma X^T = det(X) sigma, so Sigma(X) = det(X) I: the one
+    invariant is d = det X, real and exactly doubled, with no eigensolve and
+    no classification. Its spectrum is the one ``spectrum_from_eigenvalues``
+    gives for the eigenvalues (d, d): has_zero only where d is 0, and a
+    pairing residual of 0. Raises EigenFailure where d overflows, as the
+    eigensolve of the overflowing Sigma(X) does.
+    """
+    (a, b), (c, e) = x.tolist()
+    d = a * e - b * c
+    if not math.isfinite(d):
+        raise EigenFailure(f"Sigma(X) = det(X) I is not finite: det X = {d}")
+    invariant = Invariant(d, 0.0, REAL)
+    return InvariantSpectrum(n=1, values=(invariant,), pairing_residual=0.0, has_zero=d == 0.0)
+
+
 def invariants(x, tol: Tolerances = DEFAULT_TOL) -> InvariantSpectrum:
     """Invariant spectrum of X: eigenvalues of Sigma(X), clustered into doubles.
 
@@ -183,12 +204,16 @@ def invariants(x, tol: Tolerances = DEFAULT_TOL) -> InvariantSpectrum:
     ClusteringAmbiguous. ``has_zero`` flags invariants at zero (singular X),
     which downstream canonical-form construction refuses. A passive or
     anti-passive X takes its eigenvalues from one n x n complex SVD
-    (``passive_svd``), any other X from one eigensolve of Sigma(X).
+    (``passive_svd``), any other 2 x 2 X its one invariant det X in closed
+    form (``one_mode_spectrum``), and any other X its eigenvalues from one
+    eigensolve of Sigma(X).
     """
     x = as_even_square(x, "X")
     passive = passive_svd(x)
     if passive is not None:
         return spectrum_from_eigenvalues(passive[0], tol)[0]
+    if x.shape[0] == 2:
+        return one_mode_spectrum(x)
     try:
         w = np.linalg.eigvals(sigma_of_checked(x))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare

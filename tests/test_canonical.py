@@ -40,6 +40,7 @@ from sympeq import (
     williamson,
     williamson_invariant_gap,
 )
+from sympeq.core import reciprocal_condition
 from sympeq.invariants import spectrum_from_eigenvalues
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -200,7 +201,7 @@ def test_closed_form_planes_apply_the_rank_rule_of_the_svd(offset, refused, seed
     a, b = _plane(1e-8 * (1 + offset), 3, seed, complex_)
     verdicts = []
     for span in (
-        lambda: canonical._orthonormal_planes(np.stack((a, b), axis=1)),
+        lambda: canonical._plane_pairs(np.stack((a, b), axis=1), canonical.readonly_form(3), 1.0 + complex_),
         lambda: canonical._orthonormal_spans(np.stack((a, b), axis=1), 2),
     ):
         try:
@@ -215,11 +216,18 @@ def test_closed_form_planes_apply_the_rank_rule_of_the_svd(offset, refused, seed
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("seed", range(4))
 def test_closed_form_planes_are_orthonormal_bases_of_their_spans(seed, complex_):
-    n = 3
+    # the pair (u, w) of a plane spanned by (a, b) is its Gram-Schmidt basis
+    # a / |a|, b' / |b'| scaled to equal lengths with u^T sig w = -c
+    n, c = 3, 1.0 + complex_
     a, b = _plane(0.3, n, seed, complex_)
-    (q,) = canonical._orthonormal_planes(np.stack((a, b), axis=1))  # rows
-    assert q.shape == (2, 2 * n) and q.dtype == a.dtype
+    sig = canonical.readonly_form(n)
+    (u,), (w,) = canonical._plane_pairs(np.stack((a, b), axis=1), sig, c)
+    assert u.shape == w.shape == (2 * n,) and u.dtype == w.dtype == a.dtype
+    assert np.linalg.norm(u) == pytest.approx(np.linalg.norm(w), rel=1e-14)
+    assert u @ sig @ w == pytest.approx(-c, rel=1e-14)
+    q = np.vstack([u / np.linalg.norm(u), w / np.linalg.norm(w)])
     assert np.linalg.norm(q.conj() @ q.T - np.eye(2)) <= 1e-15
+    assert np.linalg.norm(q[0] - a[0] / np.linalg.norm(a[0])) <= 1e-15
     span = np.linalg.svd(np.column_stack([a[0], b[0]]), full_matrices=False)[0]
     assert np.linalg.norm(q.T @ q.conj() - span @ span.conj().T) <= 1e-14
 
@@ -406,7 +414,7 @@ def test_stage1_takes_one_stack_per_cluster_size_and_kind(monkeypatch):
         j = direct_sum(j, blk)
     n = j.shape[0]
     x = random_symplectic(n, 81) @ direct_sum(np.eye(n), j) @ random_symplectic(n, 91)
-    names = ("_orthonormal_planes", "_orthonormal_spans", "_eigh_pairs", "_symplectic_pairs")
+    names = ("_plane_pairs", "_orthonormal_spans", "_eigh_pairs", "_symplectic_pairs")
     planes, spans, eigh, gram_schmidt = (_counting_calls(monkeypatch, name) for name in names)
     assert verify_decomposition(x, decompose(x)).verdict
     assert planes == [(2, 2, 2 * n)]
@@ -430,14 +438,14 @@ def _mixed_gaussian(n):
 def test_real_and_complex_planes_are_paired_as_one_stack(monkeypatch, n):
     x = _mixed_gaussian(n)
     calls = {}
-    for name in ("_orthonormal_planes", "_pair"):
+    for name in ("_plane_pairs", "_orthonormal_spans"):
         def counting(*args, _name=name, _fn=getattr(canonical, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
 
         monkeypatch.setattr(canonical, name, counting)
     d = decompose(x)
-    assert calls == {"_orthonormal_planes": 1, "_pair": 1}
+    assert calls == {"_plane_pairs": 1}
     assert verify_decomposition(x, d).verdict
 
 
@@ -1206,6 +1214,79 @@ def test_the_zero_matrix_is_refused_by_the_x_gate():
     with pytest.raises(SingularInput) as err:
         decompose(np.zeros((4, 4)))
     assert str(err.value) == _X_GATE
+
+
+# --- one mode: a 2 x 2 X in closed form ------------------------------------
+
+
+def _one_mode_xs(count, seed):
+    # seeded Gaussian 2 x 2 X at scales 10^U(-150, 150)
+    rng = np.random.default_rng(seed)
+    return [10.0 ** rng.uniform(-150, 150) * rng.standard_normal((2, 2)) for _ in range(count)]
+
+
+def test_a_general_2x2_x_takes_the_closed_form_and_verifies(monkeypatch):
+    # Sigma(X) = det(X) I: no eigensolve, inverse, SVD or stage 1, and every
+    # result verifies over 3000 inputs; a gate read off X unscaled refused
+    # Gaussian X at scale 1e100 as singular
+    xs = _one_mode_xs(3000, 33)
+    counts = [_counting_linalg(monkeypatch, name) for name in ("eig", "eigvals", "inv", "svd")]
+    stage1 = _counting_calls(monkeypatch, "block_diagonalize_skew_hamiltonian")
+    ds = [decompose(x) for x in xs]
+    assert counts == [[], [], [], []] and stage1 == []
+    assert all(verify_decomposition(x, d).verdict for x, d in zip(xs, ds))
+
+
+def test_a_general_2x2_x_has_the_blocks_of_its_invariants_bit_for_bit():
+    # both read the one invariant det X off the same closed form
+    for x in _one_mode_xs(3000, 34):
+        assert invariants(x).values == decompose(x).blocks.blocks
+
+
+def test_the_one_mode_x_gate_agrees_with_the_singular_values():
+    # X with rcond_2 = 10^U(-14, -10) at scales 10^U(-150, 150) is refused
+    # by the gate exactly where the SVD reads rcond below 1e-12, away from
+    # the floor. Past the gate S2's residual carries rounding of order
+    # eps / rcond, so the contract may still refuse it, as on the general
+    # path
+    rng = np.random.default_rng(35)
+    refusals = 0
+    for seed in range(2000):
+        scale, smin = 10.0 ** rng.uniform(-150, 150), 10.0 ** rng.uniform(-14, -10)
+        x = scale * _with_singular_values(np.array([1.0, smin]), seed)
+        rc = reciprocal_condition(x)
+        if abs(rc / 1e-12 - 1.0) < 1e-6:  # too close to the floor to call
+            continue
+        try:
+            decompose(x)
+            refused = False
+        except SingularInput as exc:
+            refused = str(exc) == _X_GATE
+        except DegenerateSpectrum as exc:
+            refused = "residual contract" not in str(exc)
+        assert refused == (rc < 1e-12), rc
+        refusals += refused
+    assert 800 < refusals < 1200
+
+
+@pytest.mark.parametrize("entry", [decompose, invariants], ids=["decompose", "invariants"])
+def test_a_2x2_x_whose_determinant_overflows_raises_eigen_failure(entry):
+    # det X = inf: Sigma(X) = det(X) I is not finite, as the eigensolve of the
+    # overflowing Sigma(X) found before
+    x = 1e160 * np.random.default_rng(1).standard_normal((2, 2))
+    with pytest.raises(EigenFailure):
+        entry(x)
+
+
+def test_a_2x2_x_whose_determinant_underflows_is_refused_as_singular():
+    # X is well conditioned (rcond_2 about 0.019, so the X gate passes), but
+    # a * e - b * c rounds to 0: the one invariant is 0, as the eigensolve of
+    # the underflowing Sigma(X) found before, and X is refused, not divided by 0
+    x = 1e-170 * np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert reciprocal_condition(x) > 1e-2
+    assert invariants(x).has_zero
+    with pytest.raises(SingularInput, match="zero invariant"):
+        decompose(x)
 
 
 def _counting_steps(monkeypatch):

@@ -163,6 +163,16 @@ def test_condense_a_state_whose_s1_misses_the_contract(monkeypatch):
     assert state_validity(res.g_out).valid
 
 
+@pytest.mark.parametrize("pairs, dim_a, dim_b", [(1, 4, 2), (1, 2, 4), (2, 6, 2)])
+def test_transform_bipartite_refuses_local_maps_of_another_size(pairs, dim_a, dim_b):
+    # the blocks are transformed one by one, so each local map must have
+    # the shape of the blocks; S_A 6 x 6 and S_B 2 x 2 once passed on a
+    # state of 4 x 4 blocks, as one 8 x 8 map split at the wrong mode
+    g = two_mode_squeezed(0.5, pairs=pairs)
+    with pytest.raises(DimensionError, match="S_A and S_B must have the shape"):
+        transform_bipartite(g, np.eye(dim_a), np.eye(dim_b))
+
+
 def test_condense_rejects_product_state():
     g = BipartiteCovariance(n=1, gamma_a=np.eye(2), gamma_b=np.eye(2), x=np.zeros((2, 2)))
     with pytest.raises(SingularInput):

@@ -58,7 +58,7 @@ def test_decompose_timing_prints_the_stages_of_one_tree_per_n():
     header, *rows = proc.stdout.splitlines()[1:]
     assert header.split() == ["n", "gate", "sigma_eig", "classify", "stage1", "blocks", "finish", "sum"]
     rows = [[float(cell) for cell in line.split()] for line in rows]
-    assert [row[0] for row in rows] == [1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32]
+    assert [row[0] for row in rows] == [2, 3, 4, 5, 6, 7, 8, 16, 24, 32]
     for row in rows:
         ms, shares = row[1:13:2], row[2:13:2]
         assert len(row) == 14 and min(ms) > 0
@@ -78,6 +78,20 @@ def test_decompose_timing_refuses_stage_marks_out_of_order(monkeypatch):
     for bad in ([marks[1], marks[0], *marks[2:]], [*marks, marks[-1]], marks[1:]):
         with pytest.raises(ValueError, match="out of order"):
             decompose_timing.stage_times(0.0, bad, 9.0)
+
+
+def test_decompose_timing_takes_the_geometric_mean_of_both_load_orders(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import decompose_timing
+
+    # the change reads 10% faster with the parent loaded first and 10%
+    # slower the other way round: the geometric mean of the two ratios
+    first = {"parent": {"op": {"2": [1.0, 1.0, 1.0]}}, "change": {"op": {"2": [0.9, 0.9, 0.9]}}}
+    second = {"parent": {"op": {"2": [2.0, 2.0, 1.0]}}, "change": {"op": {"2": [2.2, 2.3, 1.0]}}}
+    parent, change, wins = decompose_timing.combine(first, second, "op", 2)
+    assert parent == pytest.approx(2.0**0.5) and change == pytest.approx((0.9 * 2.2) ** 0.5)
+    assert change / parent == pytest.approx((0.9 * 1.1) ** 0.5)
+    assert wins == 2  # 0.9 * 2.2 < 2.0 and 0.9 * 1.0 < 1.0, but not 0.9 * 2.3
 
 
 def test_loader_refuses_a_tree_that_imports_sympeq_by_absolute_name(tmp_path):
