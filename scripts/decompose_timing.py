@@ -24,8 +24,10 @@ first. The operations are:
   r in [0.5, 3], one real invariant n times, which a Gaussian X never has;
 * ``decompose_passive``: ``decompose`` of the interaction block of a seeded
   number-preserving channel, ``random_valid_channel(n, env,
-  squeezing=False).x`` with env = 1..3 in turn, a passive X, which takes
-  the closed form of one n x n complex SVD;
+  squeezing=False).x`` with env = 1..3 in turn, a passive X, which for
+  n >= 2 takes the closed form of one n x n complex SVD; at n = 1 it is a
+  2 x 2 X, and its row times the one-mode closed form like the
+  ``decompose`` row;
 * ``decompose_channel``: ``decompose`` of the interaction block of a seeded
   channel with squeezing, ``random_valid_channel(n, env,
   squeezing=True).x`` with env = 1..3 in turn, the general-path input of

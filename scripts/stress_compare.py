@@ -34,9 +34,11 @@ the closed form of a passive or anti-passive X, i.e. called it on a
 complex 2-D array, the n x n matrix Z whose real form X is; those that ran a
 stage-1 SVD, i.e. called it on a 3-D stack, as the general path for
 clusters of four or more eigenvalues does (2-planes take their bases in
-closed form); and those that ran a batched Hermitian eigensolve, i.e.
+closed form); those that ran a batched Hermitian eigensolve, i.e.
 called ``numpy.linalg.eigh`` on a 3-D stack, as the pairing of a real
-invariant repeated three or more times does. The evaluation wraps these
+invariant repeated three or more times does; and those that ran the
+one-mode closed form of a 2 x 2 X, i.e. called none of
+``numpy.linalg.eig``, ``svd`` and ``inv``. The evaluation wraps these
 functions, so the counts need nothing from the tree. Beside them stands
 the count of ``decompose`` results that ``verify_decomposition`` accepts
 with a reconstruction residual above 1e-9, a tenth of the contract's
@@ -67,6 +69,8 @@ RECON_TAIL = 1e-9  # verified results above this reconstruction residual are cou
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 _SVD = np.linalg.svd
 _EIGH = np.linalg.eigh
+_EIG = np.linalg.eig
+_INV = np.linalg.inv
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +152,34 @@ def _run(sp, fn) -> dict:
 
 
 def _decompose(sp, x, calls: Counter) -> dict:
-    # calls counts the real and the complex 2-D svd calls, the 3-D svd calls
-    # and the 3-D eigh calls of decompose, also when it raises
+    # calls counts the real and the complex 2-D svd calls, the 3-D svd calls,
+    # the 3-D eigh calls and all eig, svd and inv calls of decompose, also
+    # when it raises
     def svd(a, *args, **kwargs):
         calls["svd"] += np.ndim(a) == 2 and not np.iscomplexobj(a)
         calls["passive_svd"] += np.ndim(a) == 2 and np.iscomplexobj(a)
         calls["stack_svd"] += np.ndim(a) == 3
+        calls["eig_svd_inv"] += 1
         return _SVD(a, *args, **kwargs)
 
     def eigh(a, *args, **kwargs):
         calls["stack_eigh"] += np.ndim(a) == 3
         return _EIGH(a, *args, **kwargs)
 
-    with mock.patch.object(np.linalg, "svd", svd), mock.patch.object(np.linalg, "eigh", eigh):
+    def eig(a, *args, **kwargs):
+        calls["eig_svd_inv"] += 1
+        return _EIG(a, *args, **kwargs)
+
+    def inv(a, *args, **kwargs):
+        calls["eig_svd_inv"] += 1
+        return _INV(a, *args, **kwargs)
+
+    with (
+        mock.patch.object(np.linalg, "svd", svd),
+        mock.patch.object(np.linalg, "eigh", eigh),
+        mock.patch.object(np.linalg, "eig", eig),
+        mock.patch.object(np.linalg, "inv", inv),
+    ):
         d = sp.decompose(x)
     rep = sp.verify_decomposition(x, d)
     return {
@@ -220,6 +239,7 @@ def evaluate(sp, inputs: list[dict]) -> list[dict]:
             "passive_svd": calls["passive_svd"] > 0,
             "stage1_svd": calls["stack_svd"] > 0,
             "stage1_eigh": calls["stack_eigh"] > 0,
+            "one_mode": calls["eig_svd_inv"] == 0,
             "recon_tail": dec.get("verdict", False) and dec["verify"][0] > RECON_TAIL,
         })
     return json.loads(json.dumps(out))
@@ -320,6 +340,7 @@ def main(argv=None) -> int:
             family[f"{side} passive_svd"] += rec["passive_svd"]
             family[f"{side} stage1_svd"] += rec["stage1_svd"]
             family[f"{side} stage1_eigh"] += rec["stage1_eigh"]
+            family[f"{side} one_mode"] += rec["one_mode"]
             family[f"{side} recon_tail"] += rec["recon_tail"]
         for op, rec in b["ops"].items():
             if "error" in rec:
@@ -345,13 +366,14 @@ def main(argv=None) -> int:
     if counts["digits"]:
         print(f"  largest number difference: {worst[0]:.2e} relative, in {worst[1]} of input {worst[2]}")
     print("  decompose calls that ran a real full-size SVD | a passive closed-form (complex n x n) SVD "
-          "| a stage-1 (3-D) SVD | a batched (3-D) eigh "
+          "| a stage-1 (3-D) SVD | a batched (3-D) eigh | the one-mode closed form (no eig, svd or inv) "
           f"| verified decompose results with recon above {RECON_TAIL:g}, parent -> change:")
     for family, c in by_family.items():
         print(f"  {family:16s} {c['parent full_svd']:5d} -> {c['change full_svd']:5d}"
               f" | {c['parent passive_svd']:5d} -> {c['change passive_svd']:5d}"
               f" | {c['parent stage1_svd']:5d} -> {c['change stage1_svd']:5d}"
               f" | {c['parent stage1_eigh']:5d} -> {c['change stage1_eigh']:5d}"
+              f" | {c['parent one_mode']:5d} -> {c['change one_mode']:5d}"
               f" | {c['parent recon_tail']:5d} -> {c['change recon_tail']:5d}")
     for (op, name), k in sorted(errors.items()):
         print(f"  change: {op} raised {name} on {k} inputs")

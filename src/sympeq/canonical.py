@@ -33,21 +33,22 @@ eigenvectors). The construction has two stages:
    carries S1 off the group. The decomposition thus costs one full-size
    eigendecomposition in all.
 
-A passive X (X sigma = sigma X, a number-preserving coupling) or an
-anti-passive one (X sigma = -sigma X) is the real form of an n x n complex
-matrix Z, and the orthogonal symplectic matrices are the real forms of the
-unitaries. Such an X, recognised by an exact test, costs one complex SVD
-Z = U diag(s) V^H instead of the eigendecomposition, stage 1 and both
-inverses: its invariants are +-s^2, J is diagonal, and S1 and S2 are read
-off U, s and V in closed form. Its factors then take the same steps onto
-the group and face the same residual contract.
-
-A 2 x 2 X that is neither passive nor anti-passive (one mode) needs no
-eigendecomposition at all: X sigma X^T = det(X) sigma, so Sigma(X) = d I
-with d = det X, the one invariant, real and exactly doubled. S1 = I and
+Each input class has one route, the shape tested first. Every 2 x 2 X
+(one mode), passive or not, needs no eigendecomposition at all:
+X sigma X^T = det(X) sigma, so Sigma(X) = d I with d = det X, the one
+invariant, real and exactly doubled. S1 = I and
 S2 = X^{-1} diag(1, d) = [[x11 / d, -x01], [-x10 / d, x00]], whose
-determinant is 1, so S1 X S2 = I_1 (+) d with no inverse and no stage 1.
-The passive test runs first, so a passive 2 x 2 X keeps its complex SVD.
+determinant is 1, so S1 X S2 = I_1 (+) d with no inverse and no stage 1;
+d and S2's first column are read off the exactly rescaled 2^-k X.
+
+For n >= 2, a passive X (X sigma = sigma X, a number-preserving coupling)
+or an anti-passive one (X sigma = -sigma X) is the real form of an n x n
+complex matrix Z, and the orthogonal symplectic matrices are the real
+forms of the unitaries. Such an X, recognised by an exact test, costs one
+complex SVD Z = U diag(s) V^H instead of the eigendecomposition, stage 1
+and both inverses: its invariants are +-s^2, J is diagonal, and S1 and S2
+are read off U, s and V in closed form. Its factors then take the same
+steps onto the group and face the same residual contract.
 
 X and the stage-1 basis T must be invertible, judged by a 2-norm rcond
 floor each. Both gates read ``core.gated_inverse``: the bound
@@ -58,7 +59,8 @@ inverse is stage 1's S, and X's inverse finishes S2 = X^{-1} T W sigma
 (W from the closed-form factors), so X and T are factored once each. A
 passive or anti-passive X is judged by s_min / s_max of its SVD instead,
 which is rcond_2(X) exactly, and is not inverted; a one-mode X by its
-exact rcond_2 in closed form, from det X and ||X||_F. Within ``decompose``
+exact rcond_2 in closed form, from det X and ||X||_F. All three routes
+refuse with one message. Within ``decompose``
 one numerical verdict judges the construction: the residual contract on
 S1, S2 and the reconstruction.
 
@@ -106,6 +108,7 @@ from .invariants import (
     REAL,
     Invariant,
     InvariantSpectrum,
+    _scaled_det,
     invariant_multiset,
     invariants,
     one_mode_spectrum,
@@ -574,10 +577,21 @@ def factor_two_symmetric(m, seed: int = 0) -> TwoSymmetricFactors:
 # ---------------------------------------------------------------------------
 
 
-def _recon_residual(x: np.ndarray, s1: np.ndarray, s2: np.ndarray, blocks) -> float:
-    """||S1 X S2 - I (+) J|| / (||S1|| ||X|| ||S2||)."""
-    recon = frobenius(s1 @ x @ s2 - blocks.assembled)
-    return recon / max(frobenius(s1) * frobenius(x) * frobenius(s2), 1e-300)
+def _recon_residual(x: np.ndarray, s1: np.ndarray, s2: np.ndarray, n: np.ndarray) -> float:
+    """||S1 X S2 - N|| / (||S1|| ||X|| ||S2||) for N = I (+) J.
+
+    Where a product or the norms' product overflows, the same quotient is
+    read off 2^-k X and 2^-k N with k = frexp(max|x|)[1], which scale
+    exactly: for one, a 2 x 2 X whose entry products overflow while det X
+    does not.
+    """
+    recon = frobenius(s1 @ x @ s2 - n)
+    norms = frobenius(s1) * frobenius(x) * frobenius(s2)
+    if not max(recon, norms) < math.inf:
+        k = math.frexp(float(np.abs(x).max()))[1]
+        if k:
+            return _recon_residual(np.ldexp(x, -k), s1, s2, np.ldexp(n, -k))
+    return recon / max(norms, 1e-300)
 
 
 def _decomposition(x: np.ndarray, s1: np.ndarray, s2: np.ndarray, blocks, tol: Tolerances) -> Decomposition:
@@ -602,7 +616,7 @@ def _decomposition(x: np.ndarray, s1: np.ndarray, s2: np.ndarray, blocks, tol: T
     if s1_res > tol.residual_tol:
         s1 = _symplectic_step(s1)
         s1_res = symplectic_residual(s1)
-    recon = _recon_residual(x, s1, s2, blocks)
+    recon = _recon_residual(x, s1, s2, blocks.assembled)
     if not _meets_contract(recon, s1_res, s2_res, tol):
         raise DegenerateSpectrum(
             "decomposition failed its own residual contract "
@@ -659,24 +673,27 @@ def _passive_finish(sign: float, u: np.ndarray, sv: np.ndarray, vh: np.ndarray):
     return s1, s2
 
 
-def _one_mode_rcond(x: np.ndarray) -> float:
-    """rcond_2 of a 2 x 2 X, exactly, with no SVD and no inverse.
+def _one_mode_rcond(xh, dh: float) -> float:
+    """rcond_2 of a 2 x 2 X, exactly, with no SVD and no inverse, from the
+    entries of X^ = 2^-k X and d^ = det X^ (``_scaled_det``).
 
     s_min s_max = |d| and s_min^2 + s_max^2 = f for d = det X and
     f = ||X||_F^2, so s_max^2 = (f + sqrt(f^2 - 4 d^2)) / 2 and
-    s_min / s_max = |d| / s_max^2. d and f are read off X / max|x|, where
-    neither overflows nor underflows short of rcond itself doing so: an
-    unscaled X of Gaussian entries at scale 1e100 has d = inf.
+    s_min / s_max = |d| / s_max^2, the same for X^ as for X. Read off X^,
+    neither d nor f overflows or underflows short of rcond itself doing so.
+    Where d^ = 0 rcond is 0; X = 0, whose f is 0 too, is one such X.
     """
-    (a, b), (c, e) = x.tolist()
-    m = max(abs(a), abs(b), abs(c), abs(e))
-    if m == 0.0:
-        return 0.0
-    a, b, c, e = a / m, b / m, c / m, e / m
-    d, f = abs(a * e - b * c), a * a + b * b + c * c + e * e
+    a, b, c, e = xh
+    d, f = abs(dh), a * a + b * b + c * c + e * e
     # f^2 - 4 d^2 >= 0, as a product that keeps its precision where it is
     # small; rounding may leave f - 2d a little below 0
-    return 2.0 * d / (f + math.sqrt(max(f - 2.0 * d, 0.0) * (f + 2.0 * d)))
+    return 2.0 * d / (f + math.sqrt(max(f - 2.0 * d, 0.0) * (f + 2.0 * d))) if d else 0.0
+
+
+def _x_gate(rcond: float) -> None:
+    """The X gate of every route: SingularInput where rcond_2(X) < 1e-12."""
+    if not rcond >= _X_RCOND_MIN:
+        raise SingularInput("X is singular within tolerance (rcond < 1e-12)")
 
 
 def _symplectic_step(s: np.ndarray) -> np.ndarray:
@@ -714,7 +731,12 @@ def _meets_contract(recon: float, s1: float, s2: float, tol: Tolerances) -> bool
 def decompose(x, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     """Symplectic equivalence normal form S1 @ X @ S2 = I_n (+) J.
 
-    Pipeline: one eigendecomposition of Sigma(X) serves the invariants and
+    Every 2 x 2 X (one mode), passive or not, has Sigma(X) = det(X) I: its
+    one invariant is d = det X, J = d, S1 = I and
+    S2 = [[x11 / d, -x01], [-x10 / d, x00]], with no eigendecomposition,
+    inverse or stage 1 (``_one_mode_decomposition``).
+
+    For n >= 2, one eigendecomposition of Sigma(X) serves the invariants and
     stage 1. Its eigenvalues give the invariant spectrum, the blocks of J,
     equal to ``invariants(x).values``; its eigenvectors block-diagonalize
     Sigma(X) symplectically to -(M (+) M^T), with M = -J to rounding in the
@@ -724,17 +746,12 @@ def decompose(x, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     T = S^{-1} stage 1's basis, and S1 = (A (+) A) S. X^{-1} is the inverse
     the X gate computes, so no system in S X is solved.
 
-    A passive X (X sigma = sigma X) or an anti-passive one
+    For n >= 2, a passive X (X sigma = sigma X) or an anti-passive one
     (X sigma = -sigma X), recognised exactly by ``passive_svd``, takes one
     n x n complex SVD Z = U diag(s) V^H in place of the eigendecomposition,
     stage 1 and both inverses: the invariants are sign s^2, J is diagonal,
     and S1 = R(U^H), S2 = R(V) diag(1/s, s) or F R(V) F diag(1/s, s) in
     closed form (``_passive_finish``).
-
-    Any other 2 x 2 X (one mode) has Sigma(X) = det(X) I: its one invariant
-    is d = det X, J = d, S1 = I and S2 = [[x11 / d, -x01], [-x10 / d, x00]],
-    with no eigendecomposition, inverse or stage 1
-    (``_one_mode_decomposition``).
 
     All routes end alike (``_decomposition``): a factor off the symplectic
     group by more than the residual contract allows takes one first-order
@@ -749,33 +766,30 @@ def decompose(x, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     only where that bound does not clear the floor tenfold; the verdict is
     the one the singular values give. For a passive or anti-passive X it
     reads s_min / s_max, which is rcond_2(X) exactly, and for a one-mode X
-    the exact rcond_2 from det X and ||X||_F (``_one_mode_rcond``).
+    the exact rcond_2 from det X and ||X||_F (``_one_mode_rcond``). The
+    three routes refuse with one message (``_x_gate``).
 
     Raises SingularInput for singular X, DegenerateSpectrum (or subclasses)
     when the spectrum is too degenerate or ill-conditioned for a trustworthy
     result, never returning a silently bad decomposition.
     """
     x = as_even_square(x, "X")
-    passive = passive_svd(x)
-    if passive is None and x.shape[0] == 2:
+    if x.shape[0] == 2:
         return _one_mode_decomposition(x, tol)
+    passive = passive_svd(x)
     if passive is None:
-        x_inv = gated_inverse(x, _X_RCOND_MIN)[0]
-        singular = x_inv is None
-    else:
-        w, sign, u, sv, vh = passive
-        lo, hi = sorted((sv[0], sv[-1]))  # X's singular values are Z's, each twice
-        singular = not (hi > 0.0 and lo / hi >= _X_RCOND_MIN)
-    if singular:
-        raise SingularInput("X is singular within tolerance (rcond < 1e-12)")
-
-    if passive is None:
+        x_inv, rcond = gated_inverse(x, _X_RCOND_MIN)
+        _x_gate(rcond)
         # one eigendecomposition of Sigma(X) serves the invariants and stage 1
         sig_x = sigma_of_checked(x)
         try:
             w, v = np.linalg.eig(sig_x)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise EigenFailure(f"eigensolver failed on Sigma(X): {exc}") from exc
+    else:
+        w, sign, u, sv, vh = passive
+        lo, hi = sorted((sv[0], sv[-1]))  # X's singular values are Z's, each twice
+        _x_gate(lo / hi if hi > 0.0 else 0.0)
     spectrum, clusters = spectrum_from_eigenvalues(w, tol)
     _refuse_zero_invariant(spectrum, spectral_scale(w), tol)
 
@@ -793,28 +807,29 @@ def decompose(x, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
 
 
 def _one_mode_decomposition(x: np.ndarray, tol: Tolerances) -> Decomposition:
-    """``decompose`` of a 2 x 2 X that is neither passive nor anti-passive.
+    """``decompose`` of a 2 x 2 X, passive, anti-passive or neither.
 
     Sigma(X) = d I with d = det X (``one_mode_spectrum``), so J = d and
     S1 = I, S2 = X^{-1} diag(1, d) = [[x11 / d, -x01], [-x10 / d, x00]]:
-    det S2 = 1, so S2 is symplectic, and X S2 = diag(1, d). Only the
-    entries of the first column are divided by d, so S2 overflows only
-    where X^{-1} itself would. The X gate reads the exact rcond_2
-    (``_one_mode_rcond``), which reads X / max|x|, so a well-conditioned X
-    of entries near 1e-170 passes it while d underflows to 0; such an X is
-    refused as having a zero invariant, as on the general route. No
-    inverse, eigensolve or stage 1 runs; the residual contract judges the
-    result as on the other routes. Past the gate, S2's symplectic residual
-    carries rounding of order eps / rcond_2(X), as the general route's
-    does, so the contract may still refuse an X close to the gate.
+    det S2 = 1, so S2 is symplectic, and X S2 = diag(1, d). The X gate
+    (``_one_mode_rcond``), d and S2's first column are all read off one
+    exact rescaling X^ = 2^-k X with d^ = det X^ (``_scaled_det``):
+    x11 / d = 2^-k x^11 / d^, and likewise x10 / d. So d and that column
+    keep their precision where d is subnormal, and d is found where a e
+    overflows while det X does not. A well-conditioned X of entries near
+    1e-170 passes the gate while d underflows to 0; such an X is refused as
+    having a zero invariant, as on the general route. No inverse,
+    eigensolve or stage 1 runs; the residual contract judges the result as
+    on the other routes. Past the gate, S2's symplectic residual carries
+    rounding of order eps / rcond_2(X), as the general route's does, so the
+    contract may still refuse an X close to the gate.
     """
-    if not _one_mode_rcond(x) >= _X_RCOND_MIN:
-        raise SingularInput("X is singular within tolerance (rcond < 1e-12)")
-    spectrum = one_mode_spectrum(x)
-    d = spectrum.values[0].re
+    k, xh, dh, d = _scaled_det(x)
+    _x_gate(_one_mode_rcond(xh, dh))
+    spectrum = one_mode_spectrum(d)
     _refuse_zero_invariant(spectrum, abs(d) or 1.0, tol)
-    (a, b), (c, e) = x.tolist()
-    s2 = np.array([[e / d, -b], [-c / d, a]])
+    (a, b), _ = x.tolist()
+    s2 = np.array([[math.ldexp(xh[3] / dh, -k), -b], [-math.ldexp(xh[2] / dh, -k), a]])
     return _decomposition(x, np.eye(2), s2, canonical_from_invariants(spectrum), tol)
 
 
@@ -828,7 +843,7 @@ def verify_decomposition(x, d: Decomposition, tol: Tolerances = DEFAULT_TOL) -> 
     x = as_even_square(x, "X")
     if d.s1.shape != x.shape or d.s2.shape != x.shape:
         raise DimensionError("decomposition factors do not match the input dimension")
-    recon = _recon_residual(x, d.s1, d.s2, d.blocks)
+    recon = _recon_residual(x, d.s1, d.s2, d.blocks.assembled)
     s1_res = is_symplectic(d.s1, tol).residual
     s2_res = is_symplectic(d.s2, tol).residual
 

@@ -54,19 +54,14 @@ class Tolerances:
     psd_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("residual_tol", "degeneracy_gap", "psd_tol"):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if not value > 0:
                 raise ValueError(f"{name} must be strictly positive")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
 
     def as_dict(self) -> dict:
-        return {
-            "residual_tol": self.residual_tol,
-            "degeneracy_gap": self.degeneracy_gap,
-            "psd_tol": self.psd_tol,
-        }
+        return dict(vars(self))
 
 
 DEFAULT_TOL = Tolerances()
@@ -95,16 +90,19 @@ def as_even_square(a, name: str = "matrix") -> np.ndarray:
 
 def frobenius(a) -> float:
     """Frobenius norm of a real array; rescaled by max|a| where the sum of
-    squares overflows.
+    squares overflows or underflows.
 
     The norm is the square root of the flattened array dotted with itself,
-    which is what ``np.linalg.norm`` computes, bit for bit. When that overflows
-    although every entry is finite, the norm is recomputed as m * ||a / m||
-    with m = max|a|.
+    which is what ``np.linalg.norm`` computes, bit for bit. When that
+    overflows although every entry is finite, or falls below 2^-485 (about
+    1e-146), the norm is recomputed as m * ||a / m|| with m = max|a|,
+    unless every entry is 0 (an exact zero residual, the common case).
     """
     flat = np.asarray(a, dtype=float).ravel(order="K")
     nrm = math.sqrt(flat.dot(flat))
-    if nrm == math.inf:
+    # from 2^-485 up the sum of squares is at least float_min / eps = 2^-970,
+    # so squares lost to underflow move it by less than its rounding
+    if not 2.0**-485 <= nrm < math.inf and flat.any():
         m = float(np.abs(flat).max())
         if m < math.inf:
             flat = flat / m

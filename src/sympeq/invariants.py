@@ -7,12 +7,14 @@ The spectrum is two-fold degenerate and conjugation-closed; this module
 computes it, clusters the doubles, and classifies entries as real values or
 complex-conjugate pairs.
 
-For a passive X, X sigma = sigma X, or an anti-passive one, X sigma =
--sigma X, one n x n complex SVD takes the place of the 2n x 2n eigensolve
+Each input class has one route, chosen by the shape first. For one mode,
+X sigma X^T = det(X) sigma, so Sigma(X) = det(X) I and the one invariant
+is det X with no eigensolve at all (``one_mode_spectrum``); every 2 x 2 X
+takes this route, a passive or anti-passive one included. For n >= 2, a
+passive X, X sigma = sigma X, or an anti-passive one, X sigma = -sigma X,
+takes one n x n complex SVD in place of the 2n x 2n eigensolve
 (``passive_svd``): the invariants are +-s^2 of its singular values s, each
-doubled. For one mode, X sigma X^T = det(X) sigma, so Sigma(X) = det(X) I
-and the one invariant is det X with no eigensolve at all
-(``one_mode_spectrum``).
+doubled.
 
 This module is the one place where the spectral policy is decided, in one
 function, ``spectrum_from_eigenvalues``: the gap (``degeneracy_gap`` relative
@@ -151,7 +153,8 @@ def passive_svd(x: np.ndarray):
     eigenvalues sign s^2 twice over, and s (with u's columns and vh's rows)
     runs in the canonical order of the invariants sign s^2, descending for
     sign +1 and ascending for -1. One full SVD serves ``invariants`` and
-    ``decompose`` alike, so both read the same bits.
+    ``decompose`` alike, so both read the same bits. Both call it for
+    n >= 2 only: every 2 x 2 X takes the one-mode route.
     """
     n = x.shape[0] // 2
     head, tail = x.item(0, 0), x.item(n, n)
@@ -176,18 +179,38 @@ def passive_svd(x: np.ndarray):
     return np.concatenate((w, w)), sign, u, s, vh
 
 
-def one_mode_spectrum(x: np.ndarray) -> InvariantSpectrum:
-    """The invariant spectrum of a 2 x 2 X.
+def _scaled_det(x: np.ndarray):
+    """det X of a 2 x 2 X, read off the exactly rescaled X^ = 2^-k X.
 
-    At n = 1, X sigma X^T = det(X) sigma, so Sigma(X) = det(X) I: the one
-    invariant is d = det X, real and exactly doubled, with no eigensolve and
-    no classification. Its spectrum is the one ``spectrum_from_eigenvalues``
-    gives for the eigenvalues (d, d): has_zero only where d is 0, and a
-    pairing residual of 0. Raises EigenFailure where d overflows, as the
-    eigensolve of the overflowing Sigma(X) does.
+    k = frexp(max|x|)[1], so max|x^| lies in [1/2, 1): d^ = det X^ neither
+    overflows nor underflows short of X being singular to rounding, and
+    d = det X = 2^2k d^ is rounded once, where it is subnormal. Powers of
+    two scale exactly, so where no product under- or overflows, d equals
+    the unscaled a e - b c bit for bit. Returns ``(k, entries of X^ in row order, d^, d)``,
+    with d = +-inf where det X overflows.
     """
     (a, b), (c, e) = x.tolist()
-    d = a * e - b * c
+    k = math.frexp(max(abs(a), abs(b), abs(c), abs(e)))[1]
+    a, b, c, e = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k), math.ldexp(e, -k)
+    dh = a * e - b * c
+    try:
+        d = math.ldexp(dh, 2 * k)
+    except OverflowError:
+        d = math.copysign(math.inf, dh)
+    return k, (a, b, c, e), dh, d
+
+
+def one_mode_spectrum(d: float) -> InvariantSpectrum:
+    """The invariant spectrum of a 2 x 2 X from d = det X (``_scaled_det``).
+
+    At n = 1, X sigma X^T = det(X) sigma, so Sigma(X) = det(X) I: the one
+    invariant is d, real and exactly doubled, with no eigensolve and no
+    classification, for every 2 x 2 X, passive or not. Its spectrum is the
+    one ``spectrum_from_eigenvalues`` gives for the eigenvalues (d, d):
+    has_zero only where d is 0, and a pairing residual of 0. Raises
+    EigenFailure where d overflows, as the eigensolve of the overflowing
+    Sigma(X) does.
+    """
     if not math.isfinite(d):
         raise EigenFailure(f"Sigma(X) = det(X) I is not finite: det X = {d}")
     invariant = Invariant(d, 0.0, REAL)
@@ -202,18 +225,18 @@ def invariants(x, tol: Tolerances = DEFAULT_TOL) -> InvariantSpectrum:
     of size 2m yields m equal invariants. Repeated invariants are reported as
     repeats, not rejected; only clusters that cannot be doubled raise
     ClusteringAmbiguous. ``has_zero`` flags invariants at zero (singular X),
-    which downstream canonical-form construction refuses. A passive or
-    anti-passive X takes its eigenvalues from one n x n complex SVD
-    (``passive_svd``), any other 2 x 2 X its one invariant det X in closed
-    form (``one_mode_spectrum``), and any other X its eigenvalues from one
+    which downstream canonical-form construction refuses. Every 2 x 2 X
+    takes its one invariant det X in closed form (``one_mode_spectrum``);
+    for n >= 2 a passive or anti-passive X takes its eigenvalues from one
+    n x n complex SVD (``passive_svd``), and any other X from one
     eigensolve of Sigma(X).
     """
     x = as_even_square(x, "X")
+    if x.shape[0] == 2:
+        return one_mode_spectrum(_scaled_det(x)[3])
     passive = passive_svd(x)
     if passive is not None:
         return spectrum_from_eigenvalues(passive[0], tol)[0]
-    if x.shape[0] == 2:
-        return one_mode_spectrum(x)
     try:
         w = np.linalg.eigvals(sigma_of_checked(x))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare

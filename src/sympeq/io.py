@@ -126,14 +126,7 @@ def matrix_from_doc(doc: dict, name: str = "matrix") -> np.ndarray:
         if key not in doc:
             raise FormatError(f"{name}: missing field {key!r}")
     rows, cols = doc["rows"], doc["cols"]
-    if (
-        isinstance(rows, bool)
-        or isinstance(cols, bool)
-        or not isinstance(rows, int)
-        or not isinstance(cols, int)
-        or rows < 1
-        or cols < 1
-    ):
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (rows, cols)):
         raise FormatError(f"{name}: rows and cols must be positive integers")
     data = doc["data"]
     if not isinstance(data, list) or len(data) != rows * cols:

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1132,10 +1133,11 @@ def test_decompose_blocks_equal_invariants_exactly(x):
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["passive", "anti_passive"])
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_passive_x_takes_one_complex_svd_and_verifies(monkeypatch, n, sign):
     # the invariants are sign s^2 of the singular values s of Z, in canonical
-    # order, from one n x n complex SVD: no eig, no inverse, no other SVD
+    # order, from one n x n complex SVD: no eig, no inverse, no other SVD (a
+    # 2 x 2 X, passive or not, takes the one-mode closed form)
     x = _passive(n, 100 + n, sign)
     z = x[:n, :n] + 1j * sign * x[:n, n:]
     want = sorted(sign * np.linalg.svd(z, compute_uv=False) ** 2, reverse=True)
@@ -1220,15 +1222,19 @@ def test_the_zero_matrix_is_refused_by_the_x_gate():
 
 
 def _one_mode_xs(count, seed):
-    # seeded Gaussian 2 x 2 X at scales 10^U(-150, 150)
+    # seeded Gaussian 2 x 2 X at scales 10^U(-150, 150), then a tenth as many
+    # passive and as many anti-passive ones
     rng = np.random.default_rng(seed)
-    return [10.0 ** rng.uniform(-150, 150) * rng.standard_normal((2, 2)) for _ in range(count)]
+    xs = [10.0 ** rng.uniform(-150, 150) * rng.standard_normal((2, 2)) for _ in range(count)]
+    scales = 10.0 ** rng.uniform(-150, 150, count // 10)
+    return xs + [c * _passive(1, s, sign) for s, c in enumerate(scales) for sign in (1.0, -1.0)]
 
 
 def test_a_general_2x2_x_takes_the_closed_form_and_verifies(monkeypatch):
     # Sigma(X) = det(X) I: no eigensolve, inverse, SVD or stage 1, and every
-    # result verifies over 3000 inputs; a gate read off X unscaled refused
-    # Gaussian X at scale 1e100 as singular
+    # result verifies over 3000 Gaussian and 600 passive or anti-passive
+    # inputs; a gate read off X unscaled refused Gaussian X at scale 1e100
+    # as singular
     xs = _one_mode_xs(3000, 33)
     counts = [_counting_linalg(monkeypatch, name) for name in ("eig", "eigvals", "inv", "svd")]
     stage1 = _counting_calls(monkeypatch, "block_diagonalize_skew_hamiltonian")
@@ -1238,7 +1244,8 @@ def test_a_general_2x2_x_takes_the_closed_form_and_verifies(monkeypatch):
 
 
 def test_a_general_2x2_x_has_the_blocks_of_its_invariants_bit_for_bit():
-    # both read the one invariant det X off the same closed form
+    # both read the one invariant det X off the same closed form, passive
+    # and anti-passive X included
     for x in _one_mode_xs(3000, 34):
         assert invariants(x).values == decompose(x).blocks.blocks
 
@@ -1287,6 +1294,90 @@ def test_a_2x2_x_whose_determinant_underflows_is_refused_as_singular():
     assert invariants(x).has_zero
     with pytest.raises(SingularInput, match="zero invariant"):
         decompose(x)
+
+
+@pytest.mark.parametrize("entry", [decompose, invariants], ids=["decompose", "invariants"])
+def test_each_input_class_takes_one_route(monkeypatch, entry):
+    # the shape is tested first: every 2 x 2 X, passive and anti-passive ones
+    # included, takes the one-mode closed form with no linalg call; for
+    # n >= 2 a passive or anti-passive X takes one complex n x n SVD and
+    # nothing else, and a general X one eigensolve of Sigma(X)
+    names = ("svd", "eig", "eigvals", "eigh", "inv")
+    calls = {name: _counting_linalg(monkeypatch, name) for name in names}
+    rng = np.random.default_rng(37)
+    routes = []
+    for x in (
+        rng.standard_normal((2, 2)),
+        _passive(1, 1, 1.0),
+        _passive(1, 1, -1.0),
+        _passive(3, 2, 1.0),
+        _passive(3, 2, -1.0),
+        rng.standard_normal((6, 6)),
+    ):
+        for made in calls.values():
+            made.clear()
+        entry(x)
+        eigs = len(calls["eig"]) + len(calls["eigvals"])
+        complex_svds = [shape for shape, kind in calls["svd"] if kind == "c"]
+        routes.append((sum(map(len, calls.values())), eigs, complex_svds))
+    assert routes[:5] == [(0, 0, [])] * 3 + [(1, 0, [(3, 3)])] * 2
+    assert routes[5][1:] == (1, [])
+
+
+def _two_by_two(kind, rng):
+    # a Gaussian 2 x 2 X, or Z = C + iD as a passive or anti-passive one
+    if kind == "general":
+        return rng.standard_normal((2, 2))
+    c, d = rng.standard_normal((2, 1, 1))
+    return _real_form(c, d, 1.0 if kind == "passive" else -1.0)
+
+
+@pytest.mark.parametrize("kind", ["general", "passive", "anti_passive"])
+def test_a_well_conditioned_2x2_x_verifies_at_a_subnormal_scale_or_has_a_zero_invariant(kind):
+    # X -> cX changes no verdict: at scales 10^U(-175, -150) det X is
+    # subnormal or below the least double. d and S2's first column are read
+    # off 2^-k X, so every X with rcond_2 >= 1e-3 verifies, or is refused
+    # with SingularInput where d rounds to 0 and J = d cannot be represented
+    rng = np.random.default_rng(36)
+    verified = refused = 0
+    for _ in range(2000):
+        scale, x = 10.0 ** rng.uniform(-175, -150), _two_by_two(kind, rng)
+        if reciprocal_condition(x) < 1e-3:
+            continue
+        x = scale * x
+        try:
+            with np.errstate(over="ignore"):  # S2's squared norm may overflow
+                d = decompose(x)
+        except SingularInput as exc:
+            assert "zero invariant" in str(exc) and invariants(x).values[0].re == 0.0
+            refused += 1
+            continue
+        with np.errstate(over="ignore"):
+            assert verify_decomposition(x, d).verdict
+        verified += 1
+    assert verified > 800 and refused > 800
+
+
+def test_a_2x2_x_whose_entry_products_overflow_but_not_its_determinant_verifies():
+    # a e or b c overflows while det X does not: d is read off 2^-k X, and
+    # the reconstruction residual off 2^-k X and 2^-k (I (+) J). Seeded X
+    # with rcond_2 >= 1e-3 all verify, with J = det X to rounding
+    rng = np.random.default_rng(38)
+    checked = 0
+    while checked < 100:
+        g = rng.standard_normal((2, 2))
+        (a, b), (c, e) = x = 10.0 ** rng.uniform(153.5, 155.5) * g
+        exact = Fraction(a) * Fraction(e) - Fraction(b) * Fraction(c)
+        with np.errstate(over="ignore"):
+            overflows = not (abs(a * e) < np.inf and abs(b * c) < np.inf)
+        if reciprocal_condition(g) < 1e-3 or not overflows or abs(exact) >= 1e308:
+            continue
+        with np.errstate(over="ignore"):  # the unscaled S1 X S2 overflows
+            d = decompose(x)
+            assert verify_decomposition(x, d).verdict
+        assert d.blocks.blocks == invariants(x).values
+        assert abs(Fraction(d.blocks.blocks[0].re) / exact - 1) < 1e-13
+        checked += 1
 
 
 def _counting_steps(monkeypatch):

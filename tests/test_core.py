@@ -23,7 +23,7 @@ from sympeq import (
     squeezing_witness,
     symplectic_form,
 )
-from sympeq.core import gated_inverse, min_eig_of_checked, readonly_form, reciprocal_condition
+from sympeq.core import frobenius, gated_inverse, min_eig_of_checked, readonly_form, reciprocal_condition
 
 seeds = st.integers(min_value=0, max_value=10**6)
 small_n = st.integers(min_value=1, max_value=4)
@@ -326,3 +326,17 @@ def test_gated_inverse_reads_the_singular_values_where_inv_fails(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", failing)
     with pytest.raises(np.linalg.LinAlgError):
         gated_inverse(np.eye(3), 1e-12)
+
+
+def test_frobenius_rescales_only_a_sum_of_squares_that_underflows():
+    # at 1e-165 the squares underflow to 0, and at 1e-162 they lose digits;
+    # from 2^-485 (about 1e-146) up the norm is numpy's bit for bit, and an
+    # array of zeros has norm 0
+    for scale in (1e-320, 1e-300, 1e-200, 1e-165, 1e-162, 1e-150):
+        a = scale * np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert frobenius(a) == pytest.approx(math.hypot(*a.ravel()), rel=1e-15, abs=0.0)
+    rng = np.random.default_rng(9)
+    arrays = [10.0 ** rng.uniform(-145, 150) * rng.standard_normal((4, 4)) for _ in range(200)]
+    arrays.append(np.full(4, 2.0**-486))  # norm 2^-485 exactly
+    assert all(frobenius(a) == float(np.linalg.norm(a)) for a in arrays)
+    assert frobenius(np.zeros((3, 3))) == 0.0 and frobenius(np.zeros(0)) == 0.0

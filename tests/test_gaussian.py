@@ -330,6 +330,13 @@ def test_malformed_channel_is_refused_at_construction(n, x, y, error):
         GaussianChannel(n=n, x=x, y=y)
 
 
+def test_an_asymmetric_noise_block_is_refused_at_every_scale():
+    # the symmetry check compares Frobenius norms, which must not underflow
+    for scale in (1e100, 1.0, 1e-150, 1e-170, 1e-300):
+        with pytest.raises(NotSymmetric):
+            GaussianChannel(n=1, x=np.eye(2), y=scale * np.array([[1.0, 5.0], [0.0, 1.0]]))
+
+
 def test_normalize_identity_channel():
     res = normalize_channel(GaussianChannel.from_xy(np.eye(2), np.zeros((2, 2))))
     assert np.allclose(res.ch_out.x, np.eye(2), atol=1e-10)

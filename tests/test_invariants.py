@@ -143,11 +143,12 @@ def test_canonical_order_real_before_pair_on_tied_real_part():
 # --- properties -------------------------------------------------------------
 
 
-@given(seeds, st.integers(min_value=1, max_value=6), st.sampled_from([1.0, -1.0]))
+@given(seeds, st.integers(min_value=2, max_value=6), st.sampled_from([1.0, -1.0]))
 @settings(max_examples=40, deadline=None)
 def test_passive_x_takes_its_invariants_from_one_complex_svd(seed, n, sign):
     # X sigma = sign sigma X: Sigma(X) = sign X X^T, whose eigenvalues are
-    # sign s^2 of the singular values of Z = C + i sign D, each twice
+    # sign s^2 of the singular values of Z = C + i sign D, each twice (a
+    # 2 x 2 X, passive or not, takes its one invariant det X in closed form)
     c, d = np.random.default_rng(seed).standard_normal((2, n, n))
     x = np.block([[c, d], [-d, c]]) if sign > 0 else np.block([[c, d], [d, -c]])
     with (

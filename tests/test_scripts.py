@@ -195,6 +195,29 @@ def test_stress_compare_counts_the_closed_form_svd_of_a_passive_channel(monkeypa
     assert [rec["full_svd"] for rec in records] == [False, False, False]
 
 
+def test_stress_compare_counts_the_decompose_calls_that_ran_the_one_mode_closed_form(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import stress_compare
+
+    import sympeq
+
+    # every 2 x 2 X, passive or not, takes the closed form with no eig, svd
+    # or inv, a gate refusal included; a passive 4 x 4 X takes its complex
+    # SVD and a general one its eig and inverses
+    rng = np.random.default_rng(4)
+    xs = (
+        rng.standard_normal((2, 2)),
+        np.array([[0.6, 0.8], [-0.8, 0.6]]),
+        np.array([[1.0, 2.0], [2.0, 4.0]]),
+        sympeq.random_valid_channel(2, 1, squeezing=False, seed=9).x,
+        rng.standard_normal((4, 4)),
+    )
+    records = stress_compare.evaluate(sympeq, [{"family": "random", "x": a} for a in xs])
+    assert records[2]["ops"]["decompose"]["error"] == "SingularInput"
+    assert [rec["one_mode"] for rec in records] == [True, True, True, False, False]
+    assert [rec["passive_svd"] for rec in records] == [False, False, False, True, False]
+
+
 def test_roundtrip_sweep_prints_a_summary_per_dimension():
     proc = script("roundtrip_sweep.py", "--trials", "2", "--dims", "1,2", PYTHONPATH=str(ROOT / "src"))
     assert proc.returncode == 0, proc.stderr
