@@ -1133,11 +1133,12 @@ def test_decompose_blocks_equal_invariants_exactly(x):
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["passive", "anti_passive"])
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_passive_x_takes_one_complex_svd_and_verifies(monkeypatch, n, sign):
     # the invariants are sign s^2 of the singular values s of Z, in canonical
-    # order, from one n x n complex SVD: no eig, no inverse, no other SVD (a
-    # 2 x 2 X, passive or not, takes the one-mode closed form)
+    # order, from one n x n complex SVD: no eig, no inverse, no other SVD. A
+    # 2 x 2 X, passive or not, takes the one-mode closed form instead, with
+    # no linalg call, and its one invariant det X is the same sign s^2
     x = _passive(n, 100 + n, sign)
     z = x[:n, :n] + 1j * sign * x[:n, n:]
     want = sorted(sign * np.linalg.svd(z, compute_uv=False) ** 2, reverse=True)
@@ -1145,7 +1146,7 @@ def test_passive_x_takes_one_complex_svd_and_verifies(monkeypatch, n, sign):
     eigs = _counting_linalg(monkeypatch, "eig")
     invs = _counting_linalg(monkeypatch, "inv")
     d = decompose(x)
-    assert svds == [((n, n), "c")] and eigs == [] and invs == []
+    assert svds == ([] if n == 1 else [((n, n), "c")]) and eigs == [] and invs == []
     assert [v.kind for v in d.blocks.blocks] == [REAL] * n
     assert [v.re for v in d.blocks.blocks] == pytest.approx(want, rel=1e-12)
     assert verify_decomposition(x, d).verdict
